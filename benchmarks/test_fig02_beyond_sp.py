@@ -7,29 +7,14 @@ Paper shape: >36 % of Ycsb_mem stack writes land beyond the final SP; the
 other workloads behave similarly.
 """
 
-from repro.analysis.report import render_table
-from repro.experiments import motivation
+from repro.harness.figures import run_inline
 
 
 def test_fig2_beyond_final_sp(benchmark):
-    results = benchmark.pedantic(
-        motivation.fig2_beyond_final_sp,
-        kwargs={"num_intervals": 100, "target_ops": 120_000},
-        rounds=1,
-        iterations=1,
-    )
+    out = benchmark.pedantic(run_inline, args=("fig2", 120_000), rounds=1, iterations=1)
     print()
-    print(
-        render_table(
-            "Figure 2: stack writes beyond interval-final SP (100 intervals)",
-            ["workload", "stack writes", "beyond final SP", "fraction"],
-            [
-                [r.workload, r.total_writes, r.total_beyond, f"{r.beyond_fraction:.3f}"]
-                for r in results
-            ],
-        )
-    )
-    ycsb = next(r for r in results if r.workload == "ycsb_mem")
-    assert ycsb.beyond_fraction > 0.1
-    for r in results:
-        assert 0 <= r.beyond_fraction <= 1
+    print(out.text)
+    ycsb = next(r for r in out.raw_rows if r["workload"] == "ycsb_mem")
+    assert ycsb["beyond_fraction"] > 0.1
+    for r in out.raw_rows:
+        assert 0 <= r["beyond_fraction"] <= 1

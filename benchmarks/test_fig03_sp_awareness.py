@@ -8,47 +8,19 @@ Paper shape: SP awareness improves all three mechanisms (~30 % on average),
 yet even SP-aware variants stay >35x slower than no persistence.
 """
 
-from repro.analysis.report import render_table
-from repro.experiments import motivation
+from repro.harness.figures import run_inline
 
 
 def test_fig3_sp_awareness(benchmark):
-    cells = benchmark.pedantic(
-        motivation.fig3_sp_awareness,
-        kwargs={"target_ops": 60_000, "num_intervals": 20},
-        rounds=1,
-        iterations=1,
-    )
+    out = benchmark.pedantic(run_inline, args=("fig3", 60_000), rounds=1, iterations=1)
     print()
-    rows = []
-    for cell in cells:
-        rows.append(
-            [
-                cell.workload,
-                cell.mechanism,
-                "yes" if cell.sp_aware else "no",
-                f"{cell.normalized_time:.1f}x",
-            ]
-        )
-    print(
-        render_table(
-            "Figure 3: normalized execution time, stack persistence primitives",
-            ["workload", "mechanism", "SP aware", "normalized time"],
-            rows,
-        )
-    )
+    print(out.text)
+    time = {
+        (c["workload"], c["mechanism"], c["sp_aware"]): c["normalized_time"]
+        for c in out.raw_rows
+    }
     # SP awareness helps every (workload, mechanism) pair.
-    for workload in {c.workload for c in cells}:
+    for workload in {c["workload"] for c in out.raw_rows}:
         for mech in ("flush", "undo", "redo"):
-            blind = next(
-                c.normalized_time
-                for c in cells
-                if c.workload == workload and c.mechanism == mech and not c.sp_aware
-            )
-            aware = next(
-                c.normalized_time
-                for c in cells
-                if c.workload == workload and c.mechanism == mech and c.sp_aware
-            )
-            assert aware <= blind
-            assert aware > 2.0  # still far from free
+            assert time[workload, mech, True] <= time[workload, mech, False]
+            assert time[workload, mech, True] > 2.0  # still far from free

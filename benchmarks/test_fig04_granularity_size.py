@@ -7,33 +7,13 @@ Paper shape: large reductions (300x Gapbs_pr, 56x G500_sssp, 33x Ycsb_mem),
 ordered gapbs > g500 > ycsb.
 """
 
-from repro.analysis.report import format_bytes, render_table
-from repro.experiments import motivation
+from repro.harness.figures import run_inline
 
 
 def test_fig4_copy_size(benchmark):
-    rows = benchmark.pedantic(
-        motivation.fig4_copy_size,
-        kwargs={"num_intervals": 50, "target_ops": 120_000},
-        rounds=1,
-        iterations=1,
-    )
+    out = benchmark.pedantic(run_inline, args=("fig4", 120_000), rounds=1, iterations=1)
     print()
-    print(
-        render_table(
-            "Figure 4: mean copy size per 10ms interval, page vs 8-byte tracking",
-            ["workload", "page (4KiB)", "8-byte", "reduction"],
-            [
-                [
-                    r.workload,
-                    format_bytes(r.page_bytes_per_interval),
-                    format_bytes(r.byte_bytes_per_interval),
-                    f"{r.reduction_factor:.1f}x",
-                ]
-                for r in rows
-            ],
-        )
-    )
-    by_name = {r.workload: r.reduction_factor for r in rows}
+    print(out.text)
+    by_name = {r["workload"]: r["reduction"] for r in out.raw_rows}
     assert by_name["gapbs_pr"] > by_name["g500_sssp"] > by_name["ycsb_mem"] > 1
     assert by_name["gapbs_pr"] > 20

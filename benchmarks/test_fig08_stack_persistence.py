@@ -9,32 +9,16 @@ from 10 us to 1 ms; Romulus worst across all workloads.
 
 from collections import defaultdict
 
-from repro.analysis.report import render_table
-from repro.experiments import evaluation
+from repro.harness.figures import run_inline
 
 
 def test_fig8_stack_persistence(benchmark):
-    results = benchmark.pedantic(
-        evaluation.fig8_stack_persistence,
-        kwargs={"target_ops": 80_000},
-        rounds=1,
-        iterations=1,
-    )
-    table = defaultdict(dict)
-    for r in results:
-        table[r.trace_name][r.mechanism_name] = r.normalized_time
-    mechanisms = ["prosper", "dirtybit", "ssp-10us", "ssp-100us", "ssp-1ms", "romulus"]
+    out = benchmark.pedantic(run_inline, args=("fig8", 80_000), rounds=1, iterations=1)
     print()
-    print(
-        render_table(
-            "Figure 8: normalized execution time (stack persistence)",
-            ["workload"] + mechanisms,
-            [
-                [w] + [f"{table[w][m]:.2f}" for m in mechanisms]
-                for w in sorted(table)
-            ],
-        )
-    )
+    print(out.text)
+    table = defaultdict(dict)
+    for r in out.raw_rows:
+        table[r["workload"]][r["mechanism"]] = r["normalized_time"]
     for w, row in table.items():
         assert row["prosper"] == min(row.values()), f"prosper not best on {w}"
         assert row["romulus"] == max(row.values()), f"romulus not worst on {w}"

@@ -10,32 +10,16 @@ interval grows.
 
 from collections import defaultdict
 
-from repro.analysis.report import render_table
-from repro.experiments import evaluation
+from repro.harness.figures import run_inline
 
 
 def test_fig9_memory_persistence(benchmark):
-    cells = benchmark.pedantic(
-        evaluation.fig9_memory_persistence,
-        kwargs={"target_ops": 60_000},
-        rounds=1,
-        iterations=1,
-    )
-    table = defaultdict(dict)
-    for c in cells:
-        table[(c.workload, c.ssp_interval_us)][c.combination] = c.normalized_time
-    combos = ["ssp", "ssp+dirtybit", "ssp+prosper"]
+    out = benchmark.pedantic(run_inline, args=("fig9", 60_000), rounds=1, iterations=1)
     print()
-    print(
-        render_table(
-            "Figure 9: normalized execution time (memory-state persistence)",
-            ["workload", "ssp interval"] + combos,
-            [
-                [w, f"{us:g}us"] + [f"{row[c]:.2f}" for c in combos]
-                for (w, us), row in sorted(table.items())
-            ],
-        )
-    )
+    print(out.text)
+    table = defaultdict(dict)
+    for c in out.raw_rows:
+        table[(c["workload"], c["ssp_interval_us"])][c["combination"]] = c["normalized_time"]
     for row in table.values():
         assert row["ssp+prosper"] <= row["ssp+dirtybit"] * 1.001
         assert row["ssp+prosper"] <= row["ssp"] * 1.001

@@ -10,45 +10,19 @@ copy size.
 
 from collections import defaultdict
 
-from repro.analysis.report import format_bytes, render_table
-from repro.experiments import evaluation
+from repro.harness.figures import run_inline
 
 
 def test_fig10_usage_patterns(benchmark):
-    cells = benchmark.pedantic(
-        evaluation.fig10_usage_patterns,
-        kwargs={"scale": 0.6},
-        rounds=1,
-        iterations=1,
-    )
+    # 60k ops -> micro-benchmark scale 0.6.
+    out = benchmark.pedantic(run_inline, args=("fig10", 60_000), rounds=1, iterations=1)
+    print()
+    print(out.text)
     sizes = defaultdict(dict)
     times = defaultdict(dict)
-    for c in cells:
-        sizes[c.workload][c.granularity] = c.mean_checkpoint_bytes
-        times[c.workload][c.granularity] = c.checkpoint_time_vs_dirtybit
-    columns = ["page", 8, 16, 32, 64, 128]
-    print()
-    print(
-        render_table(
-            "Figure 10a: mean checkpoint size",
-            ["workload"] + [str(c) for c in columns],
-            [
-                [w] + [format_bytes(sizes[w].get(c, 0)) for c in columns]
-                for w in sorted(sizes)
-            ],
-        )
-    )
-    print()
-    print(
-        render_table(
-            "Figure 10b: checkpoint time normalized to Dirtybit",
-            ["workload"] + [str(c) for c in columns],
-            [
-                [w] + [f"{times[w].get(c, 0):.3f}" for c in columns]
-                for w in sorted(times)
-            ],
-        )
-    )
+    for c in out.raw_rows:
+        sizes[c["workload"]][c["granularity"]] = c["mean_checkpoint_bytes"]
+        times[c["workload"]][c["granularity"]] = c["checkpoint_time_vs_dirtybit"]
     # Sparse: huge size reduction and much faster checkpoints at 8B.
     assert sizes["sparse"][8] < sizes["sparse"]["page"] * 0.02
     assert times["sparse"][8] < 0.5

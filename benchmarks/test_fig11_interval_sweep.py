@@ -11,44 +11,19 @@ checkpoints carry no data yet still pay the bitmap inspection.
 
 from collections import defaultdict
 
-from repro.analysis.report import format_bytes, render_table
-from repro.experiments import evaluation
+from repro.harness.figures import run_inline
 
 
 def test_fig11_interval_sweep(benchmark):
-    cells = benchmark.pedantic(
-        evaluation.fig11_interval_sweep,
-        rounds=1,
-        iterations=1,
-    )
+    # Fixed-size traces: the figure ignores the ops scale.
+    out = benchmark.pedantic(run_inline, args=("fig11", 60_000), rounds=1, iterations=1)
+    print()
+    print(out.text)
     sizes = defaultdict(dict)
     per_byte = defaultdict(dict)
-    for c in cells:
-        sizes[c.workload][c.interval_paper_ms] = c.mean_checkpoint_bytes
-        per_byte[c.workload][c.interval_paper_ms] = c.ns_per_byte
-    intervals = [1.0, 5.0, 10.0]
-    print()
-    print(
-        render_table(
-            "Figure 11: mean checkpoint size vs interval",
-            ["workload"] + [f"{i:g}ms" for i in intervals],
-            [
-                [w] + [format_bytes(sizes[w][i]) for i in intervals]
-                for w in sorted(sizes)
-            ],
-        )
-    )
-    print()
-    print(
-        render_table(
-            "Figure 11 (note): per-byte checkpoint time (ns/B)",
-            ["workload"] + [f"{i:g}ms" for i in intervals],
-            [
-                [w] + [f"{per_byte[w][i]:.1f}" for i in intervals]
-                for w in sorted(per_byte)
-            ],
-        )
-    )
+    for c in out.raw_rows:
+        sizes[c["workload"]][c["interval_paper_ms"]] = c["mean_checkpoint_bytes"]
+        per_byte[c["workload"]][c["interval_paper_ms"]] = c["ns_per_byte"]
     for depth in (4, 8, 16):
         name = f"rec-{depth}"
         # Recursive: the stack never shrinks in-interval -> size grows

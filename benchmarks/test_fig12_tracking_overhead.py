@@ -7,35 +7,14 @@ Paper shape: less than 1 % average overhead, about 3 % worst case
 (G500_sssp), roughly flat across granularities.
 """
 
-from collections import defaultdict
-
-from repro.analysis.report import render_table
-from repro.experiments import overhead
+from repro.harness.figures import run_inline
 
 
 def test_fig12_tracking_overhead(benchmark):
-    cells = benchmark.pedantic(
-        overhead.fig12_tracking_overhead,
-        kwargs={"target_ops": 80_000},
-        rounds=1,
-        iterations=1,
-    )
-    table = defaultdict(dict)
-    for c in cells:
-        table[c.workload][c.granularity] = c.speedup
-    grans = [8, 64, 128]
+    out = benchmark.pedantic(run_inline, args=("fig12", 80_000), rounds=1, iterations=1)
     print()
-    print(
-        render_table(
-            "Figure 12: speedup with tracking vs no tracking (user IPC)",
-            ["workload"] + [f"{g}B" for g in grans],
-            [
-                [w] + [f"{table[w][g]:.4f}" for g in grans]
-                for w in sorted(table)
-            ],
-        )
-    )
-    overheads = [1.0 - s for row in table.values() for s in row.values()]
+    print(out.text)
+    overheads = [1.0 - c["speedup"] for c in out.raw_rows]
     mean_overhead = sum(overheads) / len(overheads)
     print(f"mean overhead: {mean_overhead * 100:.2f}%  "
           f"max overhead: {max(overheads) * 100:.2f}%")

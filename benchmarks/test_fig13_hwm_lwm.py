@@ -10,42 +10,25 @@ grows and benefits from a larger LWM.
 
 from collections import defaultdict
 
-from repro.analysis.report import render_table
-from repro.experiments import overhead
+from repro.harness.figures import run_inline
 
 
 def test_fig13_watermarks(benchmark):
-    cells = benchmark.pedantic(
-        overhead.fig13_watermark_sensitivity,
-        kwargs={"target_ops": 80_000},
-        rounds=1,
-        iterations=1,
-    )
-    hwm_rows = defaultdict(dict)
-    lwm_rows = defaultdict(dict)
-    for c in cells:
-        if c.lwm == 4:
-            hwm_rows[c.workload][c.hwm] = (c.bitmap_loads, c.bitmap_stores)
-        if c.hwm == 24:
-            lwm_rows[c.workload][c.lwm] = (c.bitmap_loads, c.bitmap_stores)
-
+    out = benchmark.pedantic(run_inline, args=("fig13", 80_000), rounds=1, iterations=1)
     print()
-    for title, rows, key in (
-        ("Figure 13a/c: bitmap ops vs HWM (LWM=4)", hwm_rows, "HWM"),
-        ("Figure 13b/d: bitmap ops vs LWM (HWM=24)", lwm_rows, "LWM"),
-    ):
-        table = []
-        for workload in sorted(rows):
-            for threshold in sorted(rows[workload]):
-                loads, stores = rows[workload][threshold]
-                table.append([workload, threshold, loads, stores])
-        print(render_table(title, ["workload", key, "loads", "stores"], table))
-        print()
+    print(out.text)
+    by_hwm = defaultdict(dict)
+    by_lwm = defaultdict(dict)
+    for c in out.raw_rows:
+        if c["lwm"] == 4:
+            by_hwm[c["workload"]][c["hwm"]] = c["memory_ops"]
+        if c["hwm"] == 24:
+            by_lwm[c["workload"]][c["lwm"]] = c["memory_ops"]
 
-    sssp = {h: sum(v) for h, v in hwm_rows["g500_sssp"].items()}
-    mcf = {h: sum(v) for h, v in hwm_rows["605.mcf_s"].items()}
+    sssp = by_hwm["g500_sssp"]
+    mcf = by_hwm["605.mcf_s"]
     assert sssp[max(sssp)] < sssp[min(sssp)], "SSSP should improve with HWM"
     assert mcf[max(mcf)] > mcf[min(mcf)] * 0.95, "mcf should not improve with HWM"
 
-    mcf_lwm = {lwm: sum(v) for lwm, v in lwm_rows["605.mcf_s"].items()}
+    mcf_lwm = by_lwm["605.mcf_s"]
     assert mcf_lwm[max(mcf_lwm)] <= mcf_lwm[min(mcf_lwm)] * 1.05

@@ -1,9 +1,9 @@
 """Result export: CSV files for downstream plotting.
 
 The paper's artifact emits parsed result files that its plots are built
-from; this module provides the equivalent: any list of dataclass rows (the
-experiment entry points all return such lists) can be written to CSV with
-one call, and a whole experiment sweep can be dumped into a directory.
+from; this module provides the equivalent: any list of dataclass or dict
+rows (an assembled figure's ``raw_rows`` are dicts) can be written to CSV
+with one call, and a whole experiment sweep can be dumped into a directory.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Usage::
 
 Figures are decomposed into independent run units and executed by the
 harness (:mod:`repro.harness`): ``--jobs 1`` (the default) runs them
-inline in the legacy serial order with byte-identical output, ``--jobs N``
+inline in enumeration order, ``--jobs N``
 runs them on a supervised worker pool with per-unit timeouts, bounded
 retry, and graceful degradation.  See ``docs/HARNESS.md``.
 """
@@ -27,7 +27,6 @@ import os
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable
 
 from repro.analysis.report import render_table
 from repro.harness import (
@@ -48,20 +47,6 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 #: POSIX convention: 128 + SIGINT.
 EXIT_INTERRUPTED = 130
-
-
-def _legacy_runner(name: str) -> Callable[[int], str]:
-    def run(ops: int, _name: str = name) -> str:
-        return run_figures([_name], HarnessOptions(ops=ops))[0].text
-
-    return run
-
-
-#: Back-compat: each figure as a plain ``ops -> table text`` callable,
-#: running serially through the harness.
-COMMANDS: dict[str, Callable[[int], str]] = {
-    name: _legacy_runner(name) for name in figure_names()
-}
 
 
 def _render_sweep_report(report, title: str) -> tuple[str, list[str]]:
@@ -348,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=sorted(COMMANDS) + ["all", "list"],
+        choices=figure_names() + ["all", "list"],
         help="figure to regenerate, 'all', or 'list'",
     )
     parser.add_argument(
@@ -373,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; 1 (default) runs the legacy serial path",
+        help="worker processes; 1 (default) runs units inline, in order",
     )
     parser.add_argument(
         "--timeout",
@@ -417,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INTERRUPTED
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name in sorted(COMMANDS):
+        for name in figure_names():
             print(name)
         print("faults (subcommands: sweep, fuzz)")
         return 0
@@ -428,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         # Through the environment so harness worker processes inherit it.
         os.environ["REPRO_ENGINE"] = args.engine
 
-    names = sorted(COMMANDS) if args.command == "all" else [args.command]
+    names = figure_names() if args.command == "all" else [args.command]
     opts = HarnessOptions(
         ops=args.ops,
         jobs=args.jobs,

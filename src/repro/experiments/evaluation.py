@@ -1,33 +1,19 @@
-"""Checkpoint-performance experiments (Section V, Setup-I: Figures 8-11).
+"""Shared grid and workload helpers for the Setup-I evaluation (Figures 8-11).
 
-* **Figure 8** — stack persistence: normalized execution time under
-  Prosper, Romulus, SSP (three consolidation intervals) and Dirtybit.
-* **Figure 9** — full memory-state persistence: SSP on the whole memory vs
-  SSP (heap) combined with Dirtybit or Prosper (stack).
-* **Figure 10** — Table III micro-benchmarks under Prosper at five tracking
-  granularities: mean checkpoint size and checkpoint time normalized to the
-  page-level Dirtybit scheme.
-* **Figure 11** — checkpoint size vs checkpoint interval (1/5/10 ms) for
-  Quicksort and Recursive at depths 4/8/16, plus the per-byte checkpoint
-  time observation.
+The figures themselves — their grids, per-unit computation and tables —
+are defined in :mod:`repro.harness.figures`; this module holds what they
+share with the benchmark and the tests: the Figure 8 mechanism registry,
+the SSP and Figure 10 sweep constants, and the Table III micro-benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from repro.config import TrackerConfig
-from repro.experiments.runner import (
-    RunResult,
-    run_mechanism,
-    vanilla_cycles,
-)
 from repro.persistence.dirtybit import DirtyBitPersistence
 from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.romulus import RomulusPersistence
 from repro.persistence.ssp import SspPersistence
-from repro.workloads.apps import g500_sssp, gapbs_pr, ycsb_mem
 from repro.workloads.callstack import quicksort_workload, recursive_workload
 from repro.workloads.synthetic import (
     normal_workload,
@@ -38,22 +24,11 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.trace import Trace
 
-DEFAULT_OPS = 100_000
-
 #: SSP consolidation-thread invocation intervals swept in the paper (µs).
 SSP_INTERVALS_US = (10.0, 100.0, 1000.0)
 
 #: Tracking granularities swept in Figure 10 (bytes).
 FIG10_GRANULARITIES = (8, 16, 32, 64, 128)
-
-
-def _app_traces(target_ops: int = DEFAULT_OPS, seed: int = 42) -> list[Trace]:
-    return [
-        gapbs_pr(target_ops, seed),
-        g500_sssp(target_ops, seed),
-        ycsb_mem(target_ops, seed),
-    ]
-
 
 #: Stable keys for the seven Table III micro-benchmarks, in figure order.
 MICRO_BENCHMARK_KEYS = (
@@ -89,16 +64,6 @@ def micro_benchmark_builders(
     }
 
 
-def micro_benchmarks(scale: float = 1.0, seed: int = 11) -> list[Trace]:
-    """The seven Table III micro-benchmarks at a size multiplier."""
-    builders = micro_benchmark_builders(scale, seed)
-    return [builders[key]() for key in MICRO_BENCHMARK_KEYS]
-
-
-# --------------------------------------------------------------------- #
-# Figure 8 — stack persistence mechanisms
-# --------------------------------------------------------------------- #
-
 def stack_mechanisms() -> dict[str, Callable[[], object]]:
     """Factories for the Figure 8 mechanism sweep."""
     factories: dict[str, Callable[[], object]] = {
@@ -110,189 +75,3 @@ def stack_mechanisms() -> dict[str, Callable[[], object]]:
         label = f"ssp-{us:g}us" if us < 1000 else f"ssp-{us / 1000:g}ms"
         factories[label] = (lambda u=us: SspPersistence(consolidation_interval_us=u))
     return factories
-
-
-def fig8_stack_persistence(
-    target_ops: int = DEFAULT_OPS,
-    interval_paper_ms: float = 10.0,
-    seed: int = 42,
-) -> list[RunResult]:
-    """Normalized execution time of each mechanism on each application."""
-    results: list[RunResult] = []
-    for trace in _app_traces(target_ops, seed):
-        base = vanilla_cycles(trace)
-        for label, factory in stack_mechanisms().items():
-            mechanism = factory()
-            results.append(
-                run_mechanism(
-                    trace,
-                    mechanism,
-                    interval_paper_ms,
-                    baseline_cycles=base,
-                    mechanism_label=label,
-                )
-            )
-    return results
-
-
-# --------------------------------------------------------------------- #
-# Figure 9 — full memory-state persistence
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class MemoryPersistenceCell:
-    workload: str
-    combination: str
-    ssp_interval_us: float
-    normalized_time: float
-
-
-def fig9_memory_persistence(
-    target_ops: int = DEFAULT_OPS,
-    interval_paper_ms: float = 10.0,
-    ssp_intervals_us: tuple[float, ...] = SSP_INTERVALS_US,
-    seed: int = 42,
-) -> list[MemoryPersistenceCell]:
-    """SSP-everything vs SSP(heap)+Dirtybit/Prosper(stack)."""
-    combos: dict[str, Callable[[], object]] = {
-        "ssp": SspPersistence,  # stack also under SSP
-        "ssp+dirtybit": DirtyBitPersistence,
-        "ssp+prosper": ProsperPersistence,
-    }
-    results: list[MemoryPersistenceCell] = []
-    for trace in _app_traces(target_ops, seed):
-        base = vanilla_cycles(trace)
-        for us in ssp_intervals_us:
-            for combo, stack_factory in combos.items():
-                if combo == "ssp":
-                    stack_mech = SspPersistence(consolidation_interval_us=us)
-                else:
-                    stack_mech = stack_factory()
-                heap_mech = SspPersistence(consolidation_interval_us=us)
-                result = run_mechanism(
-                    trace,
-                    stack_mech,
-                    interval_paper_ms,
-                    heap_mechanism=heap_mech,
-                    baseline_cycles=base,
-                    mechanism_label=combo,
-                )
-                results.append(
-                    MemoryPersistenceCell(
-                        trace.name, combo, us, result.normalized_time
-                    )
-                )
-    return results
-
-
-# --------------------------------------------------------------------- #
-# Figure 10 — usage patterns x tracking granularity
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class UsagePatternCell:
-    workload: str
-    granularity: int | str  # bytes, or "page" for the Dirtybit baseline
-    mean_checkpoint_bytes: float
-    mean_checkpoint_cycles: float
-    checkpoint_time_vs_dirtybit: float
-
-
-def fig10_usage_patterns(
-    scale: float = 1.0,
-    interval_paper_ms: float = 10.0,
-    granularities: tuple[int, ...] = FIG10_GRANULARITIES,
-    seed: int = 11,
-) -> list[UsagePatternCell]:
-    """Checkpoint size and normalized checkpoint time per micro-benchmark."""
-    cells: list[UsagePatternCell] = []
-    for trace in micro_benchmarks(scale, seed):
-        base = vanilla_cycles(trace)
-
-        dirtybit = DirtyBitPersistence()
-        run_mechanism(
-            trace, dirtybit, interval_paper_ms, baseline_cycles=base
-        )
-        db_cycles = dirtybit.stats.mean_checkpoint_cycles or 1.0
-        cells.append(
-            UsagePatternCell(
-                trace.name,
-                "page",
-                dirtybit.stats.mean_checkpoint_bytes,
-                db_cycles,
-                1.0,
-            )
-        )
-
-        for granularity in granularities:
-            mech = ProsperPersistence(
-                TrackerConfig().with_granularity(granularity)
-            )
-            run_mechanism(
-                trace, mech, interval_paper_ms, baseline_cycles=base
-            )
-            cells.append(
-                UsagePatternCell(
-                    trace.name,
-                    granularity,
-                    mech.stats.mean_checkpoint_bytes,
-                    mech.stats.mean_checkpoint_cycles,
-                    (mech.stats.mean_checkpoint_cycles or 0.0) / db_cycles,
-                )
-            )
-    return cells
-
-
-# --------------------------------------------------------------------- #
-# Figure 11 — checkpoint-interval sweep
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class IntervalSweepCell:
-    workload: str
-    interval_paper_ms: float
-    mean_checkpoint_bytes: float
-    ns_per_byte: float
-
-
-def fig11_interval_sweep(
-    intervals_paper_ms: tuple[float, ...] = (1.0, 5.0, 10.0),
-    depths: tuple[int, ...] = (4, 8, 16),
-    seed: int = 11,
-) -> list[IntervalSweepCell]:
-    """Checkpoint size vs interval for Quicksort and Rec-{4,8,16}.
-
-    Recursive descents are separated by long compute blocks so short
-    intervals produce empty checkpoints, reproducing the paper's per-byte
-    cost observation.
-    """
-    traces = [quicksort_workload(elements=1500, seed=seed)]
-    for depth in depths:
-        traces.append(
-            recursive_workload(
-                depth=depth, descents=250, seed=seed
-            )
-        )
-
-    cells: list[IntervalSweepCell] = []
-    for trace in traces:
-        base = vanilla_cycles(trace)
-        for paper_ms in intervals_paper_ms:
-            mech = ProsperPersistence()
-            run_mechanism(
-                trace, mech, paper_ms, baseline_cycles=base
-            )
-            total_bytes = mech.stats.total_checkpoint_bytes
-            total_cycles = mech.stats.total_checkpoint_cycles
-            ns_per_byte = (
-                total_cycles / 3.0 / total_bytes if total_bytes else float("inf")
-            )
-            cells.append(
-                IntervalSweepCell(
-                    trace.name,
-                    paper_ms,
-                    mech.stats.mean_checkpoint_bytes,
-                    ns_per_byte,
-                )
-            )
-    return cells

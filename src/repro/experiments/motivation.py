@@ -1,122 +1,20 @@
-"""Motivation experiments (Section II: Figures 1-4).
+"""Shared helpers for the motivation studies (Section II: Figures 1-4).
 
-These are trace-level and replay studies:
-
-* **Figure 1** — fraction of memory operations in the stack region for the
-  three application models.
-* **Figure 2** — per-interval stack writes vs writes beyond the final SP
-  (Ycsb_mem, 100 intervals).
-* **Figure 3** — execution time of flush/undo/redo with and without SP
-  awareness, normalized to no-persistence; the stack lives in NVM for all
-  six configurations.
-* **Figure 4** — checkpoint copy size under page (4 KiB) vs 8-byte dirty
-  tracking at 10 ms intervals.
+The figures themselves — their grids, per-unit computation and tables —
+are defined in :mod:`repro.harness.figures`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.config import PAGE_BYTES
-from repro.experiments.runner import make_engine, vanilla_cycles
-from repro.persistence.logging import (
-    FlushPersistence,
-    RedoLogPersistence,
-    UndoLogPersistence,
-)
-from repro.workloads.apps import g500_sssp, gapbs_pr, ycsb_mem
 from repro.workloads.trace import Trace
-
-#: Default workload size for the motivation studies.
-DEFAULT_OPS = 120_000
-#: Intervals used by the replay studies (paper: 100 x 10 ms).
-DEFAULT_INTERVALS = 50
-
-
-def _app_traces(target_ops: int = DEFAULT_OPS, seed: int = 42) -> list[Trace]:
-    return [
-        gapbs_pr(target_ops, seed),
-        g500_sssp(target_ops, seed),
-        ycsb_mem(target_ops, seed),
-    ]
-
-
-# --------------------------------------------------------------------- #
-# Figure 1
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class StackFractionRow:
-    workload: str
-    stack_fraction: float
-    stack_write_fraction: float
-
-
-def fig1_stack_fraction(target_ops: int = DEFAULT_OPS, seed: int = 42) -> list[StackFractionRow]:
-    """Fraction of memory operations hitting the stack, per workload."""
-    rows = []
-    for trace in _app_traces(target_ops, seed):
-        stats = trace.stats
-        rows.append(
-            StackFractionRow(trace.name, stats.stack_fraction, stats.stack_write_fraction)
-        )
-    return rows
-
-
-# --------------------------------------------------------------------- #
-# Figure 2
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class BeyondSpResult:
-    workload: str
-    per_interval: list[tuple[int, int]]  # (stack writes, beyond final SP)
-
-    @property
-    def total_writes(self) -> int:
-        return sum(w for w, _ in self.per_interval)
-
-    @property
-    def total_beyond(self) -> int:
-        return sum(b for _, b in self.per_interval)
-
-    @property
-    def beyond_fraction(self) -> float:
-        return self.total_beyond / self.total_writes if self.total_writes else 0.0
-
-
-def fig2_beyond_final_sp(
-    workloads: list[Trace] | None = None,
-    num_intervals: int = 100,
-    target_ops: int = DEFAULT_OPS,
-    seed: int = 42,
-) -> list[BeyondSpResult]:
-    """Stack writes beyond the interval-final SP (paper: Ycsb_mem ~36 %)."""
-    traces = workloads or _app_traces(target_ops, seed)
-    return [
-        BeyondSpResult(t.name, t.writes_beyond_final_sp(num_intervals))
-        for t in traces
-    ]
-
-
-# --------------------------------------------------------------------- #
-# Figure 3
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class SpAwarenessCell:
-    workload: str
-    mechanism: str
-    sp_aware: bool
-    normalized_time: float
 
 
 def stack_only(trace: Trace) -> Trace:
     """Reduce a trace to its stack activity (memory ops + CALL/RET).
 
-    Mirrors the paper's replay methodology: the custom program replays only
-    the stack accesses of the trace, so the no-persistence baseline is the
-    cost of those accesses with the stack in DRAM.
+    Mirrors the paper's replay methodology for Figure 3: the custom program
+    replays only the stack accesses of the trace, so the no-persistence
+    baseline is the cost of those accesses with the stack in DRAM.
     """
     from repro.cpu.ops import OpKind
 
@@ -140,79 +38,3 @@ def stack_only(trace: Trace) -> Trace:
         name=trace.name,
         initial_sp=trace.initial_sp,
     )
-
-
-def fig3_sp_awareness(
-    target_ops: int = 60_000,
-    num_intervals: int = 20,
-    seed: int = 42,
-) -> list[SpAwarenessCell]:
-    """flush/undo/redo +/- SP awareness, normalized execution time.
-
-    Interval boundaries are positional (op-count) so the SP oracle —
-    computed by a pre-pass over the trace — aligns exactly with the
-    intervals the mechanisms see.  Traces are reduced to their stack
-    activity, matching the paper's replay setup.
-    """
-    results: list[SpAwarenessCell] = []
-    for full_trace in _app_traces(target_ops, seed):
-        trace = stack_only(full_trace)
-        base = vanilla_cycles(trace)
-        interval_ops = max(1, len(trace.ops) // num_intervals)
-        finals = trace.final_sp_per_interval(num_intervals)
-
-        def oracle(i: int, _finals=finals) -> int:
-            return _finals[min(i, len(_finals) - 1)]
-
-        for factory in (FlushPersistence, UndoLogPersistence, RedoLogPersistence):
-            for aware in (False, True):
-                mechanism = factory(sp_oracle=oracle if aware else None)
-                engine = make_engine(trace, mechanism)
-                stats = engine.run(trace, interval_ops=interval_ops)
-                results.append(
-                    SpAwarenessCell(
-                        trace.name,
-                        mechanism.name,
-                        aware,
-                        stats.total_cycles / base,
-                    )
-                )
-    return results
-
-
-# --------------------------------------------------------------------- #
-# Figure 4
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class GranularitySizeRow:
-    workload: str
-    page_bytes_per_interval: float
-    byte_bytes_per_interval: float
-
-    @property
-    def reduction_factor(self) -> float:
-        if self.byte_bytes_per_interval == 0:
-            return float("inf")
-        return self.page_bytes_per_interval / self.byte_bytes_per_interval
-
-
-def fig4_copy_size(
-    num_intervals: int = DEFAULT_INTERVALS,
-    target_ops: int = DEFAULT_OPS,
-    fine_granularity: int = 8,
-    seed: int = 42,
-) -> list[GranularitySizeRow]:
-    """Copy size at page vs 8-byte dirty-tracking granularity."""
-    rows = []
-    for trace in _app_traces(target_ops, seed):
-        page_sizes = trace.copy_sizes(num_intervals, PAGE_BYTES)
-        fine_sizes = trace.copy_sizes(num_intervals, fine_granularity)
-        rows.append(
-            GranularitySizeRow(
-                trace.name,
-                sum(page_sizes) / len(page_sizes),
-                sum(fine_sizes) / len(fine_sizes),
-            )
-        )
-    return rows

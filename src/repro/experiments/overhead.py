@@ -1,12 +1,9 @@
-"""Tracking-overhead experiments (Section V, Setup-II: Figures 12-13),
-plus the context-switch and energy/area studies.
+"""Shared helpers for the Setup-II overhead studies (Figures 12-13), plus
+the context-switch and energy/area measurements.
 
-* **Figure 12** — application speedup (user IPC with tracking over user IPC
-  without) under Prosper at 8/64/128-byte granularity; the paper reports
-  less than 1 % average overhead, ~3 % worst case.
-* **Figure 13** — bitmap loads and stores issued by the tracker as HWM is
-  swept (LWM fixed at 4) and as LWM is swept (HWM fixed at 24), for mcf
-  (scattered stack temporaries) and SSSP (tight frame reuse).
+The figures themselves — their grids, per-unit computation and tables —
+are defined in :mod:`repro.harness.figures`.
+
 * **Context switch** — the ~870-cycle Prosper save/restore overhead,
   measured with a two-thread micro-benchmark.
 * **Energy** — lookup-table dynamic/leakage energy from the CACTI-P numbers.
@@ -16,99 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import TrackerConfig, setup_ii
+from repro.config import TrackerConfig
 from repro.core.bitmap import DirtyBitmap
 from repro.core.energy import EnergyModel, EnergyReport
 from repro.core.tracker import ProsperTracker
 from repro.cpu.ops import OpKind
-from repro.experiments.runner import run_mechanism, vanilla_cycles
 from repro.kernel.process import Process
 from repro.kernel.scheduler import Scheduler
-from repro.persistence.prosper import ProsperPersistence
-from repro.workloads.apps import g500_sssp, gapbs_pr
-from repro.workloads.spec import SPEC_PROFILES, spec_workload
-from repro.workloads.synthetic import stream_workload
+from repro.workloads.apps import gapbs_pr
 from repro.workloads.trace import Trace
-
-DEFAULT_OPS = 100_000
 
 #: Granularities of the Figure 12 sweep (bytes).
 FIG12_GRANULARITIES = (8, 64, 128)
-
-
-def overhead_workloads(target_ops: int = DEFAULT_OPS, seed: int = 42) -> list[Trace]:
-    """The Figure 12 workload set: SPEC + graphs + Stream."""
-    traces = [
-        spec_workload(name, target_ops, seed=seed) for name in sorted(SPEC_PROFILES)
-    ]
-    traces.append(g500_sssp(target_ops, seed))
-    traces.append(gapbs_pr(target_ops, seed))
-    traces.append(stream_workload(array_bytes=128 * 1024, passes=2, seed=seed))
-    return traces
-
-
-# --------------------------------------------------------------------- #
-# Figure 12 — tracking overhead
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class TrackingOverheadCell:
-    workload: str
-    granularity: int
-    speedup: float  # IPC with tracking / IPC without (<= 1.0 expected)
-
-    @property
-    def overhead_percent(self) -> float:
-        return (1.0 - self.speedup) * 100.0
-
-
-def fig12_tracking_overhead(
-    target_ops: int = DEFAULT_OPS,
-    granularities: tuple[int, ...] = FIG12_GRANULARITIES,
-    interval_paper_ms: float = 10.0,
-    seed: int = 42,
-) -> list[TrackingOverheadCell]:
-    """User-IPC speedup with Prosper tracking vs no tracking (Setup-II)."""
-    config = setup_ii()
-    cells: list[TrackingOverheadCell] = []
-    for trace in overhead_workloads(target_ops, seed):
-        base = vanilla_cycles(trace, config)
-        base_ipc = None
-        for granularity in granularities:
-            mech = ProsperPersistence(TrackerConfig().with_granularity(granularity))
-            result = run_mechanism(
-                trace,
-                mech,
-                interval_paper_ms,
-                config=config,
-                baseline_cycles=base,
-            )
-            if base_ipc is None:
-                # User IPC of the untracked run: app cycles only.
-                base_ipc = result.stats.ops_executed / base
-            cells.append(
-                TrackingOverheadCell(
-                    trace.name, granularity, result.stats.user_ipc / base_ipc
-                )
-            )
-    return cells
-
-
-# --------------------------------------------------------------------- #
-# Figure 13 — HWM / LWM sensitivity
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class WatermarkCell:
-    workload: str
-    hwm: int
-    lwm: int
-    bitmap_loads: int
-    bitmap_stores: int
-
-    @property
-    def memory_ops(self) -> int:
-        return self.bitmap_loads + self.bitmap_stores
 
 
 def _replay_tracker(trace: Trace, config: TrackerConfig, num_intervals: int = 20) -> tuple[int, int]:
@@ -133,32 +49,6 @@ def _replay_tracker(trace: Trace, config: TrackerConfig, num_intervals: int = 20
     tracker.request_flush()
     tracker.poll_quiescent()
     return tracker.stats.bitmap_loads, tracker.stats.bitmap_stores
-
-
-def fig13_watermark_sensitivity(
-    target_ops: int = DEFAULT_OPS,
-    hwm_values: tuple[int, ...] = (8, 16, 24, 32),
-    lwm_values: tuple[int, ...] = (2, 4, 8, 16),
-    fixed_lwm: int = 4,
-    fixed_hwm: int = 24,
-    seed: int = 42,
-) -> list[WatermarkCell]:
-    """Bitmap loads/stores vs HWM (LWM=4) and vs LWM (HWM=24)."""
-    traces = [
-        spec_workload("605.mcf_s", target_ops, seed=seed),
-        g500_sssp(target_ops, seed),
-    ]
-    cells: list[WatermarkCell] = []
-    for trace in traces:
-        for hwm in hwm_values:
-            cfg = TrackerConfig(high_water_mark=hwm, low_water_mark=fixed_lwm)
-            loads, stores = _replay_tracker(trace, cfg)
-            cells.append(WatermarkCell(trace.name, hwm, fixed_lwm, loads, stores))
-        for lwm in lwm_values:
-            cfg = TrackerConfig(high_water_mark=fixed_hwm, low_water_mark=lwm)
-            loads, stores = _replay_tracker(trace, cfg)
-            cells.append(WatermarkCell(trace.name, fixed_hwm, lwm, loads, stores))
-    return cells
 
 
 # --------------------------------------------------------------------- #

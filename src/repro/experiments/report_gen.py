@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from repro.analysis.report import format_bytes
-from repro.experiments import evaluation, motivation, overhead
 from repro.experiments.validation import summarize, validate_shapes
+from repro.harness.figures import FIGURES, run_inline
 
 
 @dataclass(frozen=True)
@@ -31,30 +31,32 @@ def _md_table(headers: list[str], rows: list[list[object]]) -> str:
 
 
 def _fig1_section(ops: int) -> ReportSection:
-    rows = motivation.fig1_stack_fraction(target_ops=ops)
+    rows = run_inline("fig1", ops).raw_rows
     table = _md_table(
         ["workload", "stack op fraction", "stack write fraction"],
-        [[r.workload, f"{r.stack_fraction:.3f}", f"{r.stack_write_fraction:.3f}"] for r in rows],
+        [[r["workload"], f"{r['stack_fraction']:.3f}", f"{r['stack_write_fraction']:.3f}"]
+         for r in rows],
     )
     return ReportSection("Figure 1 — stack share of memory operations", table)
 
 
 def _fig2_section(ops: int) -> ReportSection:
-    rows = motivation.fig2_beyond_final_sp(num_intervals=100, target_ops=ops)
+    rows = run_inline("fig2", ops).raw_rows
     table = _md_table(
         ["workload", "stack writes", "beyond final SP", "fraction"],
-        [[r.workload, r.total_writes, r.total_beyond, f"{r.beyond_fraction:.3f}"] for r in rows],
+        [[r["workload"], r["total_writes"], r["total_beyond"], f"{r['beyond_fraction']:.3f}"]
+         for r in rows],
     )
     return ReportSection("Figure 2 — writes beyond the interval-final SP", table)
 
 
 def _fig4_section(ops: int) -> ReportSection:
-    rows = motivation.fig4_copy_size(target_ops=ops)
+    rows = run_inline("fig4", ops).raw_rows
     table = _md_table(
         ["workload", "page copy", "8-byte copy", "reduction"],
         [
-            [r.workload, format_bytes(r.page_bytes_per_interval),
-             format_bytes(r.byte_bytes_per_interval), f"{r.reduction_factor:.1f}x"]
+            [r["workload"], format_bytes(r["page_bytes_per_interval"]),
+             format_bytes(r["byte_bytes_per_interval"]), f"{r['reduction']:.1f}x"]
             for r in rows
         ],
     )
@@ -62,10 +64,9 @@ def _fig4_section(ops: int) -> ReportSection:
 
 
 def _fig8_section(ops: int) -> ReportSection:
-    results = evaluation.fig8_stack_persistence(target_ops=ops)
     table: dict[str, dict[str, float]] = {}
-    for r in results:
-        table.setdefault(r.trace_name, {})[r.mechanism_name] = r.normalized_time
+    for r in run_inline("fig8", ops).raw_rows:
+        table.setdefault(r["workload"], {})[r["mechanism"]] = r["normalized_time"]
     mechanisms = sorted(next(iter(table.values())))
     md = _md_table(
         ["workload"] + mechanisms,
@@ -75,12 +76,11 @@ def _fig8_section(ops: int) -> ReportSection:
 
 
 def _fig10_section(ops: int) -> ReportSection:
-    cells = evaluation.fig10_usage_patterns(scale=max(0.2, min(1.0, ops / 100_000)))
     sizes: dict[str, dict] = {}
     times: dict[str, dict] = {}
-    for c in cells:
-        sizes.setdefault(c.workload, {})[c.granularity] = c.mean_checkpoint_bytes
-        times.setdefault(c.workload, {})[c.granularity] = c.checkpoint_time_vs_dirtybit
+    for r in run_inline("fig10", ops).raw_rows:
+        sizes.setdefault(r["workload"], {})[r["granularity"]] = r["mean_checkpoint_bytes"]
+        times.setdefault(r["workload"], {})[r["granularity"]] = r["checkpoint_time_vs_dirtybit"]
     md = _md_table(
         ["workload", "size 8B", "size page", "time vs dirtybit (8B)"],
         [
@@ -93,12 +93,13 @@ def _fig10_section(ops: int) -> ReportSection:
 
 
 def _fig12_section(ops: int) -> ReportSection:
-    cells = overhead.fig12_tracking_overhead(target_ops=ops, granularities=(8,))
+    units = [u for u in FIGURES["fig12"].enumerate_units(ops) if u.params["granularity"] == 8]
+    rows = run_inline("fig12", ops, units).raw_rows
     md = _md_table(
         ["workload", "speedup", "overhead %"],
-        [[c.workload, f"{c.speedup:.4f}", f"{c.overhead_percent:.2f}"] for c in cells],
+        [[r["workload"], f"{r['speedup']:.4f}", f"{r['overhead_pct']:.2f}"] for r in rows],
     )
-    mean = sum(c.overhead_percent for c in cells) / len(cells)
+    mean = sum(r["overhead_pct"] for r in rows) / len(rows)
     return ReportSection(
         "Figure 12 — tracking overhead",
         md + f"\n\nMean overhead: {mean:.2f} % (paper: <1 % average).",
@@ -106,12 +107,15 @@ def _fig12_section(ops: int) -> ReportSection:
 
 
 def _fig13_section(ops: int) -> ReportSection:
-    cells = overhead.fig13_watermark_sensitivity(
-        target_ops=ops, hwm_values=(8, 16, 24, 32), lwm_values=(2, 8, 16)
-    )
+    # The LWM sweep's LWM=4 point repeats the HWM sweep's fixed LWM.
+    units = [
+        u for u in FIGURES["fig13"].enumerate_units(ops)
+        if not u.unit_id.endswith("/lwm4")
+    ]
     md = _md_table(
         ["workload", "HWM", "LWM", "bitmap ops"],
-        [[c.workload, c.hwm, c.lwm, c.memory_ops] for c in cells],
+        [[r["workload"], r["hwm"], r["lwm"], r["memory_ops"]]
+         for r in run_inline("fig13", ops, units).raw_rows],
     )
     return ReportSection("Figure 13 — HWM/LWM sensitivity", md)
 

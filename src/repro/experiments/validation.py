@@ -18,9 +18,10 @@ report can state that the orderings are not one-draw luck:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from repro.experiments import evaluation, motivation, overhead
+from repro.harness.figures import FIGURES, run_inline
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,25 @@ class CheckResult:
     detail: str
 
 
+def _figure_rows(
+    figure: str,
+    seed: int,
+    target_ops: int,
+    keep: Callable[[dict], bool] = lambda params: True,
+) -> list[dict]:
+    """Rows of *figure*'s units selected by *keep*, rerun at *seed*."""
+    units = [
+        replace(unit, params={**unit.params, "seed": seed})
+        for unit in FIGURES[figure].enumerate_units(target_ops)
+        if keep(unit.params)
+    ]
+    return run_inline(figure, target_ops, units).raw_rows
+
+
 def _fig8_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    results = evaluation.fig8_stack_persistence(target_ops=target_ops, seed=seed)
     table: dict[str, dict[str, float]] = {}
-    for r in results:
-        table.setdefault(r.trace_name, {})[r.mechanism_name] = r.normalized_time
+    for r in _figure_rows("fig8", seed, target_ops):
+        table.setdefault(r["workload"], {})[r["mechanism"]] = r["normalized_time"]
     out = []
     for workload, row in table.items():
         best = min(row, key=row.get)
@@ -65,12 +80,12 @@ def _fig8_checks(seed: int, target_ops: int) -> list[CheckResult]:
 
 
 def _fig9_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = evaluation.fig9_memory_persistence(
-        target_ops=target_ops, ssp_intervals_us=(10.0,), seed=seed
+    rows = _figure_rows(
+        "fig9", seed, target_ops, lambda p: p["ssp_interval_us"] == 10.0
     )
     table: dict[str, dict[str, float]] = {}
-    for c in cells:
-        table.setdefault(c.workload, {})[c.combination] = c.normalized_time
+    for r in rows:
+        table.setdefault(r["workload"], {})[r["combination"]] = r["normalized_time"]
     return [
         CheckResult(
             "fig9-prosper-combo-best", seed,
@@ -82,34 +97,29 @@ def _fig9_checks(seed: int, target_ops: int) -> list[CheckResult]:
 
 
 def _fig4_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    rows = motivation.fig4_copy_size(target_ops=target_ops, seed=seed)
     return [
         CheckResult(
-            "fig4-reduction", seed, row.reduction_factor > 5.0,
-            f"{row.workload}: {row.reduction_factor:.1f}x",
+            "fig4-reduction", seed, r["reduction"] > 5.0,
+            f"{r['workload']}: {r['reduction']:.1f}x",
         )
-        for row in rows
+        for r in _figure_rows("fig4", seed, target_ops)
     ]
 
 
 def _fig12_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = overhead.fig12_tracking_overhead(
-        target_ops=target_ops, granularities=(8,), seed=seed
-    )
+    rows = _figure_rows("fig12", seed, target_ops, lambda p: p["granularity"] == 8)
     return [
         CheckResult(
-            "fig12-overhead-small", seed, cell.speedup > 0.98,
-            f"{cell.workload}: speedup={cell.speedup:.4f}",
+            "fig12-overhead-small", seed, r["speedup"] > 0.98,
+            f"{r['workload']}: speedup={r['speedup']:.4f}",
         )
-        for cell in cells
+        for r in rows
     ]
 
 
 def _fig13_checks(seed: int, target_ops: int) -> list[CheckResult]:
-    cells = overhead.fig13_watermark_sensitivity(
-        target_ops=target_ops, hwm_values=(8, 32), lwm_values=(), seed=seed
-    )
-    by = {(c.workload, c.hwm): c.memory_ops for c in cells}
+    rows = _figure_rows("fig13", seed, target_ops, lambda p: p["hwm"] in (8, 32))
+    by = {(r["workload"], r["hwm"]): r["memory_ops"] for r in rows}
     return [
         CheckResult(
             "fig13-sssp-hwm-down", seed,

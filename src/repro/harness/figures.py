@@ -11,10 +11,14 @@ Each figure the CLI can regenerate is registered here as a
   payload.  Executed inside a supervised worker process (or inline on the
   serial path); it must not depend on any other unit's in-process state.
 * ``assemble(ops, payloads, failed)`` — folds completed unit payloads,
-  in enumeration order, into the exact table text the legacy serial
-  driver printed.  With no failures the text is byte-identical to the
-  pre-harness output; failed units simply drop their rows (the
-  supervisor appends the ``DEGRADED`` annotation).
+  in enumeration order, into the figure's table text and, for
+  single-table figures, the raw rows behind it.  Failed units simply drop
+  their rows (the supervisor appends the ``DEGRADED`` annotation).
+
+These specs are the only definition of what each figure computes: the
+CLI and the supervisor run them unit by unit, and in-process callers (the
+report, the shape validation, tests and benchmarks) run them through
+:func:`run_inline`.
 
 Baseline deduplication: units obtain their no-persistence baselines via
 :func:`repro.harness.cache.vanilla_cycles_cached`, so the same (trace,
@@ -44,6 +48,7 @@ from repro.experiments.runner import (
     run_mechanism,
     scaled_interval_cycles,
 )
+from repro.harness import cache as cache_mod
 from repro.harness.cache import vanilla_cycles_cached
 from repro.harness.errors import TransientWorkloadError
 from repro.persistence.dirtybit import DirtyBitPersistence
@@ -157,11 +162,37 @@ def execute_unit(
     return spec.execute(params)
 
 
+def run_inline(
+    figure: str, ops: int, units: list[RunUnit] | None = None
+) -> FigureOutput:
+    """Run *units* of *figure* (default: all of them) in order, in-process.
+
+    A caller that needs a subset or another seed filters the enumerated
+    units and replaces ``params["seed"]``.  Units share the active
+    :class:`~repro.harness.cache.ResultCache` when there is one (the
+    ``report`` unit runs inside the supervisor's); otherwise a fresh
+    in-memory cache is active for the call, so each baseline is computed
+    once.
+    """
+    spec = FIGURES[figure]
+    if units is None:
+        units = spec.enumerate_units(ops)
+    owned = cache_mod.active_cache() is None
+    if owned:
+        cache_mod.activate(cache_mod.ResultCache())
+    try:
+        payloads = {unit.unit_id: spec.execute(unit.params) for unit in units}
+    finally:
+        if owned:
+            cache_mod.activate(None)
+    return spec.assemble(ops, payloads, [])
+
+
 # --------------------------------------------------------------------- #
 # Workload registries (stable names -> builders)
 # --------------------------------------------------------------------- #
 
-#: The three application models, in the order the figure drivers use.
+#: The three application models, in figure order.
 APP_WORKLOADS = ("gapbs_pr", "g500_sssp", "ycsb_mem")
 
 _APP_BUILDERS = {"gapbs_pr": gapbs_pr, "g500_sssp": g500_sssp, "ycsb_mem": ycsb_mem}
@@ -192,7 +223,14 @@ def _rows(payloads: dict[str, dict]) -> list[dict]:
 
 
 # --------------------------------------------------------------------- #
-# Figures 1-4 (motivation)
+# Figures 1-4 (motivation, Section II)
+#
+# Fig 1: share of memory ops (and writes) hitting the stack per app.
+# Fig 2: stack writes beyond the interval-final SP (paper: Ycsb ~36 %).
+# Fig 3: flush/undo/redo +/- SP awareness on stack-only replays, stack in
+#        NVM, normalized to no persistence.  Interval boundaries are
+#        positional so the SP oracle aligns with the mechanism's intervals.
+# Fig 4: checkpoint copy size, page (4 KiB) vs 8-byte dirty tracking.
 # --------------------------------------------------------------------- #
 
 def _fig1_units(ops: int) -> list[RunUnit]:
@@ -267,7 +305,7 @@ def _fig2_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
             for r in rows
         ],
     )
-    return FigureOutput(text)
+    return FigureOutput(text, raw_rows=rows)
 
 
 _FIG3_MECHANISMS = {
@@ -339,7 +377,7 @@ def _fig3_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
             for r in rows
         ],
     )
-    return FigureOutput(text)
+    return FigureOutput(text, raw_rows=rows)
 
 
 def _fig4_units(ops: int) -> list[RunUnit]:
@@ -371,27 +409,38 @@ def _fig4_execute(params: dict) -> dict:
 
 
 def _fig4_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
-    rows = _rows(payloads)
-    rendered = []
-    for r in rows:
+    rows = []
+    for r in _rows(payloads):
         byte_mean = r["byte_bytes_per_interval"]
         reduction = (
             r["page_bytes_per_interval"] / byte_mean if byte_mean else float("inf")
         )
-        rendered.append(
-            [r["workload"], format_bytes(r["page_bytes_per_interval"]),
-             format_bytes(byte_mean), f"{reduction:.1f}x"]
-        )
+        rows.append({**r, "reduction": reduction})
     text = render_table(
         "Figure 4: copy size, page vs 8-byte tracking",
         ["workload", "page", "8-byte", "reduction"],
-        rendered,
+        [
+            [r["workload"], format_bytes(r["page_bytes_per_interval"]),
+             format_bytes(r["byte_bytes_per_interval"]), f"{r['reduction']:.1f}x"]
+            for r in rows
+        ],
     )
     return FigureOutput(text, raw_rows=rows)
 
 
 # --------------------------------------------------------------------- #
-# Figures 8-11 (evaluation)
+# Figures 8-11 (checkpoint performance, Setup-I)
+#
+# Fig 8:  stack persistence, normalized time under Prosper, Romulus,
+#         SSP (three consolidation intervals) and Dirtybit.
+# Fig 9:  full memory state: SSP everywhere vs SSP (heap) combined with
+#         Dirtybit or Prosper (stack).
+# Fig 10: Table III micro-benchmarks under Prosper at five granularities:
+#         checkpoint size and time normalized to page-level Dirtybit.
+# Fig 11: checkpoint size vs interval (1/5/10 ms), Quicksort and
+#         Rec-4/8/16, plus the per-byte checkpoint cost.  Recursive
+#         descents are separated by long compute blocks, so short
+#         intervals take empty checkpoints that still pay inspection.
 # --------------------------------------------------------------------- #
 
 def _fig8_units(ops: int) -> list[RunUnit]:
@@ -653,7 +702,12 @@ def _fig11_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput
 
 
 # --------------------------------------------------------------------- #
-# Figures 12-13, context switch, energy (overhead)
+# Figures 12-13, context switch, energy (tracking overhead, Setup-II)
+#
+# Fig 12: user-IPC speedup with Prosper tracking at 8/64/128 B over no
+#         tracking (paper: <1 % average overhead, ~3 % worst case).
+# Fig 13: tracker-issued bitmap loads/stores as HWM (LWM=4) and LWM
+#         (HWM=24) are swept, for mcf and SSSP.
 # --------------------------------------------------------------------- #
 
 def _fig12_units(ops: int) -> list[RunUnit]:
@@ -696,13 +750,15 @@ def _fig12_execute(params: dict) -> dict:
 
 
 def _fig12_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
-    rows = _rows(payloads)
+    rows = [
+        {**r, "overhead_pct": (1.0 - r["speedup"]) * 100.0} for r in _rows(payloads)
+    ]
     text = render_table(
         "Figure 12: tracking overhead (user-IPC speedup)",
         ["workload", "granularity", "speedup", "overhead %"],
         [
             [r["workload"], f"{r['granularity']}B", f"{r['speedup']:.4f}",
-             f"{(1.0 - r['speedup']) * 100.0:.2f}"]
+             f"{r['overhead_pct']:.2f}"]
             for r in rows
         ],
     )
@@ -760,7 +816,10 @@ def _fig13_execute(params: dict) -> dict:
 
 
 def _fig13_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
-    rows = _rows(payloads)
+    rows = [
+        {**r, "memory_ops": r["bitmap_loads"] + r["bitmap_stores"]}
+        for r in _rows(payloads)
+    ]
     text = render_table(
         "Figure 13: HWM/LWM sensitivity (bitmap loads/stores)",
         ["workload", "HWM", "LWM", "loads", "stores"],
@@ -793,7 +852,7 @@ def _ctx_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutput:
         ["switches", "mean prosper cycles"],
         [[r["switches"], f"{r['mean_prosper_cycles']:.0f}"] for r in rows],
     )
-    return FigureOutput(text)
+    return FigureOutput(text, raw_rows=rows)
 
 
 def _energy_units(ops: int) -> list[RunUnit]:
@@ -826,7 +885,7 @@ def _energy_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOutpu
             for r in rows
         ],
     )
-    return FigureOutput(text)
+    return FigureOutput(text, raw_rows=rows)
 
 
 # --------------------------------------------------------------------- #
@@ -983,7 +1042,7 @@ def _endurance_assemble(ops: int, payloads: dict, failed: list[str]) -> FigureOu
             for r in rows
         ],
     )
-    return FigureOutput(text)
+    return FigureOutput(text, raw_rows=rows)
 
 
 def _report_units(ops: int) -> list[RunUnit]:

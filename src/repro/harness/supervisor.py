@@ -5,8 +5,8 @@ declared in :mod:`repro.harness.figures`:
 
 * decompose the requested figures into their units;
 * replay units already journaled ``ok`` when resuming (``--resume``);
-* execute the rest — inline for ``--jobs 1`` (the legacy serial path,
-  byte-identical output), or on the supervised
+* execute the rest — inline, in enumeration order, for ``--jobs 1``
+  (the serial reference output), or on the supervised
   :class:`~repro.harness.pool.WorkerPool` for ``--jobs N``;
 * journal every terminal unit outcome to the run manifest;
 * assemble each figure's table as soon as all of its units are
@@ -225,9 +225,8 @@ def _run_unit_inline(unit: RunUnit, opts: HarnessOptions) -> UnitOutcome:
     """The serial (``--jobs 1``) path: run a unit in-process with retries.
 
     Wall-clock timeouts require a supervising process and so apply only
-    to ``--jobs >= 2``; the inline path keeps the legacy serial behavior
-    (and its byte-identical output) while still classifying and retrying
-    workload errors.
+    to ``--jobs >= 2``; the inline path runs units in enumeration order
+    while still classifying and retrying workload errors.
     """
     started = time.monotonic()
     attempt = 0

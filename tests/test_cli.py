@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import build_parser, main
+from repro.harness import figure_names
 
 
 class TestParser:
     def test_every_command_registered(self):
         parser = build_parser()
-        for name in COMMANDS:
+        for name in figure_names():
             args = parser.parse_args([name])
             assert args.command == name
 
@@ -68,8 +69,16 @@ class TestCsvExport:
         header = csv_path.read_text().splitlines()[0]
         assert "stack_fraction" in header
 
+    def test_csv_written_for_fig2(self, tmp_path, capsys):
+        assert main(["fig2", "--ops", "3000", "--csv", str(tmp_path)]) == 0
+        header = (tmp_path / "fig2.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "workload", "total_writes", "total_beyond", "beyond_fraction"
+        ]
+
     def test_csv_skipped_for_non_tabular(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["energy", "--ops", "8000", "--csv", str(tmp_path)]) == 0
-        assert not (tmp_path / "energy.csv").exists()
+        # Two tables in one figure: no single row schema to export.
+        assert main(["ablations", "--ops", "8000", "--csv", str(tmp_path)]) == 0
+        assert not (tmp_path / "ablations.csv").exists()

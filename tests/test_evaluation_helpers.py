@@ -9,9 +9,14 @@ from repro.persistence.ssp import SspPersistence
 STACK = AddressRange(0x7000_0000, 0x7010_0000)
 
 
+def micro_traces(scale):
+    builders = evaluation.micro_benchmark_builders(scale)
+    return [builders[key]() for key in evaluation.MICRO_BENCHMARK_KEYS]
+
+
 class TestMicroBenchmarkSet:
     def test_seven_table_iii_workloads(self):
-        traces = evaluation.micro_benchmarks(scale=0.2)
+        traces = micro_traces(0.2)
         names = [t.name for t in traces]
         assert names == [
             "random", "stream", "sparse", "quicksort", "rec-8",
@@ -19,14 +24,14 @@ class TestMicroBenchmarkSet:
         ]
 
     def test_scale_shrinks_traces(self):
-        small = evaluation.micro_benchmarks(scale=0.2)
-        large = evaluation.micro_benchmarks(scale=0.5)
+        small = micro_traces(0.2)
+        large = micro_traces(0.5)
         assert sum(len(t.ops) for t in small) < sum(len(t.ops) for t in large)
 
     def test_random_is_dense(self):
         """The Figure 10 Random workload must over-write its array several
         times per interval, the regime where Dirtybit beats Prosper."""
-        random_trace = evaluation.micro_benchmarks(scale=0.5)[0]
+        random_trace = evaluation.micro_benchmark_builders(0.5)["random"]()
         writes = sum(
             1 for op in random_trace.ops if op.kind == OpKind.WRITE
         )

@@ -1,129 +1,130 @@
 """Integration tests: small-scale versions of every paper experiment.
 
 These exercise the full pipeline (workload -> engine -> mechanism ->
-analysis) and assert the *shape* of each figure's result, at sizes small
-enough for the unit-test suite.  The full-scale numbers live in the
-benchmarks and EXPERIMENTS.md.
+analysis) through each figure's harness spec and assert the *shape* of
+its rows, at sizes small enough for the unit-test suite.  Where a test
+needs a smaller grid than the figure's, it selects units and overrides
+their params.  The full-scale numbers live in the benchmarks and
+EXPERIMENTS.md.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments import evaluation, motivation, overhead
+from repro.experiments import overhead
+from repro.harness.figures import FIGURES, run_inline
 
 
 OPS = 25_000  # small but big enough for stable shapes
 
 
+def figure_rows(figure, ops, keep=lambda unit: True, **overrides):
+    """Rows of *figure*'s units selected by *keep*, params overridden."""
+    units = [
+        replace(unit, params={**unit.params, **overrides})
+        for unit in FIGURES[figure].enumerate_units(ops)
+        if keep(unit)
+    ]
+    return run_inline(figure, ops, units).raw_rows
+
+
 @pytest.fixture(scope="module")
 def fig1_rows():
-    return motivation.fig1_stack_fraction(target_ops=OPS)
+    return figure_rows("fig1", OPS)
 
 
 class TestFig1:
     def test_three_workloads(self, fig1_rows):
-        assert [r.workload for r in fig1_rows] == [
+        assert [r["workload"] for r in fig1_rows] == [
             "gapbs_pr",
             "g500_sssp",
             "ycsb_mem",
         ]
 
     def test_gapbs_is_stack_heavy(self, fig1_rows):
-        by_name = {r.workload: r for r in fig1_rows}
-        assert by_name["gapbs_pr"].stack_fraction > 0.6
-        assert by_name["ycsb_mem"].stack_fraction < 0.3
-        assert (
-            by_name["gapbs_pr"].stack_fraction
-            > by_name["g500_sssp"].stack_fraction
-            > by_name["ycsb_mem"].stack_fraction
-        )
+        by_name = {r["workload"]: r["stack_fraction"] for r in fig1_rows}
+        assert by_name["gapbs_pr"] > 0.6
+        assert by_name["ycsb_mem"] < 0.3
+        assert by_name["gapbs_pr"] > by_name["g500_sssp"] > by_name["ycsb_mem"]
 
 
 class TestFig2:
     def test_ycsb_has_substantial_beyond_sp_writes(self):
-        results = motivation.fig2_beyond_final_sp(
-            num_intervals=50, target_ops=OPS
-        )
-        ycsb = next(r for r in results if r.workload == "ycsb_mem")
-        assert 0.1 < ycsb.beyond_fraction < 0.8
-        for r in results:
-            assert r.total_beyond <= r.total_writes
+        rows = figure_rows("fig2", OPS, num_intervals=50)
+        ycsb = next(r for r in rows if r["workload"] == "ycsb_mem")
+        assert 0.1 < ycsb["beyond_fraction"] < 0.8
+        for r in rows:
+            assert r["total_beyond"] <= r["total_writes"]
 
 
 class TestFig3:
     @pytest.fixture(scope="class")
     def cells(self):
-        return motivation.fig3_sp_awareness(target_ops=12_000, num_intervals=10)
+        return figure_rows("fig3", 12_000, num_intervals=10)
 
     def test_all_cells_present(self, cells):
         assert len(cells) == 3 * 3 * 2  # workloads x mechanisms x awareness
 
     def test_sp_awareness_always_helps(self, cells):
-        for workload in {c.workload for c in cells}:
+        time = {
+            (c["workload"], c["mechanism"], c["sp_aware"]): c["normalized_time"]
+            for c in cells
+        }
+        for workload in {c["workload"] for c in cells}:
             for mech in ("flush", "undo", "redo"):
-                blind = next(
-                    c for c in cells
-                    if c.workload == workload and c.mechanism == mech and not c.sp_aware
-                )
-                aware = next(
-                    c for c in cells
-                    if c.workload == workload and c.mechanism == mech and c.sp_aware
-                )
-                assert aware.normalized_time <= blind.normalized_time
+                assert time[workload, mech, True] <= time[workload, mech, False]
 
     def test_overhead_significant_even_with_awareness(self, cells):
         # Paper: >35x slowdown across all benchmarks even SP-aware.
-        aware = [c for c in cells if c.sp_aware]
-        assert all(c.normalized_time > 2.0 for c in aware)
+        aware = [c for c in cells if c["sp_aware"]]
+        assert all(c["normalized_time"] > 2.0 for c in aware)
 
 
 class TestFig4:
     def test_page_tracking_amplifies_copy_size(self):
-        rows = motivation.fig4_copy_size(num_intervals=20, target_ops=OPS)
+        rows = figure_rows("fig4", OPS, num_intervals=20)
         for row in rows:
-            assert row.reduction_factor > 5.0
-        by_name = {r.workload: r for r in rows}
+            assert row["reduction"] > 5.0
+        by_name = {r["workload"]: r["reduction"] for r in rows}
         # Gapbs shows the largest reduction, ycsb the smallest (paper order).
-        assert (
-            by_name["gapbs_pr"].reduction_factor
-            > by_name["ycsb_mem"].reduction_factor
-        )
+        assert by_name["gapbs_pr"] > by_name["ycsb_mem"]
+
+
+def _per_workload(rows, column):
+    table = {}
+    for r in rows:
+        table.setdefault(r["workload"], {})[r[column]] = r["normalized_time"]
+    return table
 
 
 class TestFig8:
     @pytest.fixture(scope="class")
-    def results(self):
-        return evaluation.fig8_stack_persistence(target_ops=OPS)
+    def table(self):
+        return _per_workload(figure_rows("fig8", OPS), "mechanism")
 
-    def test_prosper_wins_everywhere(self, results):
-        for workload in {r.trace_name for r in results}:
-            rows = {r.mechanism_name: r.normalized_time for r in results
-                    if r.trace_name == workload}
+    def test_prosper_wins_everywhere(self, table):
+        for workload, rows in table.items():
             prosper = rows["prosper"]
             for name, value in rows.items():
                 if name != "prosper":
                     assert prosper <= value, f"{name} beat prosper on {workload}"
 
-    def test_ssp_improves_with_longer_consolidation(self, results):
-        for workload in {r.trace_name for r in results}:
-            rows = {r.mechanism_name: r.normalized_time for r in results
-                    if r.trace_name == workload}
+    def test_ssp_improves_with_longer_consolidation(self, table):
+        for rows in table.values():
             assert rows["ssp-10us"] >= rows["ssp-1ms"] * 0.98
 
-    def test_romulus_is_worst(self, results):
-        for workload in {r.trace_name for r in results}:
-            rows = {r.mechanism_name: r.normalized_time for r in results
-                    if r.trace_name == workload}
+    def test_romulus_is_worst(self, table):
+        for rows in table.values():
             assert rows["romulus"] == max(rows.values())
 
 
 class TestFig9:
     def test_prosper_combination_wins(self):
-        cells = evaluation.fig9_memory_persistence(
-            target_ops=OPS, ssp_intervals_us=(10.0,)
+        cells = figure_rows(
+            "fig9", OPS, lambda u: u.params["ssp_interval_us"] == 10.0
         )
-        for workload in {c.workload for c in cells}:
-            rows = {c.combination: c.normalized_time for c in cells
-                    if c.workload == workload}
+        for rows in _per_workload(cells, "combination").values():
             assert rows["ssp+prosper"] <= rows["ssp+dirtybit"]
             assert rows["ssp+prosper"] <= rows["ssp"]
 
@@ -131,95 +132,110 @@ class TestFig9:
 class TestFig10:
     @pytest.fixture(scope="class")
     def cells(self):
-        return evaluation.fig10_usage_patterns(scale=0.3, granularities=(8, 64))
+        # 30k ops -> micro-benchmark scale 0.3; Dirtybit plus 8 and 64 B.
+        rows = figure_rows(
+            "fig10", 30_000, lambda u: u.params["granularity"] in ("page", 8, 64)
+        )
+        return {(r["workload"], r["granularity"]): r for r in rows}
 
     def test_sparse_gets_huge_reduction(self, cells):
-        sparse8 = next(
-            c for c in cells if c.workload == "sparse" and c.granularity == 8
+        sparse8 = cells["sparse", 8]
+        sparse_page = cells["sparse", "page"]
+        assert (
+            sparse8["mean_checkpoint_bytes"]
+            < sparse_page["mean_checkpoint_bytes"] / 50
         )
-        sparse_page = next(
-            c for c in cells if c.workload == "sparse" and c.granularity == "page"
-        )
-        assert sparse8.mean_checkpoint_bytes < sparse_page.mean_checkpoint_bytes / 50
-        assert sparse8.checkpoint_time_vs_dirtybit < 1.0
+        assert sparse8["checkpoint_time_vs_dirtybit"] < 1.0
 
     def test_stream_gets_no_size_benefit(self, cells):
-        stream8 = next(
-            c for c in cells if c.workload == "stream" and c.granularity == 8
-        )
-        stream_page = next(
-            c for c in cells if c.workload == "stream" and c.granularity == "page"
-        )
         # Stream dirties everything: fine tracking saves at most the
         # page-rounding slack at the interval's edges (compare sparse's
         # 50x+ reduction).
         assert (
-            stream8.mean_checkpoint_bytes
-            > stream_page.mean_checkpoint_bytes / 3
+            cells["stream", 8]["mean_checkpoint_bytes"]
+            > cells["stream", "page"]["mean_checkpoint_bytes"] / 3
         )
 
     def test_coarser_granularity_never_smaller_checkpoint(self, cells):
-        for workload in {c.workload for c in cells}:
-            fine = next(c for c in cells if c.workload == workload and c.granularity == 8)
-            coarse = next(c for c in cells if c.workload == workload and c.granularity == 64)
-            assert coarse.mean_checkpoint_bytes >= fine.mean_checkpoint_bytes * 0.99
+        for workload in {w for w, _ in cells}:
+            fine = cells[workload, 8]["mean_checkpoint_bytes"]
+            coarse = cells[workload, 64]["mean_checkpoint_bytes"]
+            assert coarse >= fine * 0.99
 
 
 class TestFig11:
     @pytest.fixture(scope="class")
     def cells(self):
-        return evaluation.fig11_interval_sweep(depths=(4, 16))
+        rows = figure_rows(
+            "fig11",
+            OPS,
+            lambda u: u.params["workload"] in ("quicksort", "rec-4", "rec-16"),
+        )
+        table = {}
+        for r in rows:
+            table.setdefault(r["workload"], {})[r["interval_paper_ms"]] = r
+        return table
 
     def test_recursive_checkpoint_grows_with_interval(self, cells):
         for name in ("rec-4", "rec-16"):
-            sizes = {c.interval_paper_ms: c.mean_checkpoint_bytes
-                     for c in cells if c.workload == name}
-            assert sizes[10.0] > sizes[1.0] * 2
+            sizes = cells[name]
+            assert (
+                sizes[10.0]["mean_checkpoint_bytes"]
+                > sizes[1.0]["mean_checkpoint_bytes"] * 2
+            )
 
     def test_quicksort_saturates_unlike_recursive(self, cells):
-        qs = {c.interval_paper_ms: c.mean_checkpoint_bytes
-              for c in cells if c.workload == "quicksort"}
-        rec = {c.interval_paper_ms: c.mean_checkpoint_bytes
-               for c in cells if c.workload == "rec-16"}
-        assert qs[10.0] / qs[5.0] < rec[10.0] / rec[5.0] * 1.05
+        def growth(name):
+            sizes = cells[name]
+            return (
+                sizes[10.0]["mean_checkpoint_bytes"]
+                / sizes[5.0]["mean_checkpoint_bytes"]
+            )
+
+        assert growth("quicksort") < growth("rec-16") * 1.05
 
     def test_recursive_per_byte_cost_highest_at_1ms(self, cells):
-        per_byte = {c.interval_paper_ms: c.ns_per_byte
-                    for c in cells if c.workload == "rec-4"}
-        assert per_byte[1.0] > per_byte[10.0]
+        rec4 = cells["rec-4"]
+        assert rec4[1.0]["ns_per_byte"] > rec4[10.0]["ns_per_byte"]
 
 
 class TestFig12:
     def test_tracking_overhead_small(self):
-        cells = overhead.fig12_tracking_overhead(
-            target_ops=OPS, granularities=(8,)
-        )
+        cells = figure_rows("fig12", OPS, lambda u: u.params["granularity"] == 8)
         for cell in cells:
-            assert cell.speedup > 0.9, f"{cell.workload} overhead too large"
-        mean_overhead = sum(c.overhead_percent for c in cells) / len(cells)
+            assert cell["speedup"] > 0.9, f"{cell['workload']} overhead too large"
+        mean_overhead = sum(c["overhead_pct"] for c in cells) / len(cells)
         assert mean_overhead < 5.0
 
 
 class TestFig13:
     @pytest.fixture(scope="class")
     def cells(self):
-        return overhead.fig13_watermark_sensitivity(
-            target_ops=OPS, hwm_values=(8, 32), lwm_values=(2, 16)
+        # HWM in {8, 32} at LWM=4, LWM in {2, 16} at HWM=24.
+        sweep = ("hwm8", "hwm32", "lwm2", "lwm16")
+        return figure_rows(
+            "fig13", OPS, lambda u: u.unit_id.split("/")[-1] in sweep
         )
 
     def test_sssp_ops_decrease_with_hwm(self, cells):
-        sssp = [c for c in cells if c.workload == "g500_sssp" and c.lwm == 4]
-        by_hwm = {c.hwm: c.memory_ops for c in sssp}
+        by_hwm = {
+            c["hwm"]: c["memory_ops"]
+            for c in cells if c["workload"] == "g500_sssp" and c["lwm"] == 4
+        }
         assert by_hwm[32] < by_hwm[8]
 
     def test_mcf_ops_increase_with_hwm(self, cells):
-        mcf = [c for c in cells if c.workload == "605.mcf_s" and c.lwm == 4]
-        by_hwm = {c.hwm: c.memory_ops for c in mcf}
+        by_hwm = {
+            c["hwm"]: c["memory_ops"]
+            for c in cells if c["workload"] == "605.mcf_s" and c["lwm"] == 4
+        }
         assert by_hwm[32] > by_hwm[8] * 0.95
 
     def test_mcf_benefits_from_higher_lwm(self, cells):
-        mcf = [c for c in cells if c.workload == "605.mcf_s" and c.hwm == 24]
-        by_lwm = {c.lwm: c.memory_ops for c in mcf}
+        by_lwm = {
+            c["lwm"]: c["memory_ops"]
+            for c in cells if c["workload"] == "605.mcf_s" and c["hwm"] == 24
+        }
         assert by_lwm[16] <= by_lwm[2] * 1.05
 
 

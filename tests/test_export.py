@@ -52,9 +52,9 @@ class TestWriting:
         assert path.exists()
 
     def test_real_experiment_rows_export(self, tmp_path):
-        from repro.experiments import motivation
+        from repro.harness.figures import run_inline
 
-        rows = motivation.fig1_stack_fraction(target_ops=5_000)
+        rows = run_inline("fig1", 5_000).raw_rows
         path = export_experiment("fig1", rows, out_dir=tmp_path)
         with open(path) as handle:
             records = list(csv.DictReader(handle))

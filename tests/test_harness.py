@@ -37,6 +37,7 @@ from repro.harness.figures import (
     RunUnit,
     figure_names,
     register,
+    run_inline,
 )
 from repro.harness.journal import (
     ManifestMismatch,
@@ -197,6 +198,56 @@ class TestResultCache:
         f2 = cache_mod.trace_fingerprint(g500_sssp(2000, 42))
         f3 = cache_mod.trace_fingerprint(gapbs_pr(2000, 7))
         assert len({f1, f2, f3}) == 3
+
+
+def _gapbs_fig8_units() -> list[RunUnit]:
+    return [
+        u for u in FIGURES["fig8"].enumerate_units(2000)
+        if u.params["workload"] == "gapbs_pr"
+    ]
+
+
+class TestRunInline:
+    def test_reuses_active_cache(self):
+        cache = cache_mod.ResultCache()
+        cache_mod.activate(cache)
+        try:
+            first = run_inline("fig8", 2000, _gapbs_fig8_units())
+            assert cache_mod.active_cache() is cache
+            # One baseline for six mechanisms.
+            assert (cache.hits, cache.misses) == (5, 1)
+            second = run_inline("fig8", 2000, _gapbs_fig8_units())
+            assert cache_mod.active_cache() is cache
+            assert (cache.hits, cache.misses) == (11, 1)
+        finally:
+            cache_mod.activate(None)
+        assert first.raw_rows == second.raw_rows
+
+    def test_fresh_cache_when_none_active(self, monkeypatch):
+        calls = []
+        real = cache_mod.vanilla_cycles
+        monkeypatch.setattr(
+            cache_mod, "vanilla_cycles", lambda *a: calls.append(a) or real(*a)
+        )
+        assert cache_mod.active_cache() is None
+        out = run_inline("fig8", 2000, _gapbs_fig8_units())
+        assert cache_mod.active_cache() is None
+        assert len(calls) == 1
+        assert [r["mechanism"] for r in out.raw_rows] == [
+            u.params["mechanism"] for u in _gapbs_fig8_units()
+        ]
+
+    def test_cache_released_when_a_unit_raises(self):
+        bad = RunUnit("fig1", "bad", {"workload": "nope", "ops": 10, "seed": 1})
+        with pytest.raises(KeyError):
+            run_inline("fig1", 10, [bad])
+        assert cache_mod.active_cache() is None
+
+    def test_matches_supervised_run(self):
+        supervised = run_figures(["fig2"], HarnessOptions(ops=2000))[0]
+        inline = run_inline("fig2", 2000)
+        assert inline.text == supervised.text
+        assert inline.raw_rows == supervised.raw_rows
 
 
 # --------------------------------------------------------------------- #
