@@ -15,6 +15,12 @@ plus the speedup ratios:
   batch-eligible (their store costs are cycle-dependent), so their rows
   document what the fallback path costs.
 
+A second, smaller matrix runs an L1-thrashing app trace (gapbs_pr, one of
+the paper's Figure 8 workloads) under vanilla and Prosper.  Its chunks are
+miss-dense, so the batched engine runs them in its per-op loop; the gate
+there is only that batched is no slower than scalar (``MIN_APP_SPEEDUP``),
+guarding against the engine losing to its own reference on the apps.
+
 Timing uses the **minimum over ``reps`` repetitions** on both sides of
 each gated ratio — the minimum is the standard noise-robust estimator for
 CI runners with unpredictable scheduling jitter.
@@ -47,11 +53,19 @@ from repro.persistence.logging import (
 from repro.persistence.none import NoPersistence
 from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.ssp import SspPersistence
+from repro.workloads.apps import gapbs_pr
 from repro.workloads.callstack import quicksort_workload
 
 INTERVAL_CYCLES = 60_000
 #: Acceptance floor for the batched engine on the gated rows.
 MIN_SPEEDUP = 6.0
+#: Acceptance floor on the L1-thrashing app rows: never slower than scalar.
+MIN_APP_SPEEDUP = 1.0
+#: Ops of the app trace (the length at which the batched engine used to
+#: run about 1.8x slower than scalar).
+APP_OPS = 80_000
+#: Mechanisms of the app rows, all gated and timed min-of-GATED_REPS.
+APP_MECHANISMS = ("vanilla", "prosper")
 #: Repetitions per (mechanism, engine) cell on gated rows; the reported
 #: time is the minimum, which shrugs off scheduler noise.
 GATED_REPS = 3
@@ -79,6 +93,10 @@ def _reference_trace():
     return _TRACE
 
 
+def _app_trace():
+    return gapbs_pr(APP_OPS, 42)
+
+
 def _run_once(engine_cls, mechanism_factory, trace) -> tuple[float, dict]:
     engine = engine_cls(
         stack_range=trace.stack_range,
@@ -90,9 +108,10 @@ def _run_once(engine_cls, mechanism_factory, trace) -> tuple[float, dict]:
     return time.perf_counter() - start, dataclasses.asdict(result)
 
 
-def _time_row(name: str, mechanism_factory) -> dict:
-    trace = _reference_trace()
-    reps = GATED_REPS if name in GATED else 1
+def _time_row(name: str, mechanism_factory, trace=None, reps=None) -> dict:
+    trace = trace if trace is not None else _reference_trace()
+    if reps is None:
+        reps = GATED_REPS if name in GATED else 1
     best = {}
     stats = {}
     for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
@@ -120,8 +139,17 @@ def _time_row(name: str, mechanism_factory) -> dict:
     }
 
 
+def _app_rows() -> dict:
+    trace = _app_trace()
+    return {
+        name: _time_row(name, MECHANISMS[name], trace, GATED_REPS)
+        for name in APP_MECHANISMS
+    }
+
+
 def test_engine_speedup_matrix():
     matrix = {name: _time_row(name, factory) for name, factory in MECHANISMS.items()}
+    apps = _app_rows()
 
     report = {
         "trace": "quicksort",
@@ -129,6 +157,11 @@ def test_engine_speedup_matrix():
         "min_speedup": MIN_SPEEDUP,
         "gated": list(GATED),
         "mechanisms": matrix,
+        "apps": {
+            "trace": f"gapbs_pr({APP_OPS}, 42)",
+            "min_speedup": MIN_APP_SPEEDUP,
+            "mechanisms": apps,
+        },
     }
     out = os.environ.get("REPRO_BENCH_OUT", "results/engine_speedup.json")
     path = write_json(report, out)
@@ -136,14 +169,24 @@ def test_engine_speedup_matrix():
     summary = ", ".join(
         f"{name} {row['speedup']:.1f}x" for name, row in matrix.items()
     )
+    app_summary = ", ".join(
+        f"{name} {row['speedup']:.1f}x" for name, row in apps.items()
+    )
     print(f"\nengine speedup (quicksort): {summary} (report: {path})")
+    print(f"engine speedup (gapbs_pr): {app_summary}")
 
-    for name, row in matrix.items():
+    for name, row in [*matrix.items(), *apps.items()]:
         assert row["stats_identical"], f"{name}: stats diverged"
     for name in GATED:
         row = matrix[name]
         assert row["speedup"] >= MIN_SPEEDUP, (
             f"{name}: batched engine only {row['speedup']:.2f}x faster "
             f"(need {MIN_SPEEDUP}x): scalar {row['scalar_s']:.3f}s "
+            f"vs batched {row['batched_s']:.3f}s"
+        )
+    for name, row in apps.items():
+        assert row["speedup"] >= MIN_APP_SPEEDUP, (
+            f"gapbs_pr/{name}: batched engine slower than scalar "
+            f"({row['speedup']:.2f}x): scalar {row['scalar_s']:.3f}s "
             f"vs batched {row['batched_s']:.3f}s"
         )

@@ -10,25 +10,30 @@ loop:
   (kind, read/write, stack/heap containment), cache-line indices,
   single-line detection, and the full SP trajectory (cumulative CALL/RET
   deltas) are computed as numpy arrays up front;
-* when the configuration allows it (no TLB, no NVM-resident persistence
-  region, and every mechanism hook either trivial or batch-eligible),
-  the chunk enters **vectorized-run mode**: L1 residency is predicted up front, maximal runs of predicted
-  single-line L1 hits are committed as whole array operations against
-  numpy mirrors of the cache's replacement state (ages authoritative in
-  the mirror, tags patched from the cache's list, dirty bits shared via
-  the cache's own buffer), and only the sequential residue — predicted
-  misses, multi-line accesses, interval boundaries — walks the per-op
-  path with the mirrors re-synced around each stateful call;
+* each chunk then takes one of two exact loops.  **Vectorized-run mode**
+  needs a configuration without a TLB or an NVM-resident persistence
+  region, whose every mechanism hook is trivial or batch-eligible, *and*
+  a hit-dense chunk.  L1 residency is predicted at chunk entry; maximal
+  runs of predicted single-line L1 hits are committed as whole array
+  operations against numpy mirrors of the cache's replacement state
+  (ages authoritative in the mirror, tags patched from the cache's list,
+  dirty bits shared via the cache's own buffer), and only the sequential
+  residue — predicted misses, multi-line accesses, interval boundaries —
+  walks the per-op path with the mirrors re-synced around each stateful
+  call.  That residue costs a fixed numpy overhead per op, so a chunk
+  with more than one predicted miss per ``VECTOR_OPS_PER_MISS`` ops (an
+  L1-thrashing stretch, such as the Figure 8 apps) takes the **per-op
+  loop** instead, even where the configuration would allow vector mode;
 * mechanism store/load hooks for stack (and heap) traffic are delivered
   in batches through :meth:`PersistenceMechanism.on_store_batch` /
-  ``on_load_batch`` when the mechanism declares ``supports_batching``;
-  mechanisms whose per-op costs feed back into the current cycle (SSP,
-  the logging family) fall back to exact per-op delivery;
-* otherwise the remaining per-op loop touches plain Python ints from
-  ``tolist()``'d columns and handles only the inherently sequential
-  residue: cache tag state, device write-buffer timing, and mechanism
-  hooks — the single-line L1 hit is still handled inline against the
-  cache's columnar arrays without a method call;
+  ``on_load_batch`` when the mechanism declares ``supports_batching``, in
+  either loop; mechanisms whose per-op costs feed back into the current
+  cycle (SSP, the logging family) fall back to exact per-op delivery;
+* the per-op loop touches plain Python ints from ``tolist()``'d columns
+  and handles only the inherently sequential residue: cache tag state,
+  device write-buffer timing, and mechanism hooks — the single-line L1
+  hit is still handled inline against the cache's columnar arrays
+  without a method call;
 * aggregate statistics (op counts, stack/other read/write counters, the
   interval write log, the interval-minimum SP) are accumulated as numpy
   reductions over chunk slices instead of per-op updates.
@@ -60,6 +65,14 @@ _COMPUTE = int(OpKind.COMPUTE)
 #: precompute, small enough to keep the per-chunk arrays cache-resident.
 CHUNK_OPS = 8192
 
+#: Fewest ops per predicted L1 miss for a chunk to take vectorized-run
+#: mode; sparser-hit chunks take the per-op loop (see ``_run_chunk``).
+#: Measured per chunk, the Figure 8 apps and the synthetic streams
+#: predict one miss per 1-3.5 ops and run 3-5x faster per-op; quicksort's
+#: warm chunks predict one per 14 ops or (mostly) none at all, and keep
+#: vector mode.
+VECTOR_OPS_PER_MISS = 8
+
 
 class BatchedExecutionEngine(ExecutionEngine):
     """Drop-in engine producing identical results to the scalar reference.
@@ -69,6 +82,11 @@ class BatchedExecutionEngine(ExecutionEngine):
     :class:`~repro.workloads.trace.Trace`, a ``TRACE_DTYPE`` array, or any
     op sequence (converted once up front).
     """
+
+    #: Chunks this engine ran in vectorized-run mode and in the per-op
+    #: loop (diagnostics only: simulated results never depend on the split).
+    vector_chunks = 0
+    per_op_chunks = 0
 
     def run(
         self,
@@ -349,6 +367,42 @@ class BatchedExecutionEngine(ExecutionEngine):
             hierarchy.now = now
 
         loop_end = overflow_at if overflow_at >= 0 else n
+        l1_index = l1._index
+
+        def mark_nonsimple(start: int) -> None:
+            """Predict run membership for ops [start, loop_end).
+
+            An op is *nonsimple* when it is a memory op that is not a
+            single-line hit against the L1's current resident set.
+            """
+            rest = slice(start, loop_end)
+            if l1_index:
+                resident = np.fromiter(l1_index.keys(), np.int64, len(l1_index))
+                resident.sort()
+                seg = lines_np[rest]
+                slot = np.searchsorted(resident, seg)
+                hit = np.take(resident, slot, mode="clip") == seg
+                nonsimple_np[rest] = mem_np[rest] & ~(single_np[rest] & hit)
+            else:
+                nonsimple_np[rest] = mem_np[rest]
+
+        # ------------------------------------------------------------------
+        # Loop choice.  Vectorized-run mode pays a fixed numpy cost per run
+        # and per sequential op (mirror sync, victim prediction, residency
+        # re-patching over the rest of the chunk), so it only beats the
+        # per-op loop when runs are long.  The chunk-entry residency
+        # prediction that vector mode needs anyway counts the chunk's
+        # sequential ops (predicted misses and multi-line accesses); a
+        # chunk with more than one per VECTOR_OPS_PER_MISS ops (an
+        # L1-thrashing stretch) takes the per-op loop instead.  Both loops
+        # are exact, so the choice changes only host speed.
+        # ------------------------------------------------------------------
+        vector = False
+        if tlb is None and batch_env and loop_end:
+            nonsimple_np = np.empty(n, dtype=bool)
+            mark_nonsimple(0)
+            sequential = int(np.count_nonzero(nonsimple_np[:loop_end]))
+            vector = sequential * VECTOR_OPS_PER_MISS <= loop_end
 
         # ------------------------------------------------------------------
         # Vectorized-run mode: when per-op state feedback is limited to the
@@ -362,7 +416,8 @@ class BatchedExecutionEngine(ExecutionEngine):
         # bound, which can only over-estimate and therefore never misses a
         # boundary).
         # ------------------------------------------------------------------
-        if tlb is None and batch_env:
+        if vector:
+            self.vector_chunks += 1
             any_batched = stack_batched or heap_batched
             # Static cost of every *simple* op: a single-line L1 hit costs
             # the L1 latency, COMPUTE its size, CALL/RET one cycle.  Only
@@ -412,8 +467,6 @@ class BatchedExecutionEngine(ExecutionEngine):
                     wkeep_all[-1] = True
                     wkidx_all = np.flatnonzero(wkeep_all)
                     cumwkeep = np.cumsum(wkeep_all)
-            nonsimple_np = np.empty(n, dtype=bool)
-            l1_index = l1._index
             l1_tags = l1._tags
             l1_free = l1._free
             assoc = l1._assoc
@@ -443,22 +496,11 @@ class BatchedExecutionEngine(ExecutionEngine):
             def predict(start: int) -> None:
                 """Recompute run membership for ops [start, loop_end)."""
                 # The cache's list state is authoritative whenever this
-                # runs (chunk start, or pred_stale after arbitrary cache
-                # mutation); refresh the mirrors from it.
+                # runs (pred_stale after arbitrary cache mutation); refresh
+                # the mirrors from it.
                 age_np[:] = l1_age
                 tags_np[:] = l1_tags
-                rest = slice(start, loop_end)
-                if l1_index:
-                    resident = np.fromiter(
-                        l1_index.keys(), np.int64, len(l1_index)
-                    )
-                    resident.sort()
-                    seg = lines_np[rest]
-                    slot = np.searchsorted(resident, seg)
-                    hit = np.take(resident, slot, mode="clip") == seg
-                    nonsimple_np[rest] = mem_np[rest] & ~(single_np[rest] & hit)
-                else:
-                    nonsimple_np[rest] = mem_np[rest]
+                mark_nonsimple(start)
 
             def commit_run(r0: int, stop: int) -> None:
                 """Apply a run of L1 hits to the cache's columnar state.
@@ -523,8 +565,8 @@ class BatchedExecutionEngine(ExecutionEngine):
                         dirty_np[l1_index[int(wlines[wa])]] = 1
                 l1_hits += k
 
-            if loop_end:
-                predict(0)
+            # The loop choice above already predicted the chunk from the
+            # state the mirrors were just copied from.
             pred_stale = False
             i = 0
             while i < loop_end:
@@ -733,8 +775,9 @@ class BatchedExecutionEngine(ExecutionEngine):
             flush(n)
             return next_boundary, ops_in_interval
 
-        # Python-int columns for the residual per-op loop (the fallback for
+        # Python-int columns for the per-op loop (miss-dense chunks, and
         # TLB-enabled or non-batchable configurations).
+        self.per_op_chunks += 1
         kinds = kinds_np.tolist()
         addrs = addrs_np.tolist()
         sizes = sizes_np.tolist()

@@ -97,11 +97,6 @@ class Cache:
     # Demand interface
     # ------------------------------------------------------------------ #
 
-    def _set_for(self, line: int) -> int:
-        if self._power_of_two_sets:
-            return line & self._set_mask
-        return line % self._num_sets
-
     def lookup(self, line: int) -> bool:
         """Probe for *line* without changing replacement state."""
         return line in self._index
@@ -112,42 +107,48 @@ class Cache:
         On a miss the line is allocated (write-allocate) and the LRU victim,
         if dirty, is returned so the caller can charge a write-back.
         """
-        slot = self._index.get(line)
+        index = self._index
+        slot = index.get(line)
         if slot is not None:
             self.stats.hits += 1
-            self._tick += 1
-            self._age[slot] = self._tick
+            tick = self._tick + 1
+            self._tick = tick
+            self._age[slot] = tick
             if is_write:
                 self._dirty[slot] = 1
             return True, None
 
         self.stats.misses += 1
         victim_writeback: int | None = None
-        set_index = self._set_for(line)
+        set_index = (
+            line & self._set_mask
+            if self._power_of_two_sets
+            else line % self._num_sets
+        )
         free = self._free[set_index]
+        age = self._age
+        tags = self._tags
         if free:
             slot = free.pop()
         else:
-            # Evict the least-recently used way of the set.
-            age = self._age
+            # Evict the least-recently used way of the set: a C-level
+            # minimum over the set's age slice.  Every way of a full set
+            # was stamped with a distinct tick, so the minimum is unique.
             base = set_index * self._assoc
-            slot = base
-            best = age[base]
-            for way in range(base + 1, base + self._assoc):
-                stamp = age[way]
-                if stamp < best:
-                    best = stamp
-                    slot = way
+            end = base + self._assoc
+            slot = age.index(min(age[base:end]), base, end)
             self.stats.evictions += 1
-            del self._index[self._tags[slot]]
+            victim = tags[slot]
+            del index[victim]
             if self._dirty[slot]:
                 self.stats.writebacks += 1
-                victim_writeback = self._tags[slot]
-        self._tags[slot] = line
+                victim_writeback = victim
+        tags[slot] = line
         self._dirty[slot] = 1 if is_write else 0
-        self._tick += 1
-        self._age[slot] = self._tick
-        self._index[line] = slot
+        tick = self._tick + 1
+        self._tick = tick
+        age[slot] = tick
+        index[line] = slot
         return False, victim_writeback
 
     # ------------------------------------------------------------------ #

@@ -54,9 +54,12 @@ class MemoryHierarchy:
         self.dram = DramDevice(config.dram, config.freq_hz)
         self.nvm = NvmDevice(config.nvm, config.freq_hz) if config.nvm else None
         self._nvm_resident = nvm_resident or (lambda _address: False)
-        self._l1_latency = config.l1d.latency_cycles
-        self._l2_latency = config.l2.latency_cycles
-        self._l3_latency = config.l3.latency_cycles
+        # Results of demand hits, per level (latencies are cumulative).
+        l1_latency = config.l1d.latency_cycles
+        l2_latency = l1_latency + config.l2.latency_cycles
+        self._l1_hit = AccessResult(l1_latency, "L1")
+        self._l2_hit = AccessResult(l2_latency, "L2")
+        self._l3_hit = AccessResult(l2_latency + config.l3.latency_cycles, "L3")
         self.now = 0  # advanced by callers that track global time
 
     # ------------------------------------------------------------------ #
@@ -72,7 +75,9 @@ class MemoryHierarchy:
         """Perform a demand load/store covering ``[address, address+size)``.
 
         Multi-line accesses are charged per line; the returned latency is the
-        serial sum, a deliberately pessimistic but simple model.
+        serial sum, a deliberately pessimistic but simple model.  Each line
+        is read from the device backing that line's own bytes, so an access
+        straddling a DRAM/NVM region boundary charges each side correctly.
         """
         if 0 < size and (address % CACHE_LINE_BYTES) + size <= CACHE_LINE_BYTES:
             # Common case: the access stays within one cache line.
@@ -84,7 +89,10 @@ class MemoryHierarchy:
         worst_level = "L1"
         level_rank = _LEVEL_RANK
         for line in span_lines(address, size):
-            result = self._access_line(line, address, is_write)
+            # The first line starts at the access; later lines at their
+            # own first byte.
+            line_address = max(address, line * CACHE_LINE_BYTES)
+            result = self._access_line(line, line_address, is_write)
             total += result.latency_cycles
             rank = level_rank[result.hit_level]
             if rank > worst_rank:
@@ -93,47 +101,49 @@ class MemoryHierarchy:
         return AccessResult(total, worst_level)
 
     def _access_line(self, line: int, address: int, is_write: bool) -> AccessResult:
-        latency = self._l1_latency
+        # Dirty victims are installed in the next level before the demand
+        # access continues down; hits return the prebuilt per-level result.
         hit, victim = self.l1.access(line, is_write)
-        self._handle_writeback(victim, self.l2)
+        if victim is not None:
+            self._write_back_to_l2(victim)
         if hit:
-            return AccessResult(latency, "L1")
+            return self._l1_hit
 
-        latency += self._l2_latency
         hit, victim = self.l2.access(line, False)
-        self._handle_writeback(victim, self.l3)
+        if victim is not None:
+            self._write_back_to_l3(victim)
         if hit:
-            return AccessResult(latency, "L2")
+            return self._l2_hit
 
-        latency += self._l3_latency
         hit, victim = self.l3.access(line, False)
         if victim is not None:
-            # Dirty L3 victim goes to its backing device.
-            device = self._device_for(victim * CACHE_LINE_BYTES)
-            if device is self.nvm:
-                device.write(CACHE_LINE_BYTES, self.now)
-            else:
-                device.write(CACHE_LINE_BYTES)
+            self._write_back_to_memory(victim)
         if hit:
-            return AccessResult(latency, "L3")
+            return self._l3_hit
 
         device = self._device_for(address)
-        latency += device.read(CACHE_LINE_BYTES)
-        return AccessResult(latency, "mem")
+        return AccessResult(
+            self._l3_hit.latency_cycles + device.read(CACHE_LINE_BYTES), "mem"
+        )
 
-    def _handle_writeback(self, victim: int | None, lower: Cache) -> None:
-        if victim is None:
-            return
+    def _write_back_to_l2(self, victim: int) -> None:
         # Install the dirty victim in the next level (write-back).
-        _, next_victim = lower.access(victim, True)
-        if lower is self.l2:
-            self._handle_writeback(next_victim, self.l3)
-        elif next_victim is not None:
-            device = self._device_for(next_victim * CACHE_LINE_BYTES)
-            if device is self.nvm:
-                device.write(CACHE_LINE_BYTES, self.now)
-            else:
-                device.write(CACHE_LINE_BYTES)
+        _, next_victim = self.l2.access(victim, True)
+        if next_victim is not None:
+            self._write_back_to_l3(next_victim)
+
+    def _write_back_to_l3(self, victim: int) -> None:
+        _, next_victim = self.l3.access(victim, True)
+        if next_victim is not None:
+            self._write_back_to_memory(next_victim)
+
+    def _write_back_to_memory(self, line: int) -> None:
+        """A dirty L3 victim goes to its backing device."""
+        device = self._device_for(line * CACHE_LINE_BYTES)
+        if device is self.nvm:
+            device.write(CACHE_LINE_BYTES, self.now)
+        else:
+            device.write(CACHE_LINE_BYTES)
 
     # ------------------------------------------------------------------ #
     # Persistence path

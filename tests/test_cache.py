@@ -1,9 +1,11 @@
 """Tests for repro.memory.cache: set-associative write-back LRU cache."""
 
-from hypothesis import given, strategies as st
+from collections import OrderedDict
+
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheStats
 
 
 def tiny_cache(ways: int = 2, sets: int = 4) -> Cache:
@@ -115,3 +117,113 @@ class TestProperties:
         for line, is_write in accesses:
             cache.access(line, is_write)
         assert cache.stats.accesses == len(accesses)
+
+
+class ReferenceLru:
+    """Plain ordered-LRU model: one OrderedDict (LRU first) per set.
+
+    Holds ``line -> dirty`` and evicts the first entry of a full set, with
+    none of the columnar cache's slots, ticks or free stacks.
+    """
+
+    def __init__(self, ways: int, sets: int) -> None:
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(sets)]
+        self.stats = CacheStats()
+
+    def _set(self, line: int) -> OrderedDict:
+        return self.sets[line % len(self.sets)]
+
+    def access(self, line: int, is_write: bool) -> tuple[bool, int | None]:
+        ways = self._set(line)
+        if line in ways:
+            self.stats.hits += 1
+            ways.move_to_end(line)
+            ways[line] = ways[line] or is_write
+            return True, None
+        self.stats.misses += 1
+        victim = None
+        if len(ways) == self.ways:
+            old, dirty = ways.popitem(last=False)
+            self.stats.evictions += 1
+            if dirty:
+                self.stats.writebacks += 1
+                victim = old
+        ways[line] = is_write
+        return False, victim
+
+    def invalidate(self, line: int) -> bool:
+        return bool(self._set(line).pop(line, False))
+
+    def clean(self, line: int) -> bool:
+        ways = self._set(line)
+        if ways.get(line):
+            ways[line] = False
+            self.stats.writebacks += 1
+            return True
+        return False
+
+    def flush_all(self) -> int:
+        dirty = sum(d for ways in self.sets for d in ways.values())
+        self.stats.writebacks += dirty
+        for ways in self.sets:
+            ways.clear()
+        return dirty
+
+
+#: Few lines over few sets, so sets overflow and lines come back often.
+_LINES = st.integers(0, 15)
+_ACCESS = st.tuples(st.just("access"), _LINES, st.booleans())
+_CACHE_OPS = st.lists(
+    st.one_of(
+        _ACCESS,
+        _ACCESS,
+        _ACCESS,
+        st.tuples(st.just("invalidate"), _LINES),
+        st.tuples(st.just("clean"), _LINES),
+        st.tuples(st.just("flush_all")),
+    ),
+    min_size=8,
+    max_size=300,
+)
+
+
+class TestReferenceLru:
+    """The columnar cache against the ordered-LRU reference model."""
+
+    @settings(max_examples=300)
+    @given(
+        ways=st.sampled_from([1, 2, 4]),
+        sets=st.sampled_from([1, 3, 4]),
+        ops=_CACHE_OPS,
+    )
+    def test_matches_reference(self, ways, sets, ops):
+        cache = tiny_cache(ways=ways, sets=sets)
+        model = ReferenceLru(ways, sets)
+        for op in ops:
+            name, *args = op
+            got = getattr(cache, name)(*args)
+            want = getattr(model, name)(*args)
+            assert got == want, op
+            assert cache.stats == model.stats, op
+        assert cache.resident_lines == sum(len(w) for w in model.sets)
+        for s, ways_in_set in enumerate(model.sets):
+            for line in ways_in_set:
+                assert cache.lookup(line)
+            assert cache.set_occupancy(s) == len(ways_in_set)
+
+    @given(st.lists(st.integers(0, 7), max_size=60))
+    def test_invalidated_slots_refill_in_lru_order(self, invalidated):
+        # Fill one 4-way set, free some ways out of order, then keep
+        # missing: victims must follow the reference LRU order throughout.
+        cache = tiny_cache(ways=4, sets=1)
+        model = ReferenceLru(4, 1)
+        for line in range(4):
+            assert cache.access(line, True) == model.access(line, True)
+        for step, line in enumerate(invalidated):
+            assert cache.invalidate(line) == model.invalidate(line)
+            new = 100 + step
+            assert cache.access(new, step % 2 == 0) == model.access(
+                new, step % 2 == 0
+            )
+        assert cache.stats == model.stats

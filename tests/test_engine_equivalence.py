@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.config import TrackerConfig, setup_i, setup_ii
 from repro.core.policies import AllocationPolicy
 from repro.cpu.engine import ExecutionEngine
-from repro.cpu.engine_fast import BatchedExecutionEngine
+from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
 from repro.cpu.ops import Op, OpKind, TraceBuilder, array_to_ops, ops_to_array
 from repro.memory.address import AddressRange
 from repro.memory.tlb import TlbConfig
@@ -34,10 +35,18 @@ from repro.persistence.logging import (
 from repro.persistence.none import NoPersistence
 from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.ssp import SspPersistence
-from repro.workloads.apps import g500_sssp, gapbs_pr, ycsb_mem, ycsb_mem_phased
+from repro.workloads.apps import (
+    APP_STACK,
+    g500_sssp,
+    gapbs_pr,
+    ycsb_mem,
+    ycsb_mem_phased,
+)
 from repro.workloads.callstack import quicksort_workload, recursive_workload
 from repro.workloads.spec import spec_workload
 from repro.workloads.synthetic import (
+    DEFAULT_HEAP,
+    DEFAULT_STACK,
     normal_workload,
     poisson_workload,
     random_workload,
@@ -268,6 +277,86 @@ class TestBatchedHookDeepState:
         assert list(batched.mechanism.stats.checkpoint_cycles) == list(
             scalar.mechanism.stats.checkpoint_cycles
         )
+
+
+def _mixed_density_trace() -> Trace:
+    """Quicksort and ycsb_mem slices spliced at chunk granularity.
+
+    Quicksort stays in L1 (hit-dense chunks, vectorized-run mode) while
+    ycsb_mem thrashes it (miss-dense chunks, per-op loop), so one run
+    hands the L1 replacement state from one loop to the other in both
+    directions.  The two generators' stacks are adjacent, and both use
+    the default heap.
+    """
+    qsort = quicksort_workload(seed=7).array
+    ycsb = ycsb_mem(2 * CHUNK_OPS, seed=7).array
+    c = CHUNK_OPS
+    parts = [qsort[: 2 * c], ycsb[:c], qsort[2 * c : 4 * c], ycsb[c : 2 * c]]
+    parts.append(qsort[4 * c : 5 * c])
+    stack = AddressRange(APP_STACK.start, DEFAULT_STACK.end)
+    return Trace(np.concatenate(parts), stack, DEFAULT_HEAP)
+
+
+def _checkpoint_state(mechanism) -> dict:
+    """Checkpoint traffic plus the dirty-tracking state behind it."""
+    state = {
+        "checkpoint_bytes": list(mechanism.stats.checkpoint_bytes),
+        "checkpoint_cycles": list(mechanism.stats.checkpoint_cycles),
+    }
+    if isinstance(mechanism, ProsperPersistence):
+        tracker = mechanism.tracker
+        state["table_entries"] = sorted(tracker.table.entries_snapshot())
+        state["bitmap_words"] = mechanism.bitmap.snapshot_words().tolist()
+        state["min_dirty_address"] = tracker.min_dirty_address
+    elif isinstance(mechanism, DirtyBitPersistence):
+        state["dirty_pages"] = set(mechanism._dirty_pages)
+        state["mapped_pages"] = set(mechanism._mapped_pages)
+    return state
+
+
+def _cache_state(engine) -> list:
+    """Tags, dirty bits, last-use ticks and clock of every cache level."""
+    hierarchy = engine.hierarchy
+    return [
+        (list(c._tags), bytes(c._dirty), list(c._age), c._tick)
+        for c in (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    ]
+
+
+class TestMixedDensity:
+    """Hit-dense and miss-dense chunks in one run: the batched engine picks
+    a loop per chunk, and every hand-over between the two must leave the
+    L1 replacement state exact."""
+
+    @pytest.mark.parametrize(
+        "interval", [{"interval_cycles": 25_000}, {"interval_ops": 1_500}],
+        ids=["interval_cycles", "interval_ops"],
+    )
+    @pytest.mark.parametrize("mechanism", ["none", "prosper", "dirtybit"])
+    def test_loop_hand_over(self, mechanism, interval):
+        trace = _mixed_density_trace()
+        engines = []
+        for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
+            engine = engine_cls(
+                config=setup_i(),
+                stack_range=trace.stack_range,
+                mechanism=MECHANISMS[mechanism](),
+                heap_range=trace.heap_range,
+                heap_mechanism=DirtyBitPersistence(),
+            )
+            engine.run(trace, final_checkpoint=False, **interval)
+            engines.append(engine)
+        scalar, batched = engines
+        assert batched.vector_chunks > 0
+        assert batched.per_op_chunks > 0
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        # Replacement state itself, not just its counters: a stale age
+        # left behind by a hand-over changes victims only much later.
+        assert _cache_state(batched) == _cache_state(scalar)
+        for attr in ("mechanism", "heap_mechanism"):
+            assert _checkpoint_state(getattr(batched, attr)) == _checkpoint_state(
+                getattr(scalar, attr)
+            )
 
 
 class TestConfigurationCorners:

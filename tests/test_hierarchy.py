@@ -44,6 +44,29 @@ class TestDemandPath:
         assert nvm_r > dram_r
         assert h.nvm.stats.reads == 1
 
+    def test_multi_line_access_reads_each_line_from_its_own_device(self):
+        # The NVM region starts mid-access: the first line is DRAM-backed,
+        # the second NVM-backed.
+        boundary = 0x8000_0000
+        h = hybrid(nvm_start=boundary)
+        result = h.access(boundary - 8, 16, is_write=False)
+        assert result.hit_level == "mem"
+        assert h.dram.stats.reads == 1
+        assert h.nvm.stats.reads == 1
+        lat = setup_i().l1d.latency_cycles + setup_i().l2.latency_cycles
+        lat += setup_i().l3.latency_cycles
+        assert result.latency_cycles == (
+            2 * lat + h.dram.read_latency_cycles + h.nvm.read_latency_cycles
+        )
+
+    def test_multi_line_access_leaving_nvm_reads_dram_tail(self):
+        # Predicate true below the split: first line NVM, second DRAM.
+        split = 0x4000
+        h = MemoryHierarchy(setup_i(), nvm_resident=lambda a: a < split)
+        h.access(split - 4, 8, is_write=False)
+        assert h.nvm.stats.reads == 1
+        assert h.dram.stats.reads == 1
+
     def test_l1_eviction_falls_to_l2(self):
         h = MemoryHierarchy(setup_i())
         cfg = setup_i().l1d
