@@ -49,8 +49,8 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 
 
-def _render_sweep_report(report, title: str) -> tuple[str, list[str]]:
-    """Shared rendering for the single-core and multicore crash sweeps."""
+def _print_sweep_report(report, title: str) -> None:
+    """Per-point table, case summary and violations of one crash sweep."""
     order: list[str] = []
     per_point: dict[str, dict[str, int]] = {}
     for case in report.cases:
@@ -58,7 +58,7 @@ def _render_sweep_report(report, title: str) -> tuple[str, list[str]]:
             per_point[case.point] = defaultdict(int)
             order.append(case.point)
         per_point[case.point][case.outcome] += 1
-    table = render_table(
+    print(render_table(
         title,
         ["crash point", "cases", "rolled fwd", "previous", "fresh", "violations"],
         [
@@ -72,13 +72,16 @@ def _render_sweep_report(report, title: str) -> tuple[str, list[str]]:
             ]
             for point in order
         ],
+    ))
+    print(
+        f"\n{len(report.cases)} cases over {report.points_swept} crash points: "
+        f"{len(report.violations)} invariant violation(s)"
     )
-    lines = [
-        f"  VIOLATION at {case.point}#{case.occurrence} "
-        f"(interval {case.crashed_in_interval}): {case.detail}"
-        for case in report.violations
-    ]
-    return table, lines
+    for case in report.violations:
+        print(
+            f"  VIOLATION at {case.point}#{case.occurrence} "
+            f"(interval {case.crashed_in_interval}): {case.detail}"
+        )
 
 
 def build_faults_parser() -> argparse.ArgumentParser:
@@ -245,6 +248,7 @@ def _faults_fuzz_main(args) -> int:
 def _faults_main(argv: list[str]) -> int:
     from repro.faults.sweep import (
         CrashConsistencyChecker,
+        MulticoreCrashChecker,
         torn_metadata_demo,
         transient_retry_demo,
     )
@@ -253,55 +257,39 @@ def _faults_main(argv: list[str]) -> int:
     if args.action == "fuzz":
         return _faults_fuzz_main(args)
     try:
-        checker = CrashConsistencyChecker(
-            seed=args.seed,
-            threads=args.threads,
-            intervals=args.intervals,
-            writes_per_interval=args.writes,
-            transient_rate=args.transient_rate,
-        )
+        sweeps = [(
+            f"Crash-consistency sweep (seed {args.seed}, "
+            f"{args.threads} threads, {args.intervals} intervals)",
+            CrashConsistencyChecker(
+                seed=args.seed,
+                threads=args.threads,
+                intervals=args.intervals,
+                writes_per_interval=args.writes,
+                transient_rate=args.transient_rate,
+            ),
+        )]
+        if args.multicore:
+            sweeps.append((
+                f"Multicore crash sweep (seed {args.seed}, "
+                f"{args.cores} cores, {args.intervals} intervals)",
+                MulticoreCrashChecker(
+                    seed=args.seed,
+                    cores=args.cores,
+                    intervals=args.intervals,
+                    writes_per_interval=args.writes,
+                ),
+            ))
     except ValueError as exc:
         print(f"repro faults sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = checker.run()
-    table, violation_lines = _render_sweep_report(
-        report,
-        f"Crash-consistency sweep (seed {report.seed}, "
-        f"{report.threads} threads, {report.intervals} intervals)",
-    )
-    print(table)
-    print(
-        f"\n{len(report.cases)} cases over {report.points_swept} crash points: "
-        f"{len(report.violations)} invariant violation(s)"
-    )
-    for line in violation_lines:
-        print(line)
 
-    failed = not report.ok
-    if args.multicore:
-        from repro.faults.multicore_sweep import MulticoreCrashChecker
-
-        mc_checker = MulticoreCrashChecker(
-            seed=args.seed,
-            cores=args.cores,
-            intervals=args.intervals,
-            writes_per_interval=args.writes,
-        )
-        mc_report = mc_checker.run()
-        mc_table, mc_lines = _render_sweep_report(
-            mc_report,
-            f"Multicore crash sweep (seed {mc_report.seed}, "
-            f"{mc_report.cores} cores, {mc_report.intervals} intervals)",
-        )
-        print()
-        print(mc_table)
-        print(
-            f"\n{len(mc_report.cases)} cases over {mc_report.points_swept} "
-            f"crash points: {len(mc_report.violations)} invariant violation(s)"
-        )
-        for line in mc_lines:
-            print(line)
-        failed = failed or not mc_report.ok
+    failed = False
+    for index, (title, checker) in enumerate(sweeps):
+        report = checker.run()
+        if index:
+            print()
+        _print_sweep_report(report, title)
+        failed = failed or not report.ok
 
     if not args.no_demos:
         retry = transient_retry_demo(seed=args.seed, threads=args.threads)

@@ -219,7 +219,7 @@ def cross_thread_write_experiment(
             checkpoint_every_quanta=8,
         )
         rng = np.random.default_rng(seed)
-        threads = [t for t, _, _ in sim._streams]
+        threads = [t for t, _, _ in sim.cores[0].queue]
         streams = []
         cross_total = 0
         for me, other in ((threads[0], threads[1]), (threads[1], threads[0])):
@@ -234,7 +234,7 @@ def cross_thread_write_experiment(
                 ops.append(Op(OpKind.WRITE, base + int(off), 8))
                 cross_total += bool(cross)
             streams.append((me, ops, 0))
-        sim._streams = streams
+        sim.cores[0].queue = streams
         stats = sim.run()
         cells.append(CrossThreadCell(fraction, stats.cycles, cross_total))
     return cells

@@ -10,8 +10,10 @@ Three cooperating layers (see ``docs/FAULTS.md``):
 * :mod:`repro.faults.order` — the persist-order oracle: pending durable
   writes become guaranteed-durable only at a flush/commit barrier, and a
   crash may persist any subset of the pending set (torn tail optional);
-* :mod:`repro.faults.sweep` — the crash-consistency sweep harness that
-  crashes at every enumerated point and asserts the recovery invariant;
+* :mod:`repro.faults.sweep` — the crash-consistency sweeps (single-core
+  staging/commit protocol, and ``MulticoreCrashChecker`` for context-switch
+  and quiesce-barrier points) that crash at every enumerated point and
+  assert the recovery invariant;
 * :mod:`repro.faults.fuzzer` — seeded crash-schedule campaigns over
   arbitrary-cycle crashes x sampled persist orders, verified against a
   golden-image recovery oracle and shrunk on violation.

@@ -1,4 +1,4 @@
-"""Crash-consistency sweep: crash at *every* point, verify recovery.
+"""Crash-consistency sweeps: crash at *every* point, verify recovery.
 
 The paper's validation kills gem5 at a few hand-picked moments.  This
 harness is systematic: a probe pass runs a deterministic multi-threaded
@@ -18,9 +18,21 @@ recovery path, and checking the crash-consistency invariant:
 
     and never a blend of two checkpoints or of two threads' epochs.
 
+Two workloads run on the kernel machine (:mod:`repro.kernel.multicore`)
+under the same probe, invariant and resume-legality rule
+(:func:`legal_resumes`).  :class:`CrashConsistencyChecker` programs one
+core's tracker for each thread directly and sweeps the staging/commit
+protocol, optionally under transient NVM write errors.
+:class:`MulticoreCrashChecker` gives two threads per core a real scheduler
+quantum each interval, so it also reaches the points only a running
+scheduler has: ``ctx_save``/``ctx_restore`` (tracker save/restore inside a
+context switch) and ``barrier_quiesce`` (the stop-the-world quiesce before
+a process-wide checkpoint).  Threads on different cores must never resume
+from different checkpoint epochs, and a crash between checkpoints must
+restore the latest committed one.
+
 Every run derives from one seed, so a violation is exactly reproducible
-by re-arming the same (point, occurrence).  An optional transient NVM
-write-error rate exercises the retry path under the same invariant.
+by re-arming the same (point, occurrence).
 
 This module imports the kernel layer, which reaches back down to
 :mod:`repro.memory.devices`; import it as ``repro.faults.sweep``, not via
@@ -31,16 +43,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import setup_i
 from repro.core.tracker import ProsperTracker
-from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
+from repro.faults.injector import (
+    COMMIT_FLAG_WRITE,
+    CTX_RESTORE,
+    CTX_SAVE,
+    CrashInjected,
+    FaultInjector,
+)
 from repro.faults.nvm_errors import NvmErrorModel
-from repro.kernel.checkpoint_mgr import CheckpointManager
-from repro.kernel.process import Process
-from repro.kernel.restore import CrashSimulator
+from repro.kernel.multicore import KernelMachine, MultiCoreSimulation
+from repro.kernel.process import Thread
+from repro.kernel.simulation import MultiThreadSimulation
 from repro.memory.address import AddressRange
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import ByteImage
 
 #: Active stack window per thread: SP sits this far below the stack top and
 #: never moves during the sweep workload, so the expected contents are exact.
@@ -48,6 +63,10 @@ ACTIVE_WINDOW_BYTES = 64 * 1024
 #: Byte stride between dirty clusters, large enough that each cluster
 #: coalesces into its own run (so ``stage_run_copy[i]`` fires per run).
 CLUSTER_STRIDE = 4096
+
+#: Crash points that fire between checkpoints (inside a context switch)
+#: rather than inside the checkpoint pipeline.
+WORKLOAD_PHASE_POINTS = frozenset({CTX_SAVE, CTX_RESTORE})
 
 #: Sweep-case outcomes.
 OUTCOME_ROLLED_FORWARD = "rolled_forward"
@@ -126,110 +145,38 @@ class TornMetadataDemoResult:
         return self.discarded_staged > 0
 
 
-def state_mismatch(
-    process: Process,
-    sp: dict[int, int],
-    dram_images: dict[int, ByteImage],
-    nvm_images: dict[int, ByteImage],
-    mem_at: list[dict[int, dict[int, int]]],
-    regs_at: list[dict[int, int]],
-    sequence: int | None,
-) -> str | None:
-    """Compare restored process state against checkpoint *sequence*'s snapshot.
+class _Scenario:
+    """One deterministic run of a sweep workload on a kernel machine.
 
-    The crash-consistency invariant shared by the single-core and multicore
-    sweeps: registers and stack contents (DRAM and NVM images alike) must
-    equal exactly one checkpoint's snapshot — never a blend of two
-    checkpoints or of two threads' epochs.  Returns None on an exact match,
-    else a description of the first divergence.  ``sequence=None`` means
-    "pristine": no checkpoint ever committed.
-    """
-    if sequence is None:
-        expected_regs = {tid: 0 for tid in sp}
-        expected_mem: dict[int, dict[int, int]] = {tid: {} for tid in sp}
-    else:
-        expected_regs = regs_at[sequence]
-        expected_mem = mem_at[sequence]
-    for thread in process.iter_threads():
-        tid = thread.tid
-        if thread.registers.op_index != expected_regs[tid]:
-            return (
-                f"tid {tid}: op_index {thread.registers.op_index} != "
-                f"expected {expected_regs[tid]}"
-            )
-        window = AddressRange(sp[tid], thread.stack.end)
-        for label, image in (
-            ("DRAM", dram_images[tid]),
-            ("NVM", nvm_images[tid]),
-        ):
-            actual = dict(image.words_in_range(window))
-            if actual != expected_mem[tid]:
-                return (
-                    f"tid {tid}: {label} stack contents diverge from "
-                    f"checkpoint {sequence} (blend or data loss)"
-                )
-    return None
+    Stack contents are tracked twice: in the machine's byte images (what the
+    checkpoint/recovery machinery operates on) and in a plain Python mirror
+    snapshotted before every checkpoint (what the invariant check compares
+    against).  The mirror is *derived independently* of the checkpoint
+    pipeline, so a pipeline bug cannot corrupt the expectation.
 
-
-class _SweepScenario:
-    """One deterministic run of the sweep workload.
-
-    Stack contents are tracked twice: in the simulation's byte images (what
-    the checkpoint/recovery machinery operates on) and in a plain Python
-    mirror snapshotted before every checkpoint (what the invariant check
-    compares against).  The mirror is *derived independently* of the
-    checkpoint pipeline, so a pipeline bug cannot corrupt the expectation.
+    Subclasses dirty the windows in ``_workload_interval``.
     """
 
     def __init__(
         self,
+        sim: KernelMachine,
         seed: int,
-        threads: int,
         intervals: int,
         writes_per_interval: int,
-        transient_rate: float,
-        injector: FaultInjector | None,
     ) -> None:
+        self.sim = sim
         self.seed = seed
         self.intervals = intervals
         self.writes_per_interval = writes_per_interval
-        self.process = Process(name="fault-sweep")
-        self.hierarchy = MemoryHierarchy(setup_i())
-        if transient_rate and self.hierarchy.nvm is not None:
-            self.hierarchy.nvm.error_model = NvmErrorModel(
-                seed=seed, transient_write_rate=transient_rate
-            )
-        self.tracker = ProsperTracker(self.process.tracker_config)
-        self.dram_images: dict[int, ByteImage] = {}
-        self.nvm_images: dict[int, ByteImage] = {}
-        self.injector = injector
-        self.manager = CheckpointManager(
-            self.process,
-            self.hierarchy,
-            self.tracker,
-            injector=injector,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
-        self.crash_sim = CrashSimulator(
-            self.process,
-            self.manager,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
+        self.process = sim.process
+        self.dram_images = sim.dram_images
+        self.nvm_images = sim.nvm_images
         self.sp: dict[int, int] = {}
-        for _ in range(threads):
-            thread = self.process.spawn_thread(
-                stack_bytes=512 * 1024, persistent=True
-            )
+        for thread in self.process.iter_threads():
             thread.registers.stack_pointer = thread.stack.end - ACTIVE_WINDOW_BYTES
             self.sp[thread.tid] = thread.registers.stack_pointer
-            self.dram_images[thread.tid] = ByteImage()
-            self.nvm_images[thread.tid] = ByteImage()
         #: Independent mirror of each thread's live stack words.
-        self.mirror: dict[int, dict[int, int]] = {
-            tid: {} for tid in self.sp
-        }
+        self.mirror: dict[int, dict[int, int]] = {tid: {} for tid in self.sp}
         #: Mirror + register snapshots taken just before checkpoint k.
         self.mem_at: list[dict[int, dict[int, int]]] = []
         self.regs_at: list[dict[int, int]] = []
@@ -239,30 +186,30 @@ class _SweepScenario:
     # ------------------------------------------------------------------ #
 
     def _workload_interval(self, k: int) -> None:
-        """Dirty each thread's active window with interval-unique values.
+        raise NotImplementedError
+
+    def _dirty_window(self, thread: Thread, tracker: ProsperTracker, k: int) -> None:
+        """Dirty *thread*'s active window with interval-unique values.
 
         The same addresses are rewritten every interval with values that
         encode (thread, interval, write index), so any blend of two
         checkpoint epochs shows up as a mismatched word.
         """
-        for thread in self.process.iter_threads():
-            self.tracker.configure(thread.bitmap)
-            sp = self.sp[thread.tid]
-            for j in range(self.writes_per_interval):
-                address = sp + j * CLUSTER_STRIDE
-                value = (thread.tid << 48) | ((k + 1) << 32) | (j + 1)
-                self.tracker.observe_store(address, 8)
-                self.dram_images[thread.tid].write(address, value)
-                self.mirror[thread.tid][address] = value
-                thread.registers.op_index += 1
-            self.tracker.request_flush()
-            self.tracker.poll_quiescent()
+        sp = self.sp[thread.tid]
+        for j in range(self.writes_per_interval):
+            address = sp + j * CLUSTER_STRIDE
+            value = (thread.tid << 48) | ((k + 1) << 32) | (j + 1)
+            tracker.observe_store(address, 8)
+            self.dram_images[thread.tid].write(address, value)
+            self.mirror[thread.tid][address] = value
+            thread.registers.op_index += 1
 
     def run(self) -> int:
         """Run every interval + checkpoint; returns checkpoints completed.
 
-        An armed injector makes this raise :class:`CrashInjected` from
-        inside the checkpoint whose index is ``len(self.mem_at) - 1``.
+        An armed injector makes this raise :class:`CrashInjected` either
+        between checkpoints (``len(self.mem_at)`` checkpoints committed) or
+        inside checkpoint ``len(self.mem_at) - 1``.
         """
         completed = 0
         for k in range(self.intervals):
@@ -276,7 +223,7 @@ class _SweepScenario:
                     for thread in self.process.iter_threads()
                 }
             )
-            self.manager.checkpoint_process()
+            self.sim._checkpoint()
             completed += 1
         return completed
 
@@ -287,22 +234,135 @@ class _SweepScenario:
     def state_mismatch(self, sequence: int | None) -> str | None:
         """Compare restored state against checkpoint *sequence*'s snapshot.
 
-        Delegates to the module-level :func:`state_mismatch`, which the
-        multicore sweep shares.
+        Registers and stack contents (DRAM and NVM images alike) must equal
+        exactly one checkpoint's snapshot — never a blend of two checkpoints
+        or of two threads' epochs.  Returns None on an exact match, else a
+        description of the first divergence.  ``sequence=None`` means
+        "pristine": no checkpoint ever committed.
         """
-        return state_mismatch(
-            self.process,
-            self.sp,
-            self.dram_images,
-            self.nvm_images,
-            self.mem_at,
-            self.regs_at,
-            sequence,
+        if sequence is None:
+            expected_regs = {tid: 0 for tid in self.sp}
+            expected_mem: dict[int, dict[int, int]] = {tid: {} for tid in self.sp}
+        else:
+            expected_regs = self.regs_at[sequence]
+            expected_mem = self.mem_at[sequence]
+        for thread in self.process.iter_threads():
+            tid = thread.tid
+            if thread.registers.op_index != expected_regs[tid]:
+                return (
+                    f"tid {tid}: op_index {thread.registers.op_index} != "
+                    f"expected {expected_regs[tid]}"
+                )
+            window = AddressRange(self.sp[tid], thread.stack.end)
+            for label, image in (
+                ("DRAM", self.dram_images[tid]),
+                ("NVM", self.nvm_images[tid]),
+            ):
+                actual = dict(image.words_in_range(window))
+                if actual != expected_mem[tid]:
+                    return (
+                        f"tid {tid}: {label} stack contents diverge from "
+                        f"checkpoint {sequence} (blend or data loss)"
+                    )
+        return None
+
+
+class _SweepScenario(_Scenario):
+    """Single-core workload: the tracker is programmed for each thread
+    directly (no context switch), so only the staging/commit protocol's
+    crash points fire.  *transient_rate* turns on seeded NVM write errors.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        threads: int,
+        intervals: int,
+        writes_per_interval: int,
+        transient_rate: float,
+        injector: FaultInjector | None,
+    ) -> None:
+        sim = MultiThreadSimulation([[] for _ in range(threads)], injector=injector)
+        if transient_rate and sim.hierarchy.nvm is not None:
+            sim.hierarchy.nvm.error_model = NvmErrorModel(
+                seed=seed, transient_write_rate=transient_rate
+            )
+        super().__init__(sim, seed, intervals, writes_per_interval)
+
+    def _workload_interval(self, k: int) -> None:
+        tracker = self.sim.tracker
+        for thread in self.process.iter_threads():
+            tracker.configure(thread.bitmap)
+            self._dirty_window(thread, tracker, k)
+            tracker.request_flush()
+            tracker.poll_quiescent()
+
+
+class _MulticoreScenario(_Scenario):
+    """Multicore workload: two persistent threads per core, real scheduler.
+
+    Each interval gives every thread one scheduling quantum on its home
+    core — a genuine :meth:`Scheduler.switch_to` with Prosper tracker
+    save/restore, which is where the ``ctx_save``/``ctx_restore`` crash
+    points live — during which the thread dirties its active stack window.
+    The machine's stop-the-world checkpoint then crosses the quiesce
+    barrier (``barrier_quiesce``) on every core.  Two threads per core make
+    every switch both save the outgoing tracker state and restore the
+    incoming one.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        cores: int,
+        intervals: int,
+        writes_per_interval: int,
+        injector: FaultInjector | None,
+    ) -> None:
+        sim = MultiCoreSimulation(
+            [[] for _ in range(2 * cores)], num_cores=cores, injector=injector
         )
+        super().__init__(sim, seed, intervals, writes_per_interval)
+
+    def _workload_interval(self, k: int) -> None:
+        for core in self.sim.cores:
+            for thread, _ops, _cursor in core.queue:
+                core.scheduler.switch_to(thread)  # ctx_save / ctx_restore
+                self._dirty_window(thread, core.tracker, k)
+
+
+def legal_resumes(point: str, crashed_in: int) -> dict[int | None, str]:
+    """The resume-legality rule: checkpoints recovery may resume from.
+
+    Maps each legal checkpoint sequence (None: pristine state) to its
+    outcome.  *crashed_in* is the last checkpoint snapshotted before the
+    crash.  A crash inside checkpoint k = *crashed_in* resolves to k
+    (rolled forward), k - 1 (staging discarded) or, when k = 0, a fresh
+    start.  A crash outside any checkpoint (a context switch) must restore
+    the latest committed checkpoint, k, exactly — anything older is data
+    loss that roll-forward cannot excuse.
+    """
+    if point in WORKLOAD_PHASE_POINTS:
+        # No checkpoint in flight: as if crashed inside the next one, which
+        # had staged nothing and so cannot roll forward.
+        in_flight = crashed_in + 1
+        legal: dict[int | None, str] = {}
+    else:
+        in_flight = crashed_in
+        legal = {in_flight: OUTCOME_ROLLED_FORWARD}
+    if in_flight > 0:
+        legal[in_flight - 1] = OUTCOME_PREVIOUS
+    else:
+        legal[None] = OUTCOME_FRESH_START
+    return legal
 
 
 class CrashConsistencyChecker:
-    """Enumerates every crash point of a workload and verifies recovery."""
+    """Enumerates every crash point of a workload and verifies recovery.
+
+    Sweeps the single-core workload; :class:`MulticoreCrashChecker` swaps
+    in the multicore one.
+    """
 
     def __init__(
         self,
@@ -322,7 +382,7 @@ class CrashConsistencyChecker:
         self.writes_per_interval = writes_per_interval
         self.transient_rate = transient_rate
 
-    def _scenario(self, injector: FaultInjector | None) -> _SweepScenario:
+    def _scenario(self, injector: FaultInjector | None) -> _Scenario:
         return _SweepScenario(
             self.seed,
             self.threads,
@@ -367,32 +427,21 @@ class CrashConsistencyChecker:
             )
         crashed_in = len(scenario.mem_at) - 1
         injector.disarm()
-        scenario.crash_sim.crash()
-        report = scenario.crash_sim.recover()
-        resumed = report.resumed_from_sequence
+        scenario.sim.crash()
+        resumed = scenario.sim.recover().resumed_from_sequence
 
-        if resumed == crashed_in:
-            outcome = OUTCOME_ROLLED_FORWARD
-        elif crashed_in > 0 and resumed == crashed_in - 1:
-            outcome = OUTCOME_PREVIOUS
-        elif crashed_in == 0 and resumed is None:
-            outcome = OUTCOME_FRESH_START
+        legal = legal_resumes(point, crashed_in)
+        if resumed not in legal:
+            detail = f"resumed from {resumed}, expected " + " or ".join(
+                str(sequence) for sequence in legal
+            )
         else:
+            detail = scenario.state_mismatch(resumed)
+        if detail is not None:
             return SweepCase(
-                point,
-                occurrence,
-                crashed_in,
-                resumed,
-                OUTCOME_VIOLATION,
-                f"resumed from {resumed}, expected {crashed_in} or "
-                f"{crashed_in - 1 if crashed_in else None}",
+                point, occurrence, crashed_in, resumed, OUTCOME_VIOLATION, detail
             )
-        mismatch = scenario.state_mismatch(resumed)
-        if mismatch is not None:
-            return SweepCase(
-                point, occurrence, crashed_in, resumed, OUTCOME_VIOLATION, mismatch
-            )
-        return SweepCase(point, occurrence, crashed_in, resumed, outcome)
+        return SweepCase(point, occurrence, crashed_in, resumed, legal[resumed])
 
     def run(self) -> SweepReport:
         """Sweep every enumerated (point, occurrence)."""
@@ -406,6 +455,28 @@ class CrashConsistencyChecker:
         for point, occurrence in self.enumerate_points():
             report.cases.append(self.run_case(point, occurrence))
         return report
+
+
+class MulticoreCrashChecker(CrashConsistencyChecker):
+    """Sweeps the multicore workload: two threads per core, context-switch
+    and quiesce-barrier crash points included."""
+
+    def __init__(
+        self,
+        seed: int = 0,
+        cores: int = 2,
+        intervals: int = 3,
+        writes_per_interval: int = 4,
+    ) -> None:
+        if cores < 1:
+            raise ValueError("cores must be positive")
+        super().__init__(seed, 2 * cores, intervals, writes_per_interval)
+        self.cores = cores
+
+    def _scenario(self, injector: FaultInjector | None) -> _Scenario:
+        return _MulticoreScenario(
+            self.seed, self.cores, self.intervals, self.writes_per_interval, injector
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -432,9 +503,9 @@ def transient_retry_demo(
     )
     scenario = checker._scenario(None)
     completed = scenario.run()
-    retries = sum(record.retries for record in scenario.manager.checkpoints)
-    scenario.crash_sim.crash()
-    report = scenario.crash_sim.recover()
+    retries = sum(record.retries for record in scenario.sim.manager.checkpoints)
+    scenario.sim.crash()
+    report = scenario.sim.recover()
     mismatch = scenario.state_mismatch(report.resumed_from_sequence)
     return RetryDemoResult(
         checkpoints=completed,
@@ -471,11 +542,11 @@ def torn_metadata_demo(
     except CrashInjected:
         pass
     injector.disarm()
-    scenario.crash_sim.crash()
-    report = scenario.crash_sim.recover()
+    scenario.sim.crash()
+    report = scenario.sim.recover()
     mismatch = scenario.state_mismatch(report.resumed_from_sequence)
     return TornMetadataDemoResult(
         resumed_from=report.resumed_from_sequence,
-        discarded_staged=scenario.manager.discarded_staged,
+        discarded_staged=scenario.sim.manager.discarded_staged,
         state_ok=(report.resumed_from_sequence == 0) and mismatch is None,
     )

@@ -14,7 +14,11 @@ software component.  This subpackage provides the equivalent substrate:
   tracker state save/restore on context switches (Section III-C);
 * :mod:`repro.kernel.checkpoint_mgr` — the periodic whole-process
   checkpoint procedure (registers + memory segments);
-* :mod:`repro.kernel.restore` — the crash model and recovery path.
+* :mod:`repro.kernel.restore` — the crash model and recovery path;
+* :mod:`repro.kernel.multicore` — the kernel machine that ties them
+  together (per-core trackers, one quantum interpreter, quiesce-then-
+  checkpoint, crash/recover) and its N-threads-on-M-cores run loop;
+  :mod:`repro.kernel.simulation` is its one-core run loop.
 """
 
 from repro.kernel.layout import AddressSpaceLayout

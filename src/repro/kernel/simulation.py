@@ -5,9 +5,13 @@ process with several persistent threads time-shared on one logical CPU.
 The simulation interleaves each thread's trace in scheduler quanta; on
 every switch the scheduler saves/restores the Prosper tracker state, and a
 periodic checkpoint captures every thread's registers plus the dirty stack
-data its bitmap accumulated — whichever core its stores ran on.
+data its bitmap accumulated.
 
-This is the layer the two-thread context-switch study runs on, and it is
+This is the one-core case of :class:`repro.kernel.multicore.KernelMachine`,
+which supplies the interpreter, the quiesce-then-checkpoint step and the
+crash/recovery path; this module adds only the run loop (checkpoint every
+N quanta, stop mid-run, resume after recovery) and cycle-exact stats.  It
+is the layer the two-thread context-switch study runs on, and it is
 exercised directly by the integration tests (all threads' modifications
 must survive a crash regardless of how the scheduler interleaved them).
 """
@@ -16,16 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import SystemConfig, setup_i
-from repro.core.tracker import ProsperTracker
-from repro.cpu.ops import Op, OpKind
+from repro.config import SystemConfig
+from repro.cpu.ops import Op
 from repro.faults.injector import FaultInjector
-from repro.kernel.checkpoint_mgr import CheckpointManager
-from repro.kernel.process import Process, Thread
-from repro.kernel.restore import CrashSimulator, RecoveryReport
-from repro.kernel.scheduler import Scheduler
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import ByteImage
+from repro.kernel.multicore import KernelMachine
 
 
 @dataclass
@@ -40,7 +38,7 @@ class SimulationStats:
     per_thread_ops: dict[int, int] = field(default_factory=dict)
 
 
-class MultiThreadSimulation:
+class MultiThreadSimulation(KernelMachine):
     """Round-robin execution of per-thread traces with Prosper persistence."""
 
     def __init__(
@@ -52,48 +50,20 @@ class MultiThreadSimulation:
         config: SystemConfig | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
-        if not thread_ops:
-            raise ValueError("need at least one thread")
-        if quantum_ops <= 0 or checkpoint_every_quanta <= 0:
-            raise ValueError("quantum and checkpoint period must be positive")
-        self.config = config or setup_i()
-        self.process = Process(name="sim")
-        self.hierarchy = MemoryHierarchy(self.config)
-        self.tracker = ProsperTracker(self.process.tracker_config)
-        self.scheduler = Scheduler(self.tracker)
-        #: Actual stack contents: volatile DRAM image + persistent NVM
-        #: image per thread, used to validate data integrity across crashes.
-        self.dram_images: dict[int, ByteImage] = {}
-        self.nvm_images: dict[int, ByteImage] = {}
-        self.injector = injector
-        self.manager = CheckpointManager(
-            self.process,
-            self.hierarchy,
-            self.tracker,
-            injector=injector,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
+        super().__init__(
+            thread_ops,
+            1,
+            stack_bytes,
+            quantum_ops,
+            checkpoint_every_quanta,
+            config,
+            injector,
         )
-        self.crash_sim = CrashSimulator(
-            self.process,
-            self.manager,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
-        self.quantum_ops = quantum_ops
-        self.checkpoint_every_quanta = checkpoint_every_quanta
+        core = self.cores[0]
+        self.hierarchy = core.hierarchy
+        self.tracker = core.tracker
+        self.scheduler = core.scheduler
         self.stats = SimulationStats()
-
-        self._streams: list[tuple[Thread, list[Op], int]] = []
-        for ops in thread_ops:
-            thread = self.process.spawn_thread(stack_bytes, persistent=True)
-            self._streams.append((thread, ops, 0))
-            self.dram_images[thread.tid] = ByteImage()
-            self.nvm_images[thread.tid] = ByteImage()
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
 
     def run(self, stop_after_quanta: int | None = None) -> SimulationStats:
         """Run every thread's trace to completion, checkpointing as we go.
@@ -101,23 +71,27 @@ class MultiThreadSimulation:
         *stop_after_quanta* halts execution early (mid-run), which the
         crash/resume tests use to inject failures at arbitrary points.
         """
+        core = self.cores[0]
         quanta = 0
-        while any(cursor < len(ops) for _, ops, cursor in self._streams):
-            for index, (thread, ops, cursor) in enumerate(self._streams):
+        while core.has_work():
+            for slot, (thread, ops, cursor) in enumerate(core.queue):
                 if cursor >= len(ops):
                     continue
-                self.stats.cycles += self.scheduler.switch_to(thread)
-                self.stats.switches += 1
-                end = min(cursor + self.quantum_ops, len(ops))
-                self._execute_slice(thread, ops, cursor, end)
-                self._streams[index] = (thread, ops, end)
+                self.stats.cycles += self._run_quantum(core, slot)
+                self.stats.per_thread_ops[thread.tid] = thread.registers.op_index
+                self.hierarchy.now = self.stats.cycles
                 quanta += 1
-                if quanta % self.checkpoint_every_quanta == 0:
-                    self._checkpoint()
+                if quanta % self.checkpoint_every == 0:
+                    self._checkpoint_and_count()
                 if stop_after_quanta is not None and quanta >= stop_after_quanta:
                     return self.stats
-        self._checkpoint()
+        self._checkpoint_and_count()
         return self.stats
+
+    def _checkpoint_and_count(self) -> None:
+        cycles = self._checkpoint()
+        self.stats.checkpoint_cycles += cycles
+        self.stats.cycles += cycles
 
     def resume(self) -> SimulationStats:
         """Continue execution after :meth:`recover`.
@@ -128,90 +102,9 @@ class MultiThreadSimulation:
         checkpoint is re-executed, which is the checkpoint-resume semantics
         the paper validates by killing and restarting gem5.
         """
-        for index, (thread, ops, _cursor) in enumerate(self._streams):
-            self._streams[index] = (thread, ops, thread.registers.op_index)
+        queue = self.cores[0].queue
+        for slot, (thread, ops, _cursor) in enumerate(queue):
+            queue[slot] = (thread, ops, thread.registers.op_index)
         # The crash wiped the tracker: the next switch reprograms it.
         self.scheduler.current = None
         return self.run()
-
-    def _execute_slice(self, thread: Thread, ops: list[Op], start: int, end: int) -> None:
-        regs = thread.registers
-        for op in ops[start:end]:
-            kind = op.kind
-            if kind == OpKind.COMPUTE:
-                self.stats.cycles += op.size
-            elif kind == OpKind.CALL:
-                regs.push_frame(op.size)
-                self.stats.cycles += 1
-            elif kind == OpKind.RET:
-                regs.pop_frame(op.size)
-                self.stats.cycles += 1
-            else:
-                result = self.hierarchy.access(
-                    op.address, op.size, kind == OpKind.WRITE
-                )
-                self.stats.cycles += result.latency_cycles
-                if kind == OpKind.WRITE:
-                    if thread.stack.contains(op.address):
-                        self.stats.cycles += self.tracker.observe_store(
-                            op.address, op.size
-                        )
-                        # Deterministic content: value derives from the
-                        # writing thread and its op position, so recovery
-                        # checks can recompute expected bytes.
-                        self.dram_images[thread.tid].write(
-                            op.address, (thread.tid << 32) | regs.op_index
-                        )
-                    elif self.process.handle_cross_thread_write(
-                        thread.tid, op.address, op.size
-                    ):
-                        # Cross-thread stack write: the OS fault path
-                        # recorded it in the victim's bitmap.
-                        self.stats.cycles += 2500
-                        for victim in self.process.iter_threads():
-                            if victim.stack.contains(op.address):
-                                self.dram_images[victim.tid].write(
-                                    op.address, (thread.tid << 32) | regs.op_index
-                                )
-            regs.op_index += 1
-            self.stats.ops_executed += 1
-        self.stats.per_thread_ops[thread.tid] = regs.op_index
-        self.hierarchy.now = self.stats.cycles
-
-    def _checkpoint(self) -> None:
-        # The current thread's tracker state must be flushed so its bitmap
-        # is complete before the manager walks it.
-        current = self.scheduler.current
-        if current is not None and current.persistent:
-            self.tracker.request_flush()
-            self.tracker.poll_quiescent()
-        # The manager stages each thread's dirty runs (with real contents,
-        # checksummed) and applies them to the persistent NVM images at
-        # commit — the data that survives a power failure.
-        _record, cycles = self.manager.checkpoint_process()
-        self.stats.checkpoints += 1
-        self.stats.checkpoint_cycles += cycles
-        self.stats.cycles += cycles
-
-    # ------------------------------------------------------------------ #
-    # Crash / recovery passthrough
-    # ------------------------------------------------------------------ #
-
-    def crash(self) -> None:
-        """Power failure: volatile state (registers, DRAM images) vanishes."""
-        self.crash_sim.crash()
-
-    def recover(self) -> RecoveryReport:
-        """Restart: registers restore from the last committed checkpoint and
-        each thread's DRAM stack image is repopulated from its persistent
-        NVM image (both handled by the crash simulator)."""
-        return self.crash_sim.recover()
-
-    def verify_recovered_contents(self) -> bool:
-        """Check every thread's restored stack equals its persistent image."""
-        return all(
-            self.dram_images[t.tid].equals_in_range(
-                self.nvm_images[t.tid], t.stack
-            )
-            for t in self.process.iter_threads()
-        )

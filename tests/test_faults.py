@@ -14,9 +14,11 @@ from repro.faults.injector import (
 )
 from repro.faults.nvm_errors import WRITE_OK, WRITE_TORN, NvmErrorModel
 from repro.faults.sweep import (
+    OUTCOME_FRESH_START,
     OUTCOME_PREVIOUS,
     OUTCOME_ROLLED_FORWARD,
     CrashConsistencyChecker,
+    legal_resumes,
     torn_metadata_demo,
     transient_retry_demo,
 )
@@ -249,6 +251,20 @@ class TestSweep:
         report = checker.run()
         assert report.ok, [str(v) for v in report.violations]
 
+    def test_resume_legality_rule(self):
+        # Inside checkpoint k: k, k - 1, or pristine when k = 0.
+        assert legal_resumes("commit_flag_write", 2) == {
+            2: OUTCOME_ROLLED_FORWARD,
+            1: OUTCOME_PREVIOUS,
+        }
+        assert legal_resumes("stage_begin", 0) == {
+            0: OUTCOME_ROLLED_FORWARD,
+            None: OUTCOME_FRESH_START,
+        }
+        # Between checkpoints: only the latest committed one (or pristine).
+        assert legal_resumes("ctx_save", 1) == {1: OUTCOME_PREVIOUS}
+        assert legal_resumes("ctx_restore", -1) == {None: OUTCOME_FRESH_START}
+
     def test_transient_retry_demo_accounts_retries(self):
         result = transient_retry_demo(seed=0)
         assert result.retries > 0
@@ -273,6 +289,31 @@ class TestFaultsCli:
         assert code == 0
         assert "0 invariant violation(s)" in out
         assert "stage_run_copy[0]" in out
+
+    def test_faults_sweep_multicore_prints_both_sweeps(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "faults", "sweep", "--intervals", "1", "--writes", "2",
+                "--multicore", "--no-demos",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Crash-consistency sweep (seed 0, 2 threads, 1 intervals)" in out
+        assert "Multicore crash sweep (seed 0, 2 cores, 1 intervals)" in out
+        assert any(line.startswith("ctx_save ") for line in out.splitlines())
+        assert out.count("0 invariant violation(s)") == 2
+
+    def test_faults_sweep_rejects_zero_cores(self, capsys):
+        from repro.cli import main
+
+        code = main(["faults", "sweep", "--multicore", "--cores", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "repro faults sweep: error:" in captured.err
 
     def test_list_mentions_faults(self, capsys):
         from repro.cli import main

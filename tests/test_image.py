@@ -75,7 +75,7 @@ def build_sim(num_threads=2, writes=300, **kwargs):
         [[Op(OpKind.COMPUTE, size=1)] for _ in range(num_threads)], **kwargs
     )
     streams = []
-    for i, (thread, _, _) in enumerate(sim._streams):
+    for i, (thread, _, _) in enumerate(sim.cores[0].queue):
         rng = np.random.default_rng(100 + i)
         frame = thread.stack.size // 2
         ops = [Op(OpKind.CALL, size=frame)]
@@ -83,7 +83,7 @@ def build_sim(num_threads=2, writes=300, **kwargs):
         for off in (rng.integers(0, frame // 8, size=writes) * 8):
             ops.append(Op(OpKind.WRITE, base + int(off), 8))
         streams.append((thread, ops, 0))
-    sim._streams = streams
+    sim.cores[0].queue = streams
     return sim
 
 

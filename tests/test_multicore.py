@@ -72,6 +72,37 @@ class TestExecution:
         assert {s.tid for s in last.threads} == set(sim.process.threads)
 
 
+class TestCrossThreadWrites:
+    def test_write_into_other_cores_stack_is_checkpointed(self):
+        """A store into a live frame of a thread on another core takes the
+        OS fault path into the victim's bitmap, so the victim's checkpoint
+        copies it."""
+        sim = MultiCoreSimulation(
+            [[Op(OpKind.COMPUTE, size=1)] for _ in range(2)], num_cores=2
+        )
+        (writer, _, _), = sim.cores[0].queue
+        (victim, _, _), = sim.cores[1].queue
+        frame = victim.stack.size // 2
+        base = victim.stack.end - frame
+        writes = [Op(OpKind.WRITE, base + 64 * i, 8) for i in range(64)]
+        sim.cores[0].queue[0] = (writer, writes, 0)
+        # The victim's frame stays live, so its checkpoint covers the writes.
+        sim.cores[1].queue[0] = (victim, [Op(OpKind.CALL, size=frame)], 0)
+        sim.run()
+        copied = sum(
+            snap.copied_bytes
+            for record in sim.manager.checkpoints
+            for snap in record.threads
+            if snap.tid == victim.tid
+        )
+        assert copied > 0
+        # Recovery brings back the writer's last store in the victim's stack.
+        sim.crash()
+        assert sim.recover().recovered
+        last = writes[-1].address
+        assert sim.dram_images[victim.tid].read(last) == (writer.tid << 32) | 63
+
+
 class TestCrashRecovery:
     def test_recovery_across_cores(self):
         sim = build_sim(num_threads=4, num_cores=2, writes=300, quantum_ops=64)

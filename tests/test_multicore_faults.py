@@ -1,10 +1,11 @@
 """Tests for the multicore crash sweep: context switches and barriers.
 
-The single-core sweep (tests/test_faults.py) covers the staging/commit
-protocol; these tests cover the crash surfaces only the multicore path
-has — tracker save/restore inside a context switch and the stop-the-world
-quiesce barrier — and assert recovery never blends per-thread checkpoint
-epochs.
+The single-core workload of ``repro.faults.sweep`` (tests/test_faults.py)
+covers the staging/commit protocol; these tests drive the same module's
+multicore workload (``MulticoreCrashChecker``), which covers the crash
+surfaces only a running scheduler reaches — tracker save/restore inside a
+context switch and the stop-the-world quiesce barrier — and assert
+recovery never blends per-thread checkpoint epochs.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from repro.faults.injector import (
     CrashInjected,
     FaultInjector,
 )
-from repro.faults.multicore_sweep import (
+from repro.faults.sweep import (
+    OUTCOME_VIOLATION,
     MulticoreCrashChecker,
     _MulticoreScenario,
 )
-from repro.faults.sweep import OUTCOME_VIOLATION
 
 
 @pytest.fixture(scope="module")

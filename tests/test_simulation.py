@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cpu.ops import Op, OpKind
+from repro.faults.injector import (
+    BARRIER_QUIESCE,
+    CTX_RESTORE,
+    CTX_SAVE,
+    FaultInjector,
+)
 from repro.kernel.simulation import MultiThreadSimulation
 
 
@@ -23,7 +29,7 @@ def build_sim(num_threads=2, writes=600, **kwargs):
     )
     # Rebuild each stream with addresses inside the spawned thread's stack.
     streams = []
-    for i, (thread, _, _) in enumerate(sim._streams):
+    for i, (thread, _, _) in enumerate(sim.cores[0].queue):
         rng = np.random.default_rng(i)
         frame = thread.stack.size // 2
         ops = [Op(OpKind.CALL, size=frame)]
@@ -34,7 +40,7 @@ def build_sim(num_threads=2, writes=600, **kwargs):
         # The frame stays live (no trailing RET): SP-aware checkpoints copy
         # only live frames, and the tests assert that data was captured.
         streams.append((thread, ops, 0))
-    sim._streams = streams
+    sim.cores[0].queue = streams
     return sim
 
 
@@ -82,6 +88,18 @@ class TestExecution:
         sim = build_sim(2, writes=200, quantum_ops=50)
         sim.run()
         assert sim.scheduler.stats.prosper_cycles > 0
+
+
+class TestInjectorReach:
+    def test_probe_reaches_switch_and_quiesce_points(self):
+        """An attached injector sees the context-switch tracker save/restore
+        and the quiesce barrier, so it can crash the run at either."""
+        probe = FaultInjector(0)
+        sim = build_sim(
+            2, writes=200, quantum_ops=50, checkpoint_every_quanta=3, injector=probe
+        )
+        sim.run()
+        assert {CTX_SAVE, CTX_RESTORE, BARRIER_QUIESCE} <= set(probe.fired)
 
 
 class TestCrashRecovery:

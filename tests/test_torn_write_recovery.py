@@ -31,7 +31,7 @@ def _crashed_scenario(point: str, occurrence: int):
         injector=injector,
     )
     oracle = PersistOrderOracle()
-    scenario.hierarchy.nvm.order_oracle = oracle
+    scenario.sim.hierarchy.nvm.order_oracle = oracle
     with pytest.raises(CrashInjected):
         scenario.run()
     return scenario, oracle
@@ -52,8 +52,8 @@ class TestTornMetadataRecord:
         # and recovery rolls checkpoint 0 forward.
         scenario, oracle = _crashed_scenario(self.POINT, self.OCCURRENCE)
         assert "proc[0].metadata" in oracle.pending_labels()
-        scenario.crash_sim.crash(order_oracle=oracle, plan=PersistPlan())
-        report = scenario.crash_sim.recover()
+        scenario.sim.crash_sim.crash(order_oracle=oracle, plan=PersistPlan())
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence == 0
         assert report.rolled_forward
         assert scenario.state_mismatch(0) is None
@@ -64,8 +64,8 @@ class TestTornMetadataRecord:
         # recovery lands on the pristine state without raising.
         scenario, oracle = _crashed_scenario(self.POINT, self.OCCURRENCE)
         plan = PersistPlan(frozenset(), "proc[0].metadata")
-        scenario.crash_sim.crash(order_oracle=oracle, plan=plan)
-        report = scenario.crash_sim.recover()
+        scenario.sim.crash_sim.crash(order_oracle=oracle, plan=plan)
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence is None
         assert not report.rolled_forward
         assert scenario.state_mismatch(None) is None
@@ -77,10 +77,10 @@ class TestTornStagedRun:
         # checksum fails, so the staging is incomplete and pristine wins.
         scenario, oracle = _crashed_scenario(STAGE_COMPLETE, 1)
         torn = _pending_stage_runs(oracle)[-1]
-        scenario.crash_sim.crash(
+        scenario.sim.crash_sim.crash(
             order_oracle=oracle, plan=PersistPlan(frozenset(), torn)
         )
-        report = scenario.crash_sim.recover()
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence is None
         assert scenario.state_mismatch(None) is None
 
@@ -92,10 +92,10 @@ class TestTornStagedRun:
         scenario, oracle = _crashed_scenario(STAGE_COMPLETE, 3)
         runs = _pending_stage_runs(oracle)
         assert runs and all(label.startswith("t2.ckpt[1].") for label in runs)
-        scenario.crash_sim.crash(
+        scenario.sim.crash_sim.crash(
             order_oracle=oracle, plan=PersistPlan(frozenset(), runs[-1])
         )
-        report = scenario.crash_sim.recover()
+        report = scenario.sim.crash_sim.recover()
         assert report.resumed_from_sequence == 0
         assert not report.rolled_forward
         assert scenario.state_mismatch(0) is None
@@ -117,7 +117,7 @@ class TestTornStagedRun:
                 if record is not None and record.undo is not None
                 else PersistPlan()
             )
-            scenario.crash_sim.crash(order_oracle=oracle, plan=plan)
-            report = scenario.crash_sim.recover()
+            scenario.sim.crash_sim.crash(order_oracle=oracle, plan=plan)
+            report = scenario.sim.crash_sim.recover()
             assert report.resumed_from_sequence in (None, 0, 1)
             assert scenario.state_mismatch(report.resumed_from_sequence) is None
