@@ -188,17 +188,24 @@ class DirtyBitmap:
 
         The columnar form of :meth:`iter_dirty_runs`: the checkpoint engine
         clips, filters, and sums these bounds with numpy instead of walking
-        ``DirtyRun`` objects one at a time.
+        ``DirtyRun`` objects one at a time.  Only the span from the first
+        to the last nonzero word is unpacked.
         """
         start_granule = 0
         if active_low is not None and active_low > self.region.start:
             start_granule = (active_low - self.region.start) // self.granularity
 
+        first_word = start_granule // WORD_BITS
+        nonzero = first_word + np.flatnonzero(self._words[first_word:])
+        if not len(nonzero):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        lo_word, hi_word = int(nonzero[0]), int(nonzero[-1]) + 1
+        span_granule = lo_word * WORD_BITS
+        first_granule = max(start_granule, span_granule)
         bits = np.unpackbits(
-            self._words.view(np.uint8), bitorder="little"
-        )[: self.num_granules]
-        if start_granule:
-            bits = bits[start_granule:]
+            self._words[lo_word:hi_word].view(np.uint8), bitorder="little"
+        )[first_granule - span_granule : self.num_granules - span_granule]
         if not bits.any():
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
@@ -206,7 +213,7 @@ class DirtyBitmap:
         # Find run boundaries via the discrete difference of the bit vector.
         padded = np.concatenate(([0], bits, [0]))
         edges = np.flatnonzero(np.diff(padded))
-        base = self.region.start + start_granule * self.granularity
+        base = self.region.start + first_granule * self.granularity
         bounds = base + edges.astype(np.int64) * self.granularity
         return bounds[0::2], np.minimum(bounds[1::2], self.region.end)
 
@@ -228,14 +235,15 @@ class DirtyBitmap:
         are cleared — the optimization enabled by the tracker sharing the
         maximum active stack extent with the OS.
         """
-        if active_low is None or active_low <= self.region.start:
-            written = int(np.count_nonzero(self._words))
-            self._words[:] = 0
-            return written
-        first_word = ((active_low - self.region.start) // self.granularity) // WORD_BITS
-        written = int(np.count_nonzero(self._words[first_word:]))
-        self._words[first_word:] = 0
-        return written
+        first_word = 0
+        if active_low is not None and active_low > self.region.start:
+            first_word = (
+                (active_low - self.region.start) // self.granularity
+            ) // WORD_BITS
+        nonzero = first_word + np.flatnonzero(self._words[first_word:])
+        if len(nonzero):
+            self._words[int(nonzero[0]) : int(nonzero[-1]) + 1] = 0
+        return len(nonzero)
 
     def snapshot_words(self) -> np.ndarray:
         """Copy of the raw words (context-switch save path)."""

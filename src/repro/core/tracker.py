@@ -54,6 +54,11 @@ class ProsperTracker:
     #: overhead lands near the paper's ~870 cycles.
     STATE_SWAP_CYCLES = 400
 
+    #: Worst-case tracker memory ops for recording one granule: a capacity
+    #: eviction (load + store), a Load-and-Update allocation load, and an
+    #: HWM write-out (load + store).
+    MAX_OPS_PER_GRANULE = 5
+
     def __init__(
         self,
         config: TrackerConfig,
@@ -206,6 +211,13 @@ class ProsperTracker:
         )
         self.interval_memory_ops += memory_ops
         return memory_ops * self.INTERFERENCE_CYCLES_PER_OP
+
+    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Per-store upper bound on the cycles :meth:`observe_store` returns,
+        in every reachable tracker state."""
+        granularity = self.config.granularity_bytes
+        granules = (addresses % granularity + sizes - 1) // granularity + 1
+        return granules * (self.MAX_OPS_PER_GRANULE * self.INTERFERENCE_CYCLES_PER_OP)
 
     # ------------------------------------------------------------------ #
     # Quiescence protocol (Section III-A two-step process)

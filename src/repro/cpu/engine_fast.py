@@ -337,7 +337,9 @@ class BatchedExecutionEngine(ExecutionEngine):
                 stats.other_reads += (
                     mem_ops - writes - stack_reads
                 )
-                if stack_writes:
+                if stack_writes and (ops_mode or cycles_mode):
+                    # Only an interval end reads the log: a run without
+                    # intervals keeps none.
                     self._interval_writes.extend_array(addrs_np[seg_slice][sw])
                 seg_min = int(sp_np[seg_slice].min())
                 if seg_min < self._interval_min_sp:

@@ -65,10 +65,11 @@ TRACE_DTYPE = np.dtype(
 
 def ops_to_array(ops: list[Op]) -> np.ndarray:
     """Pack a list of :class:`Op` into a ``TRACE_DTYPE`` array."""
-    arr = np.empty(len(ops), dtype=TRACE_DTYPE)
-    arr["kind"] = [op.kind for op in ops]
-    arr["address"] = [op.address for op in ops]
-    arr["size"] = [op.size for op in ops]
+    n = len(ops)
+    arr = np.empty(n, dtype=TRACE_DTYPE)
+    arr["kind"] = np.fromiter((op.kind for op in ops), np.uint8, n)
+    arr["address"] = np.fromiter((op.address for op in ops), np.uint64, n)
+    arr["size"] = np.fromiter((op.size for op in ops), np.uint32, n)
     return arr
 
 

@@ -16,8 +16,8 @@ software component.  This subpackage provides the equivalent substrate:
   checkpoint procedure (registers + memory segments);
 * :mod:`repro.kernel.restore` — the crash model and recovery path;
 * :mod:`repro.kernel.multicore` — the kernel machine that ties them
-  together (per-core trackers, one quantum interpreter, quiesce-then-
-  checkpoint, crash/recover) and its N-threads-on-M-cores run loop;
+  together (per-core trackers, quanta run as slices on each core's
+  batched engine, quiesce-then-checkpoint, crash/recover) and its N-threads-on-M-cores run loop;
   :mod:`repro.kernel.simulation` is its one-core run loop.
 """
 

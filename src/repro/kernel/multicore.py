@@ -5,10 +5,20 @@ stack modifications of software threads and set bit(s) in the dedicated
 bitmap areas."  :class:`KernelMachine` models that machine once: a process
 of persistent threads distributed over M cores, each core with its own
 :class:`~repro.core.tracker.ProsperTracker`, scheduler and private cache
-hierarchy; one quantum interpreter (stack stores feed the running core's
-tracker, stores into another thread's live stack take the OS fault path
-into the victim's bitmap); one stop-the-world quiesce-then-checkpoint step
-through a shared checkpoint manager; and one crash/recover path.
+hierarchy; one stop-the-world quiesce-then-checkpoint step through a shared
+checkpoint manager; and one crash/recover path.
+
+There is one interpreter.  A quantum is a slice ``[cursor, end)`` of the
+thread's ``TRACE_DTYPE`` array, run by the core's
+:class:`~repro.cpu.engine_fast.BatchedExecutionEngine` (whose hierarchy is
+the core's) with the core's tracker behind a batch-eligible mechanism
+adapter.  What only the kernel adds is computed per slice with numpy: the
+DRAM image value of a store is ``(tid << 32) | op_index``, a pure function
+of its position, and only stores into another thread's stack take the OS
+fault path into the victim's bitmap.  Deferring the tracker hooks is exact
+here because the kernel has no NVM-resident demand region (every demand
+latency is independent of the cycle count) and tracker cost depends only
+on store order.
 
 The run loops are the only per-simulation code.  :class:`MultiCoreSimulation`
 (here) runs every core one round at a time, advancing wall-clock time as the
@@ -21,8 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import SystemConfig, setup_i
 from repro.core.tracker import ProsperTracker
+from repro.cpu.engine import trace_array
+from repro.cpu.engine_fast import BatchedExecutionEngine
 from repro.cpu.ops import Op, OpKind
 from repro.faults.injector import BARRIER_QUIESCE, FaultInjector
 from repro.kernel.checkpoint_mgr import CheckpointManager
@@ -31,23 +45,60 @@ from repro.kernel.restore import CrashSimulator, RecoveryReport
 from repro.kernel.scheduler import Scheduler
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
+from repro.persistence.base import PersistenceMechanism
 
 #: Cycles the OS write-fault path spends recording a store into another
 #: thread's stack in the victim's bitmap (Section III-C page permissions).
 CROSS_THREAD_FAULT_CYCLES = 2500
 
 
+_WRITE = int(OpKind.WRITE)
+
+
+class TrackerMechanism(PersistenceMechanism):
+    """A core's Prosper tracker as the engine's stack mechanism.
+
+    Tracker interference depends only on store order, never on the cycle
+    count, so the engine may deliver stores in batches.  Loads cost the
+    tracker nothing, and checkpoints are the kernel's, not the engine's.
+    """
+
+    name = "prosper-tracker"
+    supports_batching = True
+
+    def __init__(self, tracker: ProsperTracker) -> None:
+        super().__init__()
+        self.tracker = tracker
+
+    def on_store(self, address: int, size: int, now: int) -> int:
+        return self.tracker.observe_store(address, size)
+
+    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
+        return self.tracker.observe_store_batch(addresses, sizes)
+
+    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return self.tracker.store_cost_bound_array(addresses, sizes)
+
+
 @dataclass
 class CoreState:
-    """One logical CPU: its tracker, scheduler, run queue, and clock."""
+    """One logical CPU: its tracker, scheduler, engine, run queue, and clock."""
 
     index: int
     tracker: ProsperTracker
     scheduler: Scheduler
-    hierarchy: MemoryHierarchy
-    #: (thread, ops, cursor) tuples assigned to this core.
-    queue: list[tuple[Thread, list[Op], int]] = field(default_factory=list)
+    engine: BatchedExecutionEngine
+    #: (thread, ops, cursor) tuples assigned to this core.  Ops may be an
+    #: ``Op`` list, a ``TRACE_DTYPE`` array or a ``Trace``; each run loop
+    #: turns them into arrays first.
+    queue: list[tuple[Thread, np.ndarray | list[Op], int]] = field(
+        default_factory=list
+    )
     clock: int = 0
+
+    @property
+    def hierarchy(self) -> MemoryHierarchy:
+        return self.engine.hierarchy
 
     def has_work(self) -> bool:
         return any(cursor < len(ops) for _, ops, cursor in self.queue)
@@ -105,12 +156,19 @@ class KernelMachine:
         self.cores: list[CoreState] = []
         for index in range(num_cores):
             tracker = ProsperTracker(self.process.tracker_config)
+            # The engine never sees the injector (that would force its
+            # scalar path): crash points stay in the scheduler and manager.
+            engine = BatchedExecutionEngine(
+                self.config, mechanism=TrackerMechanism(tracker)
+            )
+            # The kernel model charges no address translation.
+            engine.tlb = None
             self.cores.append(
                 CoreState(
                     index=index,
                     tracker=tracker,
                     scheduler=Scheduler(tracker, injector=injector),
-                    hierarchy=MemoryHierarchy(self.config),
+                    engine=engine,
                 )
             )
         #: Actual stack contents: volatile DRAM image + persistent NVM
@@ -142,6 +200,13 @@ class KernelMachine:
     # Execution
     # ------------------------------------------------------------------ #
 
+    def _normalize_queues(self) -> None:
+        """Turn every queued op stream into its ``TRACE_DTYPE`` array."""
+        for core in self.cores:
+            for slot, (thread, ops, cursor) in enumerate(core.queue):
+                if not isinstance(ops, np.ndarray):
+                    core.queue[slot] = (thread, trace_array(ops), cursor)
+
     def _run_quantum(self, core: CoreState, slot: int) -> int:
         """Switch *core* to the thread in queue *slot* and run one quantum.
 
@@ -152,44 +217,61 @@ class KernelMachine:
         end = min(cursor + self.quantum_ops, len(ops))
         cycles = core.scheduler.switch_to(thread)
         self.stats.switches += 1
-        hierarchy = core.hierarchy
-        tracker = core.tracker
-        image = self.dram_images[thread.tid]
-        regs = thread.registers
-        for op in ops[cursor:end]:
-            kind = op.kind
-            if kind == OpKind.COMPUTE:
-                cycles += op.size
-            elif kind == OpKind.CALL:
-                regs.push_frame(op.size)
-                cycles += 1
-            elif kind == OpKind.RET:
-                regs.pop_frame(op.size)
-                cycles += 1
-            else:
-                result = hierarchy.access(op.address, op.size, kind == OpKind.WRITE)
-                cycles += result.latency_cycles
-                if kind == OpKind.WRITE:
-                    if thread.stack.contains(op.address):
-                        cycles += tracker.observe_store(op.address, op.size)
-                        # Deterministic content: value derives from the
-                        # writing thread and its op position, so recovery
-                        # checks can recompute expected bytes.
-                        image.write(op.address, (thread.tid << 32) | regs.op_index)
-                    elif self.process.handle_cross_thread_write(
-                        thread.tid, op.address, op.size
-                    ):
-                        # Cross-thread stack write: the OS fault path
-                        # recorded it in the victim's bitmap.
-                        cycles += CROSS_THREAD_FAULT_CYCLES
-                        for victim in self.process.iter_threads():
-                            if victim.stack.contains(op.address):
-                                self.dram_images[victim.tid].write(
-                                    op.address, (thread.tid << 32) | regs.op_index
-                                )
-            regs.op_index += 1
+        cycles += self._run_slice(core, thread, ops[cursor:end])
         self.stats.ops_executed += end - cursor
         core.queue[slot] = (thread, ops, end)
+        return cycles
+
+    def _run_slice(self, core: CoreState, thread: Thread, ops: np.ndarray) -> int:
+        """Run *ops* as *thread* on *core*'s engine; returns the cycles spent.
+
+        The engine charges memory latency, compute and tracker interference;
+        the DRAM images and cross-thread stack writes are applied here.
+        """
+        engine = core.engine
+        hierarchy = engine.hierarchy
+        stats = engine.stats
+        regs = thread.registers
+        first_index = regs.op_index
+        engine.stack_range = thread.stack
+        engine.registers = regs
+        # Demand latencies do not depend on the cycle count, so the slice
+        # runs from the kernel's clock and leaves it where it was: the
+        # checkpoint path's persist barriers read it.
+        now = hierarchy.now
+        engine.now = now
+        before = stats.app_cycles + stats.inline_cycles
+        engine.run(ops)
+        hierarchy.now = now
+        cycles = stats.app_cycles + stats.inline_cycles - before
+
+        positions = np.flatnonzero(ops["kind"] == _WRITE)
+        if not len(positions):
+            return cycles
+        addresses = ops["address"][positions].astype(np.int64)
+        # Deterministic content: the value derives from the writing thread
+        # and its op position, so recovery checks can recompute it.
+        values = (thread.tid << 32) | (first_index + positions)
+        stack = thread.stack
+        own = (addresses >= stack.start) & (addresses < stack.end)
+        self.dram_images[thread.tid].write_array(addresses[own], values[own])
+        if own.all():
+            return cycles
+
+        # Stores into another thread's stack take the OS fault path, which
+        # records each in the victim's bitmap; heap stores take no fault.
+        # Thread ids start at 1, so 0 marks a store with no victim.
+        victim_of = np.zeros(len(addresses), dtype=np.int64)
+        for victim in self.process.iter_threads():
+            if victim is not thread:
+                stack = victim.stack
+                victim_of[(addresses >= stack.start) & (addresses < stack.end)] = victim.tid
+        sizes = ops["size"][positions]
+        for i in np.flatnonzero(victim_of).tolist():
+            address = int(addresses[i])
+            self.process.handle_cross_thread_write(thread.tid, address, int(sizes[i]))
+            cycles += CROSS_THREAD_FAULT_CYCLES
+            self.dram_images[int(victim_of[i])].write(address, int(values[i]))
         return cycles
 
     def _checkpoint(self) -> int:
@@ -261,6 +343,7 @@ class MultiCoreSimulation(KernelMachine):
         self.stats = MultiCoreStats()
 
     def run(self) -> MultiCoreStats:
+        self._normalize_queues()
         rounds = 0
         while any(core.has_work() for core in self.cores):
             for core in self.cores:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.cpu.registers import RegisterFile
 from repro.kernel.checkpoint_mgr import CheckpointManager, ProcessCheckpoint
 from repro.kernel.process import Process
 from repro.memory.image import ByteImage
@@ -126,6 +127,14 @@ class CrashSimulator:
                 break
 
         if candidate is None:
+            # Nothing ever committed: restart every thread from its pristine
+            # state (empty stack, first op) rather than the zeroed registers
+            # the crash left behind.
+            for thread in self.process.iter_threads():
+                thread.registers.restore(
+                    RegisterFile(stack_pointer=thread.stack.end)
+                )
+            self.crashed = False
             return RecoveryReport(None, rolled, 0)
 
         restored = 0

@@ -71,6 +71,7 @@ class MultiThreadSimulation(KernelMachine):
         *stop_after_quanta* halts execution early (mid-run), which the
         crash/resume tests use to inject failures at arbitrary points.
         """
+        self._normalize_queues()
         core = self.cores[0]
         quanta = 0
         while core.has_work():

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.memory.address import AddressRange
 
 WORD_BYTES = 8
@@ -35,22 +37,37 @@ class ByteImage:
         """Load the word containing *address* (unwritten words read 0)."""
         return self._words.get(address // WORD_BYTES, default)
 
+    def write_array(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values[i]`` at the word containing ``addresses[i]``, in
+        order (a later store to the same word wins)."""
+        self._words.update(
+            zip((addresses // WORD_BYTES).tolist(), values.tolist())
+        )
+
+    def _stored_in(self, rng: AddressRange) -> list[int]:
+        """Stored word indices within *rng*, ascending.
+
+        Walks whichever is smaller: the range's words or the stored words.
+        """
+        first = rng.start // WORD_BYTES
+        last = (rng.end - 1) // WORD_BYTES if rng.size else first - 1
+        words = self._words
+        if last - first + 1 <= len(words):
+            return [word for word in range(first, last + 1) if word in words]
+        return sorted(word for word in words if first <= word <= last)
+
     def copy_range_from(self, source: "ByteImage", rng: AddressRange) -> int:
         """Copy every word of *rng* present in *source*; returns words copied.
 
         Words absent from the source within the range are removed here too,
         so the destination range becomes an exact replica.
         """
-        copied = 0
-        first = rng.start // WORD_BYTES
-        last = (rng.end - 1) // WORD_BYTES if rng.size else first - 1
-        for word in range(first, last + 1):
-            if word in source._words:
-                self._words[word] = source._words[word]
-                copied += 1
-            else:
-                self._words.pop(word, None)
-        return copied
+        src = source._words
+        copied = [(word, src[word]) for word in source._stored_in(rng)]
+        for word in self._stored_in(rng):
+            del self._words[word]
+        self._words.update(copied)
+        return len(copied)
 
     def words_in_range(self, rng: AddressRange) -> Iterator[tuple[int, int]]:
         """(word-aligned address, value) pairs present within *rng*, ordered.
@@ -58,11 +75,9 @@ class ByteImage:
         This is the content the checkpoint path stages for one dirty run —
         the raw material its CRC32 is computed over.
         """
-        first = rng.start // WORD_BYTES
-        last = (rng.end - 1) // WORD_BYTES if rng.size else first - 1
-        for word in range(first, last + 1):
-            if word in self._words:
-                yield word * WORD_BYTES, self._words[word]
+        words = self._words
+        for word in self._stored_in(rng):
+            yield word * WORD_BYTES, words[word]
 
     def replace_range(self, rng: AddressRange, words) -> int:
         """Make *rng* hold exactly *words* ((address, value) pairs).
@@ -72,10 +87,8 @@ class ByteImage:
         staged checkpoint run is applied to the persistent image.  Returns
         the number of words written.
         """
-        first = rng.start // WORD_BYTES
-        last = (rng.end - 1) // WORD_BYTES if rng.size else first - 1
-        for word in range(first, last + 1):
-            self._words.pop(word, None)
+        for word in self._stored_in(rng):
+            del self._words[word]
         written = 0
         for address, value in words:
             self._words[address // WORD_BYTES] = value
@@ -92,11 +105,11 @@ class ByteImage:
         self._words.clear()
 
     def equals_in_range(self, other: "ByteImage", rng: AddressRange) -> bool:
-        """True when both images hold identical words across *rng*."""
-        first = rng.start // WORD_BYTES
-        last = (rng.end - 1) // WORD_BYTES if rng.size else first - 1
-        for word in range(first, last + 1):
-            if self._words.get(word, 0) != other._words.get(word, 0):
+        """True when both images hold identical words across *rng* (an
+        absent word equals 0)."""
+        mine, theirs = self._words, other._words
+        for word in self._stored_in(rng) + other._stored_in(rng):
+            if mine.get(word, 0) != theirs.get(word, 0):
                 return False
         return True
 

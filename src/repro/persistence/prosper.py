@@ -40,11 +40,6 @@ class ProsperPersistence(PersistenceMechanism):
     # batch delivery charges exactly the same cycles as per-op hooks.
     supports_batching = True
 
-    #: Worst-case tracker memory ops for recording one granule: a capacity
-    #: eviction (load + store), a Load-and-Update allocation load, and an
-    #: HWM write-out (load + store).
-    _MAX_OPS_PER_GRANULE = 5
-
     def __init__(
         self,
         tracker_config: TrackerConfig | None = None,
@@ -110,11 +105,7 @@ class ProsperPersistence(PersistenceMechanism):
         return cost
 
     def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        granularity = self.tracker_config.granularity_bytes
-        granules = (addresses % granularity + sizes - 1) // granularity + 1
-        return granules * (
-            self._MAX_OPS_PER_GRANULE * self.tracker.INTERFERENCE_CYCLES_PER_OP
-        )
+        return self.tracker.store_cost_bound_array(addresses, sizes)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
         self.stats.intervals += 1

@@ -166,3 +166,59 @@ class TestMaintenance:
         b = bitmap(8)
         with pytest.raises(ValueError):
             b.restore_words(np.zeros(3, dtype=np.uint32))
+
+
+def unpacked_run_bounds(b: DirtyBitmap, active_low):
+    """Reference: run bounds from the whole bitmap, unpacked bit by bit."""
+    start_granule = 0
+    if active_low is not None and active_low > b.region.start:
+        start_granule = (active_low - b.region.start) // b.granularity
+    bits = np.unpackbits(b.snapshot_words().view(np.uint8), bitorder="little")
+    bits = bits[: b.num_granules][start_granule:]
+    if not bits.any():
+        return [], []
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], bits, [0]))))
+    bounds = b.region.start + (start_granule + edges) * b.granularity
+    return bounds[0::2].tolist(), np.minimum(bounds[1::2], b.region.end).tolist()
+
+
+def unpacked_clear(words: np.ndarray, first_word: int) -> int:
+    """Reference: clear every word from *first_word* up."""
+    written = int(np.count_nonzero(words[first_word:]))
+    words[first_word:] = 0
+    return written
+
+
+class TestNonzeroSpan:
+    """Run bounds and clears walk only the nonzero words, exactly as the
+    whole-bitmap unpacking did."""
+
+    # A region whose last word is partial: 167 granules over 6 words.
+    ODD = AddressRange(0x20000, 0x20000 + 8 * (32 * 5 + 7))
+
+    @given(
+        granularity=st.sampled_from([8, 16, 64]),
+        odd=st.booleans(),
+        words=st.dictionaries(
+            st.integers(0, 255),
+            st.one_of(st.just(0xFFFF_FFFF), st.integers(1, 2**32 - 1)),
+            max_size=8,
+        ),
+        low=st.one_of(st.none(), st.integers(-64, 64 * 1024 + 64)),
+    )
+    def test_matches_unpacked_reference(self, granularity, odd, words, low):
+        region = self.ODD if odd else REGION
+        b = DirtyBitmap(region, granularity)
+        for index, value in words.items():
+            b.store_word(index % b.num_words, value)
+        active_low = None if low is None else region.start + low
+        starts, ends = b.dirty_run_bounds(active_low)
+        assert (starts.tolist(), ends.tolist()) == unpacked_run_bounds(b, active_low)
+
+        expected = b.snapshot_words()
+        first_word = 0
+        if active_low is not None and active_low > region.start:
+            first_word = ((active_low - region.start) // granularity) // WORD_BITS
+        written = unpacked_clear(expected, first_word)
+        assert b.clear(active_low) == written
+        assert b.snapshot_words().tolist() == expected.tolist()

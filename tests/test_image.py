@@ -1,7 +1,7 @@
 """Tests for ByteImage and data-integrity recovery in the simulation."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu.ops import Op, OpKind
 from repro.kernel.simulation import MultiThreadSimulation
@@ -68,6 +68,96 @@ class TestByteImage:
         rng = AddressRange(0, 8 * 1024)
         dst.copy_range_from(src, rng)
         assert dst.equals_in_range(src, rng)
+
+
+class DenseImage:
+    """Reference: every range operation walks the range word by word."""
+
+    def __init__(self, words=None):
+        self.words = dict(words or {})
+
+    @staticmethod
+    def span(rng):
+        return range(rng.start // 8, (rng.end - 1) // 8 + 1) if rng.size else range(0)
+
+    def copy_range_from(self, source, rng):
+        copied = 0
+        for word in self.span(rng):
+            if word in source.words:
+                self.words[word] = source.words[word]
+                copied += 1
+            else:
+                self.words.pop(word, None)
+        return copied
+
+    def words_in_range(self, rng):
+        return [(w * 8, self.words[w]) for w in self.span(rng) if w in self.words]
+
+    def replace_range(self, rng, pairs):
+        for word in self.span(rng):
+            self.words.pop(word, None)
+        for address, value in pairs:
+            self.words[address // 8] = value
+        return len(pairs)
+
+    def equals_in_range(self, other, rng):
+        return all(
+            self.words.get(w, 0) == other.words.get(w, 0) for w in self.span(rng)
+        )
+
+
+def image_of(writes):
+    image = ByteImage()
+    for word, value in writes.items():
+        image.write(word * 8, value)
+    return image
+
+
+# Few stored words over a small space: ranges often end on a stored word,
+# and are as often wider than the stored set (the sparse walk) as not.
+WORDS = st.dictionaries(st.integers(0, 80), st.integers(0, 7), max_size=12)
+RANGES = st.tuples(st.integers(0, 90 * 8), st.integers(0, 90 * 8)).map(
+    lambda t: AddressRange(t[0], t[0] + t[1])
+)
+
+
+class TestSparseRangeWalks:
+    """Range operations visit the smaller of the range and the stored words,
+    and agree with the word-by-word reference either way."""
+
+    @settings(max_examples=300)
+    @given(WORDS, WORDS, RANGES)
+    def test_matches_dense_reference(self, a_words, b_words, rng):
+        a, b = image_of(a_words), image_of(b_words)
+        ra, rb = DenseImage(a_words), DenseImage(b_words)
+        assert a.equals_in_range(b, rng) == ra.equals_in_range(rb, rng)
+        assert list(a.words_in_range(rng)) == ra.words_in_range(rng)
+
+        copy = a.snapshot()
+        ref_copy = DenseImage(a_words)
+        assert copy.copy_range_from(b, rng) == ref_copy.copy_range_from(rb, rng)
+        assert dict(copy.iter_words()) == {w * 8: v for w, v in ref_copy.words.items()}
+
+        pairs = rb.words_in_range(rng)
+        replaced = a.snapshot()
+        ref_replaced = DenseImage(a_words)
+        assert replaced.replace_range(rng, pairs) == ref_replaced.replace_range(rng, pairs)
+        assert dict(replaced.iter_words()) == {
+            w * 8: v for w, v in ref_replaced.words.items()
+        }
+
+    def test_absent_word_equals_zero(self):
+        a, b = ByteImage(), ByteImage()
+        a.write(0x40, 0)
+        assert a.equals_in_range(b, AddressRange(0, 1 << 30))
+        assert b.equals_in_range(a, AddressRange(0, 0x48))
+        a.write(0x48, 1)
+        assert not b.equals_in_range(a, AddressRange(0, 1 << 30))
+
+    def test_copy_from_itself_keeps_contents(self):
+        a = image_of({3: 1, 900: 2})
+        assert a.copy_range_from(a, AddressRange(0, 1 << 20)) == 2
+        assert dict(a.iter_words()) == {24: 1, 7200: 2}
 
 
 def build_sim(num_threads=2, writes=300, **kwargs):

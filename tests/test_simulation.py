@@ -160,6 +160,10 @@ class TestCrashResumeContinue:
         sim.crash()
         report = sim.recover()
         assert not report.recovered  # nothing committed: restart from zero
+        for thread in sim.process.iter_threads():
+            # Pristine registers: an empty stack at the first op.
+            assert thread.registers.stack_pointer == thread.stack.end
+            assert thread.registers.op_index == 0
         # Manual restart from scratch still completes.
         sim.resume()
         assert sim.process.thread(1).registers.op_index == 101
