@@ -17,8 +17,9 @@ systematic validation (docs/FAULTS.md):
 Run:  python examples/fault_injection.py
 """
 
-from repro.faults.sweep import (
-    CrashConsistencyChecker,
+from repro.faults.fuzzer import (
+    SingleCoreTarget,
+    run_sweep,
     torn_metadata_demo,
     transient_retry_demo,
 )
@@ -26,10 +27,9 @@ from repro.faults.sweep import (
 
 def main() -> None:
     # --- 1. the sweep: crash everywhere, recover everywhere -------------
-    checker = CrashConsistencyChecker(
-        seed=0, threads=2, intervals=3, writes_per_interval=4
+    report = run_sweep(
+        lambda: SingleCoreTarget(seed=0, threads=2, intervals=3, writes_per_interval=4)
     )
-    report = checker.run()
     counts = report.outcome_counts()
     print(
         f"sweep: {len(report.cases)} crashes over {report.points_swept} "

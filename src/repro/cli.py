@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import defaultdict
+from functools import partial
 from pathlib import Path
 
 from repro.analysis.report import render_table
@@ -51,27 +51,10 @@ EXIT_INTERRUPTED = 130
 
 def _print_sweep_report(report, title: str) -> None:
     """Per-point table, case summary and violations of one crash sweep."""
-    order: list[str] = []
-    per_point: dict[str, dict[str, int]] = {}
-    for case in report.cases:
-        if case.point not in per_point:
-            per_point[case.point] = defaultdict(int)
-            order.append(case.point)
-        per_point[case.point][case.outcome] += 1
     print(render_table(
         title,
         ["crash point", "cases", "rolled fwd", "previous", "fresh", "violations"],
-        [
-            [
-                point,
-                sum(per_point[point].values()),
-                per_point[point]["rolled_forward"],
-                per_point[point]["previous"],
-                per_point[point]["fresh_start"],
-                per_point[point]["violation"],
-            ]
-            for point in order
-        ],
+        [list(row) for row in report.rows()],
     ))
     print(
         f"\n{len(report.cases)} cases over {report.points_swept} crash points: "
@@ -79,8 +62,8 @@ def _print_sweep_report(report, title: str) -> None:
     )
     for case in report.violations:
         print(
-            f"  VIOLATION at {case.point}#{case.occurrence} "
-            f"(interval {case.crashed_in_interval}): {case.detail}"
+            f"  VIOLATION at {case.spec.point}#{case.spec.occurrence} "
+            f"(interval {case.snapshots - 1}): {case.detail}"
         )
 
 
@@ -246,9 +229,10 @@ def _faults_fuzz_main(args) -> int:
 
 
 def _faults_main(argv: list[str]) -> int:
-    from repro.faults.sweep import (
-        CrashConsistencyChecker,
-        MulticoreCrashChecker,
+    from repro.faults.fuzzer import (
+        MulticoreTarget,
+        SingleCoreTarget,
+        run_sweep,
         torn_metadata_demo,
         transient_retry_demo,
     )
@@ -256,36 +240,34 @@ def _faults_main(argv: list[str]) -> int:
     args = build_faults_parser().parse_args(argv)
     if args.action == "fuzz":
         return _faults_fuzz_main(args)
+    common = dict(
+        seed=args.seed,
+        intervals=args.intervals,
+        writes_per_interval=args.writes,
+        transient_rate=args.transient_rate,
+    )
+    sweeps = [(
+        f"Crash-consistency sweep (seed {args.seed}, "
+        f"{args.threads} threads, {args.intervals} intervals)",
+        partial(SingleCoreTarget, threads=args.threads, **common),
+    )]
+    if args.multicore:
+        sweeps.append((
+            f"Multicore crash sweep (seed {args.seed}, "
+            f"{args.cores} cores, {args.intervals} intervals)",
+            partial(MulticoreTarget, cores=args.cores, **common),
+        ))
     try:
-        sweeps = [(
-            f"Crash-consistency sweep (seed {args.seed}, "
-            f"{args.threads} threads, {args.intervals} intervals)",
-            CrashConsistencyChecker(
-                seed=args.seed,
-                threads=args.threads,
-                intervals=args.intervals,
-                writes_per_interval=args.writes,
-                transient_rate=args.transient_rate,
-            ),
-        )]
-        if args.multicore:
-            sweeps.append((
-                f"Multicore crash sweep (seed {args.seed}, "
-                f"{args.cores} cores, {args.intervals} intervals)",
-                MulticoreCrashChecker(
-                    seed=args.seed,
-                    cores=args.cores,
-                    intervals=args.intervals,
-                    writes_per_interval=args.writes,
-                ),
-            ))
+        # Build each target once, so bad arguments fail before any sweep.
+        for _title, make_target in sweeps:
+            make_target()
     except ValueError as exc:
         print(f"repro faults sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     failed = False
-    for index, (title, checker) in enumerate(sweeps):
-        report = checker.run()
+    for index, (title, make_target) in enumerate(sweeps):
+        report = run_sweep(make_target)
         if index:
             print()
         _print_sweep_report(report, title)

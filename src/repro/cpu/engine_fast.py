@@ -102,13 +102,13 @@ class BatchedExecutionEngine(ExecutionEngine):
             # write ordering are the semantics under test.  Delegating the
             # whole run (rather than skipping hooks in vectorized chunks)
             # guarantees the fired crash points and cycle counts are
-            # identical to the scalar engine by construction.
+            # identical to the scalar engine by construction.  The scalar
+            # loop iterates Op records: an Op sequence (or a Trace, which
+            # iterates its Op view) passes through, only an array unpacks.
+            if isinstance(ops, np.ndarray):
+                ops = array_to_ops(trace_array(ops))
             return ExecutionEngine.run(
-                self,
-                array_to_ops(trace_array(ops)),
-                interval_cycles,
-                interval_ops,
-                final_checkpoint,
+                self, ops, interval_cycles, interval_ops, final_checkpoint
             )
         if interval_cycles < 0:
             raise ValueError("interval_cycles must be non-negative")

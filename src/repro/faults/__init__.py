@@ -1,6 +1,6 @@
 """Fault injection and crash-consistency verification.
 
-Three cooperating layers (see ``docs/FAULTS.md``):
+Four cooperating layers (see ``docs/FAULTS.md``):
 
 * :mod:`repro.faults.injector` — named crash points threaded through the
   checkpoint pipeline, armed deterministically per (point, occurrence);
@@ -10,19 +10,19 @@ Three cooperating layers (see ``docs/FAULTS.md``):
 * :mod:`repro.faults.order` — the persist-order oracle: pending durable
   writes become guaranteed-durable only at a flush/commit barrier, and a
   crash may persist any subset of the pending set (torn tail optional);
-* :mod:`repro.faults.sweep` — the crash-consistency sweeps (single-core
-  staging/commit protocol, and ``MulticoreCrashChecker`` for context-switch
-  and quiesce-barrier points) that crash at every enumerated point and
-  assert the recovery invariant;
-* :mod:`repro.faults.fuzzer` — seeded crash-schedule campaigns over
-  arbitrary-cycle crashes x sampled persist orders, verified against a
-  golden-image recovery oracle and shrunk on violation.
+* :mod:`repro.faults.fuzzer` — the crash checker: one runner crashes a
+  target (an execution engine under a golden-image recorder, or the
+  kernel machine's single-core and multicore workloads) at a crash spec
+  (a cycle offset or a named point) under a persist plan, recovers, and
+  verifies the recovered state.  ``repro faults sweep`` runs every named
+  point of the kernel targets under the neat plan; ``repro faults fuzz``
+  runs seeded campaigns of sampled specs and plans, shrinking failures.
 
-``sweep`` and ``fuzzer`` are intentionally *not* imported here: they pull
-in the kernel/engine layers, which in turn reach back down to
+``fuzzer`` is intentionally *not* imported here: it pulls in the
+kernel/engine layers, which in turn reach back down to
 :mod:`repro.memory.devices` — a module that imports this package for the
-error model and the order oracle.  Import them as ``repro.faults.sweep``
-/ ``repro.faults.fuzzer`` directly.
+error model and the order oracle.  Import it as ``repro.faults.fuzzer``
+directly.
 """
 
 from repro.faults.injector import (

@@ -1,53 +1,85 @@
-"""Crash-schedule fuzzer: randomized crashes judged by a golden image.
+"""The crash checker: crash a target, resolve what persisted, recover, verify.
 
-The sweep (:mod:`repro.faults.sweep`) enumerates the *named* crash points
-of the kernel checkpoint pipeline under the neat everything-landed model.
-This module generalizes both axes at once:
+The paper validates Prosper's crash consistency by killing gem5 at a few
+hand-picked moments.  This module checks the same claim — two-step
+staging and commit always recover to exactly one whole checkpoint —
+systematically, as one runner over three axes:
 
-* **when** power fails — at an arbitrary *cycle* offset mid-interval
-  (:meth:`FaultInjector.arm_cycle`) or at any named protocol point, chosen
-  per schedule from a seeded RNG;
-* **what** survives — a :class:`~repro.faults.order.PersistPlan` sampled
-  from the persist-order oracle decides which writes still pending behind
-  the last barrier actually landed, with an optional torn tail.
+* **targets** — the machine that loses power.  An *engine target*
+  (:func:`build_setup`) runs one persistence mechanism on one execution
+  engine under a golden-image recorder; a *kernel target*
+  (:class:`SingleCoreTarget`, :class:`MulticoreTarget`) runs persistent
+  threads on the kernel machine (:mod:`repro.kernel.multicore`) and
+  checkpoints the whole process;
+* **crash specs** — *when* power fails: at an arbitrary *cycle* offset
+  (:meth:`FaultInjector.arm_cycle`) or at the N-th occurrence of a named
+  protocol point (:meth:`FaultInjector.arm`);
+* **persist plans** — *what* survives: a
+  :class:`~repro.faults.order.PersistPlan` over the writes still pending
+  behind the last barrier decides which landed, with an optional torn
+  tail.  The neat plan ``PersistPlan()`` lands everything.
 
-Every schedule is verified against a **golden image**: the execution
-engine's persistence mechanism is wrapped in a recorder that assigns each
-store a unique value into a DRAM :class:`~repro.memory.image.ByteImage`
-and snapshots that image at every interval boundary.  After the crash the
-DRAM image is discarded (power loss), recovery runs, and the durable NVM
-image must equal the snapshot of the checkpoint recovery claims to have
-resumed from — word for word, with no ghost words from a newer epoch.  A
-violation is shrunk to a minimal failing persist plan and reported with
-the exact command line that reproduces it.
+A target supplies only ``run()``; ``snapshots``, its **golden snapshots**
+(one per checkpoint begun, recorded independently of the checkpoint
+pipeline); ``oracle``, its persist-order oracle; ``injector``;
+``drop_volatile()``; ``recover() -> int | None``; ``check(resumed)``, a
+state check against one snapshot; ``staged_protocol`` and ``cycles``.
+Everything else exists once: the probe
+(:func:`probe`), the per-case path (:func:`run_crash`), the
+resume-legality rule (:func:`expected_resumes`), the outcome type
+(:class:`ScheduleOutcome`), the plan shrinker (:func:`shrink_plan`) and
+the two reports.  ``repro faults sweep`` is the exhaustive mode
+(:func:`run_sweep`: every probed named point of the kernel targets under
+the neat plan); ``repro faults fuzz`` is the sampled mode
+(:func:`run_campaign`: seeded crash specs and plans over engine targets).
 
-Mechanism coverage:
+Engine targets cover two kinds of mechanism:
 
 * ``prosper`` and ``dirtybit`` stage real checksummed contents through
-  their two-step protocols — the full golden-image oracle applies;
+  their two-step protocols — the durable image must equal the recovered
+  checkpoint's snapshot word for word, with no ghost words from a newer
+  epoch;
 * ``ssp`` / ``flush`` / ``undo`` / ``redo`` persist in place with no
-  staged protocol; for them the fuzzer checks the weaker bookkeeping
+  staged protocol; for them the checker applies the weaker bookkeeping
   oracle (interval-commit records are exactly-once and recovery resumes
   from the newest durable one).
 
-Both engines are covered: arming a fault injector (or attaching the order
+Both engines are covered: an attached fault injector (or persist-order
 oracle) forces :class:`~repro.cpu.engine_fast.BatchedExecutionEngine`
 through the exact scalar path, so a batched schedule is bit-identical to
 its scalar twin by construction — which is itself asserted by the tier-1
 tests.
+
+This module imports the kernel and engine layers, which reach back down
+to :mod:`repro.memory.devices`; import it as ``repro.faults.fuzzer``, not
+via the package root (see ``repro/faults/__init__.py``).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from repro.core.tracker import ProsperTracker
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import BatchedExecutionEngine
 from repro.cpu.ops import Op, TraceBuilder, array_to_ops
-from repro.faults.injector import CrashInjected, FaultInjector, is_cycle_point
+from repro.faults.injector import (
+    COMMIT_FLAG_WRITE,
+    CTX_RESTORE,
+    CTX_SAVE,
+    CrashInjected,
+    FaultInjector,
+    is_cycle_point,
+)
+from repro.faults.nvm_errors import NvmErrorModel
 from repro.faults.order import CrashOutcome, PersistOrderOracle, PersistPlan
+from repro.kernel.multicore import KernelMachine, MultiCoreSimulation
+from repro.kernel.process import Thread
+from repro.kernel.restore import RecoveryReport
+from repro.kernel.simulation import MultiThreadSimulation
 from repro.memory.address import AddressRange
 from repro.memory.image import WORD_BYTES, ByteImage
 from repro.persistence.base import IntervalContext, PersistenceMechanism
@@ -76,6 +108,17 @@ WINDOW_BYTES = 16 * 1024
 ENTRY_FRAME_BYTES = WINDOW_BYTES + 2048
 
 _STACK_RANGE = AddressRange(0x7000_0000, 0x7010_0000)
+
+#: Kernel targets: SP sits this far below each stack top and never moves,
+#: so the golden stack contents are exact.
+ACTIVE_WINDOW_BYTES = 64 * 1024
+#: Byte stride between a kernel target's dirty clusters, large enough that
+#: each cluster coalesces into its own run (``stage_run_copy[i]`` per run).
+CLUSTER_STRIDE = 4096
+
+#: Named points that fire between checkpoints (inside a context switch)
+#: rather than inside the checkpoint pipeline.
+BETWEEN_CHECKPOINT_POINTS = frozenset({CTX_SAVE, CTX_RESTORE})
 
 
 def build_trace(seed: int, ops: int = 1200) -> list[Op]:
@@ -203,13 +246,14 @@ class IntervalCommitRecorder(RecordingMechanism):
 
 
 # ---------------------------------------------------------------------- #
-# Scenario assembly
+# Crash targets
 # ---------------------------------------------------------------------- #
 
 
 @dataclass
-class _FuzzSetup:
-    """One fully wired machine, ready to run a schedule."""
+class EngineTarget:
+    """One mechanism on one execution engine, with golden-image recorder,
+    injector and persist-order oracle attached, ready to run *trace*."""
 
     mechanism: str
     engine_name: str
@@ -220,28 +264,109 @@ class _FuzzSetup:
     inner: PersistenceMechanism
     dram: ByteImage
     durable: ByteImage | None  # persistent NVM contents (content mechs)
+    trace: Sequence[Op] = ()
+    interval_ops: int | None = None
+
+    @property
+    def staged_protocol(self) -> bool:
+        return self.mechanism in CONTENT_MECHANISMS
+
+    @property
+    def snapshots(self) -> list[IntervalSnapshot]:
+        return self.recorder.snapshots
+
+    @property
+    def cycles(self) -> int:
+        return self.engine.now
+
+    def run(self) -> None:
+        self.engine.run(self.trace, interval_ops=self.interval_ops)
+
+    def drop_volatile(self) -> None:
+        self.dram.clear()
+
+    @property
+    def _staging(self):
+        """The object that owns the staged protocol (content mechanisms)."""
+        if self.mechanism == "prosper":
+            return self.inner.checkpoint_engine
+        return self.inner
 
     def recover(self) -> int | None:
-        if self.mechanism == "prosper":
-            return self.inner.checkpoint_engine.recover_staged()
-        if self.mechanism == "dirtybit":
-            return self.inner.recover_staged()
+        if self.staged_protocol:
+            return self._staging.recover_staged()
         return self.recorder.recover()
 
-    def staged_checkpoint(self):
-        if self.mechanism == "prosper":
-            return self.inner.checkpoint_engine.staged
-        if self.mechanism == "dirtybit":
-            return self.inner.staged
-        return None
+    def check(self, resumed: int | None) -> list[str]:
+        if not self.staged_protocol:
+            commits = self.recorder.commits
+            problems = []
+            if any(b <= a for a, b in zip(commits, commits[1:])):
+                problems.append(f"commit records not strictly increasing: {commits}")
+            if commits and resumed != commits[-1]:
+                problems.append(
+                    f"resumed {resumed} but newest durable commit is {commits[-1]}"
+                )
+            return problems
+        problems = self._check_content(resumed)
+        staged = self._staging.staged
+        if (
+            staged is not None
+            and staged.committed
+            and staged.interval_index != resumed
+        ):
+            problems.append(
+                f"committed staging buffer says interval "
+                f"{staged.interval_index}, recovery says {resumed}"
+            )
+        return problems
+
+    def _check_content(self, resumed: int | None) -> list[str]:
+        """Golden-image comparison: the durable NVM contents must equal the
+        snapshot of the recovered checkpoint — no lost words, no ghosts."""
+        durable = self.durable
+        assert durable is not None
+        if resumed is None:
+            stray = sum(1 for _ in durable.iter_words())
+            if stray:
+                return [
+                    f"no checkpoint committed but durable image holds {stray} words"
+                ]
+            return []
+
+        snap = self.recorder.snapshots[resumed]
+        problems: list[str] = []
+        golden = dict(snap.image.iter_words())
+        for address, value in sorted(golden.items()):
+            if address < snap.final_sp:
+                continue  # dead frames: legitimately dropped by SP awareness
+            got = durable.read(address, -1)
+            if got != value:
+                problems.append(
+                    f"word {address:#x}: durable {got} != checkpointed {value}"
+                )
+                break
+        for address, value in sorted(durable.iter_words()):
+            if address >= snap.final_sp and address not in golden:
+                problems.append(
+                    f"ghost word {address:#x}={value} in durable image "
+                    f"(epoch blending)"
+                )
+                break
+        return problems
 
 
 def build_setup(
-    mechanism: str, engine_name: str, weaken: bool = False
-) -> _FuzzSetup:
-    """Wire one (mechanism, engine) machine with recorder, injector and
-    persist-order oracle attached.  *weaken* enables the test-only
-    trust-completeness recovery mutant (prosper only)."""
+    mechanism: str,
+    engine_name: str,
+    weaken: bool = False,
+    trace: Sequence[Op] = (),
+    interval_ops: int | None = None,
+) -> EngineTarget:
+    """Wire one (mechanism, engine) target with recorder, injector and
+    persist-order oracle attached, to run *trace* in *interval_ops*-op
+    intervals.  *weaken* enables the test-only trust-completeness
+    recovery mutant (prosper only)."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if engine_name not in ENGINES:
@@ -293,10 +418,206 @@ def build_setup(
     nvm.order_oracle = oracle
     if weaken:
         inner.checkpoint_engine.unsafe_trust_completeness = True
-    return _FuzzSetup(
+    return EngineTarget(
         mechanism, engine_name, engine, injector, oracle, recorder, inner,
-        dram, durable,
+        dram, durable, trace, interval_ops,
     )
+
+
+@dataclass(frozen=True)
+class KernelSnapshot:
+    """A kernel target's golden state just before one checkpoint: each
+    thread's op index and live stack words."""
+
+    op_index: dict[int, int]
+    words: dict[int, dict[int, int]]
+
+
+class KernelTarget:
+    """Persistent threads on a kernel machine, checkpointed process-wide.
+
+    Each interval rewrites the same stack addresses of every thread with
+    values encoding (thread, interval, write index), so any blend of two
+    checkpoint epochs — or of two threads' epochs — shows up as a
+    mismatched word.  The golden snapshots come from a plain Python copy
+    of those writes, taken before every checkpoint, so a pipeline bug
+    cannot corrupt the expectation.  *transient_rate* turns on seeded
+    transient NVM write errors on the checkpoint device.
+
+    Subclasses build the machine and dirty the windows each interval.
+    """
+
+    mechanism = "prosper"
+    engine_name = "kernel"
+    staged_protocol = True
+
+    def __init__(
+        self,
+        seed: int,
+        intervals: int,
+        writes_per_interval: int,
+        transient_rate: float,
+    ) -> None:
+        if intervals < 1 or writes_per_interval < 1:
+            raise ValueError("threads, intervals and writes must be positive")
+        if not 0.0 <= transient_rate <= 1.0:
+            raise ValueError("transient rate must be in [0, 1]")
+        self.intervals = intervals
+        self.writes_per_interval = writes_per_interval
+        self.injector = FaultInjector(seed)
+        self.oracle = PersistOrderOracle()
+        self.sim = self._build_machine()
+        nvm = self.sim.manager.hierarchy.nvm
+        if transient_rate:
+            nvm.error_model = NvmErrorModel(
+                seed=seed, transient_write_rate=transient_rate
+            )
+        nvm.order_oracle = self.oracle
+        self.sp: dict[int, int] = {}
+        for thread in self.sim.process.iter_threads():
+            thread.registers.stack_pointer = thread.stack.end - ACTIVE_WINDOW_BYTES
+            self.sp[thread.tid] = thread.registers.stack_pointer
+        self.live: dict[int, dict[int, int]] = {tid: {} for tid in self.sp}
+        self.snapshots: list[KernelSnapshot] = []
+        #: The last :meth:`recover`'s full report.
+        self.report: RecoveryReport | None = None
+
+    def _build_machine(self) -> KernelMachine:
+        raise NotImplementedError
+
+    def _workload_interval(self, k: int) -> None:
+        raise NotImplementedError
+
+    def _dirty_window(self, thread: Thread, tracker: ProsperTracker, k: int) -> None:
+        """Dirty *thread*'s active window with interval-unique values."""
+        sp = self.sp[thread.tid]
+        for j in range(self.writes_per_interval):
+            address = sp + j * CLUSTER_STRIDE
+            value = (thread.tid << 48) | ((k + 1) << 32) | (j + 1)
+            tracker.observe_store(address, 8)
+            self.sim.dram_images[thread.tid].write(address, value)
+            self.live[thread.tid][address] = value
+            thread.registers.op_index += 1
+
+    @property
+    def cycles(self) -> int:
+        return self.sim.manager.hierarchy.now
+
+    def run(self) -> None:
+        """Every interval, then its checkpoint.  An armed injector raises
+        either between checkpoints or inside the last one snapshotted."""
+        for k in range(self.intervals):
+            self._workload_interval(k)
+            self.snapshots.append(KernelSnapshot(
+                {t.tid: t.registers.op_index for t in self.sim.process.iter_threads()},
+                {tid: dict(words) for tid, words in self.live.items()},
+            ))
+            self.sim._checkpoint()
+
+    def drop_volatile(self) -> None:
+        self.sim.crash()
+
+    def recover(self) -> int | None:
+        self.report = self.sim.recover()
+        return self.report.resumed_from_sequence
+
+    def check(self, resumed: int | None) -> list[str]:
+        """Registers and stack contents (DRAM and NVM images alike) must
+        equal snapshot *resumed* exactly (None: pristine state)."""
+        if resumed is None:
+            expected = KernelSnapshot(
+                {tid: 0 for tid in self.sp}, {tid: {} for tid in self.sp}
+            )
+        else:
+            expected = self.snapshots[resumed]
+        for thread in self.sim.process.iter_threads():
+            tid = thread.tid
+            if thread.registers.op_index != expected.op_index[tid]:
+                return [
+                    f"tid {tid}: op_index {thread.registers.op_index} != "
+                    f"expected {expected.op_index[tid]}"
+                ]
+            window = AddressRange(self.sp[tid], thread.stack.end)
+            for label, image in (
+                ("DRAM", self.sim.dram_images[tid]),
+                ("NVM", self.sim.nvm_images[tid]),
+            ):
+                if dict(image.words_in_range(window)) != expected.words[tid]:
+                    return [
+                        f"tid {tid}: {label} stack contents diverge from "
+                        f"checkpoint {resumed} (blend or data loss)"
+                    ]
+        return []
+
+
+class SingleCoreTarget(KernelTarget):
+    """One core; the tracker is programmed for each thread directly (no
+    context switch), so only the staging/commit protocol's points fire."""
+
+    def __init__(
+        self,
+        seed: int = 0,
+        threads: int = 2,
+        intervals: int = 3,
+        writes_per_interval: int = 4,
+        transient_rate: float = 0.0,
+    ) -> None:
+        if threads < 1:
+            raise ValueError("threads, intervals and writes must be positive")
+        self.threads = threads
+        super().__init__(seed, intervals, writes_per_interval, transient_rate)
+
+    def _build_machine(self) -> KernelMachine:
+        return MultiThreadSimulation(
+            [[] for _ in range(self.threads)], injector=self.injector
+        )
+
+    def _workload_interval(self, k: int) -> None:
+        tracker = self.sim.tracker
+        for thread in self.sim.process.iter_threads():
+            tracker.configure(thread.bitmap)
+            self._dirty_window(thread, tracker, k)
+            tracker.request_flush()
+            tracker.poll_quiescent()
+
+
+class MulticoreTarget(KernelTarget):
+    """Two persistent threads per core under the real scheduler.
+
+    Each interval gives every thread one quantum on its home core — a
+    genuine :meth:`Scheduler.switch_to` with tracker save/restore, where
+    ``ctx_save``/``ctx_restore`` live — during which it dirties its
+    window.  The stop-the-world checkpoint then crosses the quiesce
+    barrier (``barrier_quiesce``) on every core.  Two threads per core
+    make every switch both save the outgoing tracker and restore the
+    incoming one.
+    """
+
+    def __init__(
+        self,
+        seed: int = 0,
+        cores: int = 2,
+        intervals: int = 3,
+        writes_per_interval: int = 4,
+        transient_rate: float = 0.0,
+    ) -> None:
+        if cores < 1:
+            raise ValueError("cores must be positive")
+        self.cores = cores
+        super().__init__(seed, intervals, writes_per_interval, transient_rate)
+
+    def _build_machine(self) -> KernelMachine:
+        return MultiCoreSimulation(
+            [[] for _ in range(2 * self.cores)],
+            num_cores=self.cores,
+            injector=self.injector,
+        )
+
+    def _workload_interval(self, k: int) -> None:
+        for core in self.sim.cores:
+            for thread, _ops, _cursor in core.queue:
+                core.scheduler.switch_to(thread)  # ctx_save / ctx_restore
+                self._dirty_window(thread, core.tracker, k)
 
 
 # ---------------------------------------------------------------------- #
@@ -326,14 +647,51 @@ class CrashSpec:
         return cls("point", point=data["point"], occurrence=data.get("occurrence", 0))
 
 
+def expected_resumes(
+    point: str | None, snapshots: int, staged_protocol: bool
+) -> tuple:
+    """The resume-legality rule: checkpoint indices recovery may resume
+    from after a crash at *point* with *snapshots* golden snapshots taken.
+
+    A target snapshots just before each checkpoint, so during checkpoint
+    S-1's pipeline there are S snapshots: the crash may resolve to S-1
+    (staging rolled forward) or S-2 (staging discarded).  A crash between
+    checkpoints — a cycle deadline, a context switch, or power failing
+    after the run (*point* None) — on a staged-protocol target must
+    resume from S-1 exactly: a dropped commit marker is masked by
+    replaying the durable staging buffer, and anything older is data loss.
+    Interval-commit mechanisms have no replay: their newest commit record
+    stays droppable until the next barrier, so S-2 stays legal.  Indices
+    below zero mean "nothing committed yet" and collapse to None (fresh).
+    """
+    between = (
+        point is None or is_cycle_point(point) or point in BETWEEN_CHECKPOINT_POINTS
+    )
+    if staged_protocol and between:
+        candidates: tuple[int, ...] = (snapshots - 1,)
+    else:
+        candidates = (snapshots - 1, snapshots - 2)
+    return tuple(dict.fromkeys(c if c >= 0 else None for c in candidates))
+
+
+def classify_resume(resumed: int | None, snapshots: int) -> str:
+    """Label a legal resume: the newest snapshot is ``rolled_forward``, an
+    older one ``previous``, and None (nothing committed) ``fresh_start``."""
+    if resumed is None:
+        return "fresh_start"
+    if resumed == snapshots - 1:
+        return "rolled_forward"
+    return "previous"
+
+
 @dataclass
 class ScheduleOutcome:
-    """Everything one schedule did and whether it satisfied the oracle."""
+    """Everything one crash case did and whether it satisfied the oracle."""
 
     index: int
     mechanism: str
     engine: str
-    spec: CrashSpec
+    spec: CrashSpec | None
     crashed: bool
     crash_point: str | None
     plan: PersistPlan | None
@@ -346,22 +704,18 @@ class ScheduleOutcome:
 
     @property
     def classification(self) -> str:
-        if not self.crashed:
-            return "no_crash"
         if not self.ok:
             return "violation"
-        if self.resumed is None:
-            return "fresh_start"
-        if self.resumed == self.snapshots - 1:
-            return "rolled_forward"
-        return "previous"
+        if not self.crashed:
+            return "no_crash"
+        return classify_resume(self.resumed, self.snapshots)
 
     def to_dict(self) -> dict:
         return {
             "index": self.index,
             "mechanism": self.mechanism,
             "engine": self.engine,
-            "crash": self.spec.to_dict(),
+            "crash": self.spec.to_dict() if self.spec is not None else None,
             "crashed": self.crashed,
             "crash_point": self.crash_point,
             "plan": self.plan.to_dict() if self.plan is not None else None,
@@ -375,21 +729,85 @@ class ScheduleOutcome:
         }
 
 
-def _legal_indices(snapshots: int, *candidates: int) -> tuple:
-    """Map candidate checkpoint indices to legal resume values; indices
-    below zero mean "nothing committed yet" and collapse to None."""
-    legal = []
-    for candidate in candidates:
-        value = candidate if candidate >= 0 else None
-        if value not in legal:
-            legal.append(value)
-    return tuple(legal)
+def probe(target: EngineTarget | KernelTarget) -> tuple[int, list[str]]:
+    """Unarmed run: the total cycle count (the cycle-crash sample space)
+    and every named point that fired, in order (the point-crash one)."""
+    target.run()
+    return target.cycles, list(target.injector.fired)
+
+
+def run_crash(
+    target: EngineTarget | KernelTarget,
+    spec: CrashSpec | None,
+    index: int = 0,
+    plan_rng: random.Random | None = None,
+    forced_plan: PersistPlan | None = None,
+) -> ScheduleOutcome:
+    """Crash *target* once, recover it and judge the result.
+
+    Arms *spec* (None: power fails once the run is over), runs, resolves
+    the persist plan — *forced_plan*, else one sampled from *plan_rng*,
+    else the neat ``PersistPlan()`` — disarms, drops volatile state,
+    recovers, and checks the resume index and the recovered state.
+    """
+    if spec is not None and spec.kind == "cycle":
+        target.injector.arm_cycle(spec.cycle)
+    elif spec is not None:
+        target.injector.arm(spec.point, spec.occurrence)
+
+    crash: CrashInjected | None = None
+    try:
+        target.run()
+    except CrashInjected as exc:
+        crash = exc
+
+    snapshots = len(target.snapshots)
+    if spec is not None and crash is None:
+        # A cycle deadline past the end is no crash; a named point that
+        # never fires means the target no longer reaches it.
+        deadline = spec.kind == "cycle"
+        return ScheduleOutcome(
+            index, target.mechanism, target.engine_name, spec,
+            crashed=False, crash_point=None, plan=None, applied=None,
+            snapshots=snapshots, resumed=None, expected=(), ok=deadline,
+            detail="crash never fired (deadline past end of trace)"
+            if deadline else "armed crash point never fired",
+        )
+
+    # Power fails now: resolve which pending writes landed, drop all
+    # volatile state, then recover from what is durably left.
+    if forced_plan is not None:
+        plan = forced_plan
+    elif plan_rng is not None:
+        plan = target.oracle.sample_plan(plan_rng)
+    else:
+        plan = PersistPlan()
+    applied = target.oracle.apply_plan(plan)
+    target.injector.disarm()
+    target.drop_volatile()
+    resumed = target.recover()
+
+    point = crash.point if crash is not None else None
+    expected = expected_resumes(point, snapshots, target.staged_protocol)
+    problems: list[str] = []
+    if resumed not in expected:
+        problems.append(f"resumed from {resumed}, legal: {list(expected)}")
+    if resumed is None or resumed < snapshots:
+        problems.extend(target.check(resumed))
+    return ScheduleOutcome(
+        index, target.mechanism, target.engine_name, spec,
+        crashed=True, crash_point=point, plan=plan, applied=applied,
+        snapshots=snapshots, resumed=resumed, expected=expected,
+        ok=not problems,
+        detail="; ".join(problems) if problems
+        else "recovered state matches the golden image",
+    )
 
 
 def run_schedule(
     mechanism: str,
     engine_name: str,
-    trace: list[Op],
+    trace: Sequence[Op],
     interval_ops: int,
     spec: CrashSpec,
     index: int = 0,
@@ -397,137 +815,151 @@ def run_schedule(
     forced_plan: PersistPlan | None = None,
     weaken: bool = False,
 ) -> ScheduleOutcome:
-    """Run one crash schedule end-to-end: execute, crash, resolve the
-    persist plan, recover, verify against the golden image."""
-    setup = build_setup(mechanism, engine_name, weaken=weaken)
-    if spec.kind == "cycle":
-        setup.injector.arm_cycle(spec.cycle)
-    else:
-        setup.injector.arm(spec.point, spec.occurrence)
+    """One engine-target schedule end to end.  Without *forced_plan* the
+    persist plan is sampled from *plan_rng* (``Random(0)`` when absent)."""
+    target = build_setup(
+        mechanism, engine_name, weaken=weaken, trace=trace, interval_ops=interval_ops
+    )
+    if forced_plan is None and plan_rng is None:
+        plan_rng = random.Random(0)
+    return run_crash(target, spec, index, plan_rng, forced_plan)
 
-    crash: CrashInjected | None = None
-    try:
-        setup.engine.run(trace, interval_ops=interval_ops)
-    except CrashInjected as exc:
-        crash = exc
 
-    snapshots = len(setup.recorder.snapshots)
-    if crash is None:
-        return ScheduleOutcome(
-            index, mechanism, engine_name, spec,
-            crashed=False, crash_point=None, plan=None, applied=None,
-            snapshots=snapshots, resumed=None, expected=(),
-            ok=True, detail="crash never fired (deadline past end of trace)",
-        )
-
-    # Power fails now: resolve which pending writes landed, drop all
-    # volatile state, then recover from what is durably left.
-    if forced_plan is not None:
-        plan = forced_plan
-    else:
-        plan = setup.oracle.sample_plan(plan_rng or random.Random(0))
-    applied = setup.oracle.apply_plan(plan)
-    setup.injector.disarm()
-    setup.dram.clear()
-    resumed = setup.recover()
-
-    ok, expected, detail = _verify(setup, crash, resumed, snapshots)
-    return ScheduleOutcome(
-        index, mechanism, engine_name, spec,
-        crashed=True, crash_point=crash.point, plan=plan, applied=applied,
-        snapshots=snapshots, resumed=resumed, expected=expected,
-        ok=ok, detail=detail,
+def _probe(
+    mechanism: str, engine_name: str, trace: Sequence[Op], interval_ops: int
+) -> tuple[int, list[str]]:
+    """:func:`probe` of one (mechanism, engine) target running *trace*."""
+    return probe(
+        build_setup(mechanism, engine_name, trace=trace, interval_ops=interval_ops)
     )
 
 
-def _verify(
-    setup: _FuzzSetup,
-    crash: CrashInjected,
-    resumed: int | None,
-    snapshots: int,
-) -> tuple[bool, tuple, str]:
-    """Judge one recovered machine.  Returns (ok, legal resumes, detail)."""
-    content = setup.mechanism in CONTENT_MECHANISMS
-    mid_interval = is_cycle_point(crash.point)
-
-    # Legality of the resume index.  The recorder snapshots *before* the
-    # inner checkpoint runs, so during checkpoint S-1's pipeline there are
-    # S snapshots: a named-point crash may resolve to S-1 (staging rolled
-    # forward) or S-2 (staging discarded).  A mid-interval crash over a
-    # staged protocol always resolves to S-1 — a dropped commit marker is
-    # masked by replaying the durable staging buffer.  Interval-commit
-    # mechanisms have no replay: their newest commit record stays
-    # droppable until the next barrier, so S-2 stays legal mid-interval.
-    if content and mid_interval:
-        expected = _legal_indices(snapshots, snapshots - 1)
-    else:
-        expected = _legal_indices(snapshots, snapshots - 1, snapshots - 2)
-
-    problems: list[str] = []
-    if resumed not in expected:
-        problems.append(
-            f"resumed from {resumed}, legal: {list(expected)}"
-        )
-
-    if content:
-        problems.extend(_verify_content(setup, resumed))
-        staged = setup.staged_checkpoint()
-        if (
-            staged is not None
-            and staged.committed
-            and staged.interval_index != resumed
-        ):
-            problems.append(
-                f"committed staging buffer says interval "
-                f"{staged.interval_index}, recovery says {resumed}"
-            )
-    else:
-        commits = setup.recorder.commits
-        if any(b <= a for a, b in zip(commits, commits[1:])):
-            problems.append(f"commit records not strictly increasing: {commits}")
-        if commits and resumed != commits[-1]:
-            problems.append(
-                f"resumed {resumed} but newest durable commit is {commits[-1]}"
-            )
-
-    if problems:
-        return False, expected, "; ".join(problems)
-    return True, expected, "recovered state matches the golden image"
+# ---------------------------------------------------------------------- #
+# Sweeps and demos
+# ---------------------------------------------------------------------- #
 
 
-def _verify_content(setup: _FuzzSetup, resumed: int | None) -> list[str]:
-    """Golden-image comparison: the durable NVM contents must equal the
-    snapshot of the recovered checkpoint — no lost words, no ghosts."""
-    durable = setup.durable
-    assert durable is not None
-    if resumed is None:
-        stray = sum(1 for _ in durable.iter_words())
-        if stray:
-            return [
-                f"no checkpoint committed but durable image holds {stray} words"
-            ]
-        return []
+@dataclass
+class SweepReport:
+    """Outcome of one exhaustive named-point sweep (:func:`run_sweep`)."""
 
-    snap = setup.recorder.snapshots[resumed]
-    problems: list[str] = []
-    golden = dict(snap.image.iter_words())
-    for address, value in sorted(golden.items()):
-        if address < snap.final_sp:
-            continue  # dead frames: legitimately dropped by SP awareness
-        got = durable.read(address, -1)
-        if got != value:
-            problems.append(
-                f"word {address:#x}: durable {got} != checkpointed {value}"
-            )
-            break
-    for address, value in sorted(durable.iter_words()):
-        if address >= snap.final_sp and address not in golden:
-            problems.append(
-                f"ghost word {address:#x}={value} in durable image "
-                f"(epoch blending)"
-            )
-            break
-    return problems
+    cases: list[ScheduleOutcome] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[ScheduleOutcome]:
+        return [case for case in self.cases if not case.ok]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def points_swept(self) -> int:
+        return len({case.spec.point for case in self.cases})
+
+    def outcome_counts(self) -> dict[str, int]:
+        return dict(Counter(case.classification for case in self.cases))
+
+    def rows(self) -> list[tuple[str, int, int, int, int, int]]:
+        """Per crash point, in first-fired order: (point, cases, rolled
+        forward, previous, fresh start, violations)."""
+        per_point: dict[str, Counter[str]] = {}
+        for case in self.cases:
+            per_point.setdefault(case.spec.point, Counter())[case.classification] += 1
+        return [
+            (point, sum(counts.values()), counts["rolled_forward"],
+             counts["previous"], counts["fresh_start"], counts["violation"])
+            for point, counts in per_point.items()
+        ]
+
+
+def run_sweep(make_target: Callable[[], EngineTarget | KernelTarget]) -> SweepReport:
+    """Crash a fresh target at every (point, occurrence) its probe fired,
+    under the neat plan, and judge each recovery."""
+    _cycles, fired = probe(make_target())
+    report = SweepReport()
+    for point in dict.fromkeys(fired):
+        for occurrence in range(fired.count(point)):
+            spec = CrashSpec("point", point=point, occurrence=occurrence)
+            report.cases.append(run_crash(make_target(), spec, len(report.cases)))
+    return report
+
+
+@dataclass(frozen=True)
+class RetryDemoResult:
+    """Outcome of the seeded transient-NVM-error recovery demo."""
+
+    checkpoints: int
+    retries: int
+    resumed_from: int | None
+    state_ok: bool
+
+
+@dataclass(frozen=True)
+class TornMetadataDemoResult:
+    """Outcome of the torn-metadata-record detection demo."""
+
+    resumed_from: int | None
+    discarded_staged: int
+    state_ok: bool
+
+    @property
+    def detected(self) -> bool:
+        """The torn record was caught by its CRC and discarded."""
+        return self.discarded_staged > 0
+
+
+def transient_retry_demo(
+    seed: int = 0,
+    threads: int = 2,
+    intervals: int = 3,
+    writes_per_interval: int = 4,
+    transient_rate: float = 0.25,
+) -> RetryDemoResult:
+    """Checkpoint under transient NVM write errors, crash, recover.
+
+    The error model makes a deterministic fraction of checkpoint writes
+    fail transiently; the reliable-write path retries with backoff, the
+    retries are charged to the checkpoint's cycles, and recovery after
+    power fails at the end must restore the last checkpoint exactly.
+    """
+    target = SingleCoreTarget(
+        seed, threads, intervals, writes_per_interval, transient_rate
+    )
+    outcome = run_crash(target, None)
+    return RetryDemoResult(
+        checkpoints=outcome.snapshots,
+        retries=sum(record.retries for record in target.sim.manager.checkpoints),
+        resumed_from=outcome.resumed,
+        state_ok=outcome.ok,
+    )
+
+
+def torn_metadata_demo(
+    seed: int = 0,
+    threads: int = 2,
+    writes_per_interval: int = 4,
+) -> TornMetadataDemoResult:
+    """Tear checkpoint 1's metadata record, crash mid-commit, recover.
+
+    The tear is silent at write time; the staging for checkpoint 1 is
+    complete, so a recovery that trusted completeness alone would roll it
+    forward onto registers it cannot validate.  The metadata CRC catches
+    the tear: the staged data is discarded and the process falls back to
+    committed checkpoint 0.
+    """
+    target = SingleCoreTarget(
+        seed, threads, intervals=2, writes_per_interval=writes_per_interval
+    )
+    target.injector.tear_metadata_at(1)
+    # Crash at the commit-flag write of checkpoint 1 (its 2nd occurrence).
+    spec = CrashSpec("point", point=COMMIT_FLAG_WRITE, occurrence=1)
+    outcome = run_crash(target, spec)
+    return TornMetadataDemoResult(
+        resumed_from=outcome.resumed,
+        discarded_staged=target.sim.manager.discarded_staged,
+        state_ok=outcome.resumed == 0 and outcome.ok,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -538,7 +970,7 @@ def _verify_content(setup: _FuzzSetup, resumed: int | None) -> list[str]:
 def shrink_plan(
     mechanism: str,
     engine_name: str,
-    trace: list[Op],
+    trace: Sequence[Op],
     interval_ops: int,
     spec: CrashSpec,
     plan: PersistPlan,
@@ -594,17 +1026,6 @@ class FuzzConfig:
     weaken: bool = False  # test-only recovery mutant (prosper)
     shrink: bool = True
     only_schedule: int | None = None  # replay a single schedule index
-
-
-def _probe(
-    mechanism: str, engine_name: str, trace: list[Op], interval_ops: int
-) -> tuple[int, list[str]]:
-    """Dry run with the injector attached but unarmed: yields the total
-    cycle count (the cycle-crash sample space) and every named point that
-    fired, in order (the point-crash sample space)."""
-    setup = build_setup(mechanism, engine_name)
-    setup.engine.run(trace, interval_ops=interval_ops)
-    return setup.engine.now, list(setup.injector.fired)
 
 
 def _point_family(point: str) -> str:
@@ -707,7 +1128,7 @@ def run_campaign(config: FuzzConfig) -> dict:
                             plan_kinds["dropped"] += 1
                         if outcome.plan.torn is not None:
                             plan_kinds["torn"] += 1
-            if outcome.crashed and not outcome.ok:
+            if not outcome.ok:
                 entry = outcome.to_dict()
                 if config.shrink and outcome.plan is not None:
                     shrunk = shrink_plan(

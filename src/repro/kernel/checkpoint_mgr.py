@@ -17,7 +17,7 @@ a single commit flag flips, then the staged data is applied to each
 thread's persistent stack.  A crash at any point therefore leaves either
 the previous or the new checkpoint fully intact across **all** threads —
 never a mix.  :mod:`repro.kernel.restore` consumes the records produced
-here; :mod:`repro.faults.sweep` crashes at every step and checks exactly
+here; :mod:`repro.faults.fuzzer` crashes at every step and checks exactly
 that invariant.
 """
 

@@ -22,7 +22,6 @@ what state was restored, which the integration tests assert on.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.cpu.registers import RegisterFile
@@ -63,26 +62,16 @@ class CrashSimulator:
         self.nvm_images = nvm_images if nvm_images is not None else manager.nvm_images
         self.crashed = False
 
-    def crash(self, order_oracle=None, plan=None, rng=None) -> None:
+    def crash(self) -> None:
         """Drop all volatile state.
 
         Register files are zeroed, dirty bitmaps cleared, and the DRAM stack
         images emptied — they lived in DRAM/core.  NVM-resident checkpoint
         records in the manager (and the persistent NVM images) survive.
-
-        When a persist-order *order_oracle* (:mod:`repro.faults.order`) is
-        given, power loss also resolves the writes still pending behind the
-        last persist barrier: a *plan* (or one sampled from *rng*) decides
-        which of them actually landed — any subset, with an optional torn
-        tail — instead of the neat everything-landed assumption.  Recovery
-        then sees exactly the durable state a real power cut would leave.
+        Which writes still pending behind the last persist barrier landed
+        is decided before this, by the crash checker's persist plan
+        (:mod:`repro.faults.fuzzer`).
         """
-        if order_oracle is not None:
-            if plan is None:
-                plan = order_oracle.sample_plan(
-                    rng if rng is not None else random.Random(0)
-                )
-            order_oracle.apply_plan(plan)
         self.crashed = True
         for thread in self.process.iter_threads():
             thread.registers.stack_pointer = 0

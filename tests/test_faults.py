@@ -1,6 +1,8 @@
 """Tests for the fault-injection subsystem: crash-point injection, the
 crash-consistency sweep, torn-record detection, and verified recovery."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import TrackerConfig, setup_i
@@ -12,16 +14,20 @@ from repro.faults.injector import (
     FaultInjector,
     stage_run_copy,
 )
-from repro.faults.nvm_errors import WRITE_OK, WRITE_TORN, NvmErrorModel
-from repro.faults.sweep import (
-    OUTCOME_FRESH_START,
-    OUTCOME_PREVIOUS,
-    OUTCOME_ROLLED_FORWARD,
-    CrashConsistencyChecker,
-    legal_resumes,
+from repro.faults.fuzzer import (
+    CrashSpec,
+    MulticoreTarget,
+    SingleCoreTarget,
+    build_trace,
+    classify_resume,
+    expected_resumes,
+    run_crash,
+    run_schedule,
+    run_sweep,
     torn_metadata_demo,
     transient_retry_demo,
 )
+from repro.faults.nvm_errors import WRITE_OK, WRITE_TORN, NvmErrorModel
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process
 from repro.kernel.restore import CrashSimulator
@@ -211,15 +217,24 @@ class TestCrashSimulatorMemoryRestoration:
         assert mgr.dram_images[thread.tid].read(sp + 8192) == 0xDEAD
 
 
+def legal_labels(point, crashed_in):
+    """Legal resumes and their labels for a kernel-target crash at *point*
+    while checkpoint *crashed_in* was the newest one snapshotted."""
+    snapshots = crashed_in + 1
+    return {
+        resumed: classify_resume(resumed, snapshots)
+        for resumed in expected_resumes(point, snapshots, staged_protocol=True)
+    }
+
+
 class TestSweep:
     def test_small_sweep_has_zero_violations(self):
-        checker = CrashConsistencyChecker(
-            seed=0, threads=2, intervals=2, writes_per_interval=2
+        report = run_sweep(
+            partial(SingleCoreTarget, seed=0, threads=2, intervals=2, writes_per_interval=2)
         )
-        report = checker.run()
-        assert report.ok, [str(v) for v in report.violations]
+        assert report.ok, [v.detail for v in report.violations]
         # Every protocol family shows up, including per-run copy points.
-        points = {case.point for case in report.cases}
+        points = {case.spec.point for case in report.cases}
         assert {
             "metadata_write",
             "stage_begin",
@@ -230,40 +245,65 @@ class TestSweep:
             "persist_barrier",
             "bitmap_clear",
         } <= points
-        outcomes = {case.outcome for case in report.cases}
-        assert OUTCOME_ROLLED_FORWARD in outcomes
-        assert OUTCOME_PREVIOUS in outcomes
+        outcomes = {case.classification for case in report.cases}
+        assert "rolled_forward" in outcomes
+        assert "previous" in outcomes
 
     def test_sweep_is_deterministic(self):
-        checker = CrashConsistencyChecker(
-            seed=5, threads=1, intervals=2, writes_per_interval=2
+        make_target = partial(
+            SingleCoreTarget, seed=5, threads=1, intervals=2, writes_per_interval=2
         )
-        assert checker.run().cases == checker.run().cases
+        assert run_sweep(make_target).cases == run_sweep(make_target).cases
 
     def test_sweep_under_transient_errors_still_consistent(self):
-        checker = CrashConsistencyChecker(
+        report = run_sweep(partial(
+            SingleCoreTarget,
             seed=1,
             threads=1,
             intervals=2,
             writes_per_interval=2,
             transient_rate=0.2,
-        )
-        report = checker.run()
-        assert report.ok, [str(v) for v in report.violations]
+        ))
+        assert report.ok, [v.detail for v in report.violations]
 
     def test_resume_legality_rule(self):
         # Inside checkpoint k: k, k - 1, or pristine when k = 0.
-        assert legal_resumes("commit_flag_write", 2) == {
-            2: OUTCOME_ROLLED_FORWARD,
-            1: OUTCOME_PREVIOUS,
+        assert legal_labels("commit_flag_write", 2) == {
+            2: "rolled_forward",
+            1: "previous",
         }
-        assert legal_resumes("stage_begin", 0) == {
-            0: OUTCOME_ROLLED_FORWARD,
-            None: OUTCOME_FRESH_START,
+        assert legal_labels("stage_begin", 0) == {
+            0: "rolled_forward",
+            None: "fresh_start",
         }
         # Between checkpoints: only the latest committed one (or pristine).
-        assert legal_resumes("ctx_save", 1) == {1: OUTCOME_PREVIOUS}
-        assert legal_resumes("ctx_restore", -1) == {None: OUTCOME_FRESH_START}
+        assert legal_labels("ctx_save", 1) == {1: "rolled_forward"}
+        assert legal_labels("ctx_restore", -1) == {None: "fresh_start"}
+
+    def test_legality_rule_between_checkpoints_depends_on_protocol(self):
+        # A cycle crash, or power failing after the run, is between
+        # checkpoints: a staged protocol replays the newest one, while an
+        # interval-commit record may still be lost.
+        assert expected_resumes("cycle[500]", 3, staged_protocol=True) == (2,)
+        assert expected_resumes(None, 3, staged_protocol=True) == (2,)
+        assert expected_resumes("cycle[500]", 3, staged_protocol=False) == (2, 1)
+        assert expected_resumes("cycle[5]", 1, staged_protocol=False) == (0, None)
+
+    def test_point_that_never_fires_is_a_violation_on_both_targets(self):
+        spec = CrashSpec("point", point="no_such_point")
+        kernel = run_crash(SingleCoreTarget(intervals=1, writes_per_interval=1), spec)
+        engine = run_schedule("prosper", "scalar", build_trace(0, 200), 100, spec)
+        for outcome in (kernel, engine):
+            assert not outcome.crashed and not outcome.ok
+            assert outcome.classification == "violation"
+            assert outcome.detail == "armed crash point never fired"
+
+    def test_cycle_deadline_past_the_end_is_no_crash_on_kernel_target(self):
+        # Kernel quanta never poll the cycle deadline: nothing fires.
+        spec = CrashSpec("cycle", cycle=1)
+        outcome = run_crash(SingleCoreTarget(intervals=1, writes_per_interval=1), spec)
+        assert not outcome.crashed and outcome.ok
+        assert outcome.classification == "no_crash"
 
     def test_transient_retry_demo_accounts_retries(self):
         result = transient_retry_demo(seed=0)
@@ -276,6 +316,49 @@ class TestSweep:
         assert result.detected
         assert result.resumed_from == 0
         assert result.state_ok
+
+
+#: Per-point (point, cases, rolled fwd, previous, fresh, violations) rows of
+#: ``repro faults sweep --intervals 2 --writes 3 --multicore`` at seed 0.
+SINGLE_CORE_ROWS = [
+    ("metadata_write", 2, 0, 1, 1, 0),
+    ("stage_begin", 4, 0, 2, 2, 0),
+    ("stage_run_copy[0]", 4, 0, 2, 2, 0),
+    ("stage_run_copy[1]", 4, 0, 2, 2, 0),
+    ("stage_run_copy[2]", 4, 0, 2, 2, 0),
+    ("stage_complete", 4, 2, 1, 1, 0),
+    ("commit_flag_write", 2, 2, 0, 0, 0),
+    ("persist_barrier", 4, 4, 0, 0, 0),
+    ("bitmap_clear", 4, 4, 0, 0, 0),
+]
+MULTICORE_ROWS = [
+    ("ctx_save", 6, 4, 0, 2, 0),
+    ("barrier_quiesce", 4, 0, 2, 2, 0),
+    ("metadata_write", 2, 0, 1, 1, 0),
+    ("stage_begin", 8, 0, 4, 4, 0),
+    ("stage_run_copy[0]", 8, 0, 4, 4, 0),
+    ("stage_run_copy[1]", 8, 0, 4, 4, 0),
+    ("stage_run_copy[2]", 8, 0, 4, 4, 0),
+    ("stage_complete", 8, 2, 3, 3, 0),
+    ("commit_flag_write", 2, 2, 0, 0, 0),
+    ("persist_barrier", 8, 8, 0, 0, 0),
+    ("bitmap_clear", 8, 8, 0, 0, 0),
+    ("ctx_restore", 4, 4, 0, 0, 0),
+]
+
+
+class TestSweepPins:
+    def test_single_core_sweep_rows(self):
+        report = run_sweep(
+            partial(SingleCoreTarget, seed=0, intervals=2, writes_per_interval=3)
+        )
+        assert report.rows() == SINGLE_CORE_ROWS
+
+    def test_multicore_sweep_rows(self):
+        report = run_sweep(
+            partial(MulticoreTarget, seed=0, intervals=2, writes_per_interval=3)
+        )
+        assert report.rows() == MULTICORE_ROWS
 
 
 class TestFaultsCli:

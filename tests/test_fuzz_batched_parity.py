@@ -3,14 +3,24 @@ attaching a persist-order oracle) must route the batched engine through the
 exact scalar path, so crash points, cycle counts, and recovery outcomes are
 identical by construction."""
 
+import random
+
 import pytest
 
 from repro.config import setup_i
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import BatchedExecutionEngine
-from repro.faults.fuzzer import CrashSpec, build_setup, build_trace, run_schedule
+from repro.cpu.ops import ops_to_array
+from repro.faults.fuzzer import (
+    _STACK_RANGE,
+    CrashSpec,
+    build_setup,
+    build_trace,
+    run_schedule,
+)
 from repro.faults.injector import STAGE_COMPLETE, CrashInjected, FaultInjector
 from repro.persistence.prosper import ProsperPersistence
+from repro.workloads.trace import Trace
 
 OPS = 600
 INTERVAL_OPS = 200
@@ -87,8 +97,6 @@ class TestScheduleParity:
         # Fix the schedule completely (point spec + forced neat-ish plan
         # sampled once) and compare full outcome dicts across engines;
         # only the engine label itself may differ.
-        import random
-
         spec = CrashSpec("point", point=STAGE_COMPLETE, occurrence=1)
         outcomes = {}
         for engine_name in ("scalar", "batched"):
@@ -106,3 +114,40 @@ class TestScheduleParity:
         setup = build_setup("prosper", "batched")
         assert isinstance(setup.engine, BatchedExecutionEngine)
         assert setup.engine._scalar_exact_required()
+
+
+class TestTraceFormParity:
+    """The scalar hand-off takes an Op list as is and unpacks arrays and
+    Traces: all three forms of one trace must behave identically."""
+
+    FORMS = {
+        "list": TRACE,
+        "array": ops_to_array(TRACE),
+        "trace": Trace(ops_to_array(TRACE), _STACK_RANGE),
+    }
+
+    def test_unarmed_runs_fire_the_same_points(self):
+        results = {}
+        for form, ops in self.FORMS.items():
+            engine = _engine(BatchedExecutionEngine, FaultInjector())
+            engine.run(ops, interval_ops=INTERVAL_OPS)
+            results[form] = (engine.now, list(engine.fault_injector.fired))
+        assert results["list"] == results["array"] == results["trace"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CrashSpec("point", point=STAGE_COMPLETE, occurrence=1),
+            CrashSpec("cycle", cycle=50_000),
+        ],
+    )
+    def test_same_schedule_same_outcome(self, spec):
+        outcomes = {
+            form: run_schedule(
+                "prosper", "batched", ops, INTERVAL_OPS, spec,
+                plan_rng=random.Random(17),
+            ).to_dict()
+            for form, ops in self.FORMS.items()
+        }
+        assert outcomes["list"] == outcomes["array"] == outcomes["trace"]
+        assert outcomes["list"]["crashed"] and outcomes["list"]["ok"]
