@@ -4,14 +4,16 @@
 Mirrors the paper's correctness test (Section III-D): a process runs with
 periodic Prosper checkpoints, the machine "loses power" — all DRAM and CPU
 state vanishes, only NVM survives — and the process resumes from its last
-committed checkpoint.  A second crash is injected *between* the staging and
-commit steps of a checkpoint to show the two-step protocol rolling forward.
+committed checkpoint.  A second crash is injected by a fault injector
+*between* the staging and commit steps of a checkpoint, to show the
+two-step protocol rolling forward.
 
 Run:  python examples/crash_recovery.py
 """
 
 from repro.config import setup_i
 from repro.core.tracker import ProsperTracker
+from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process
 from repro.kernel.restore import CrashSimulator
@@ -33,7 +35,8 @@ def main() -> None:
     hierarchy = MemoryHierarchy(setup_i())
     tracker = ProsperTracker(proc.tracker_config)
     tracker.configure(proc.thread(1).bitmap)
-    manager = CheckpointManager(proc, hierarchy, tracker)
+    injector = FaultInjector()
+    manager = CheckpointManager(proc, hierarchy, tracker, injector=injector)
     sim = CrashSimulator(proc, manager)
 
     # --- interval 0: work, then a clean checkpoint ---------------------
@@ -53,7 +56,12 @@ def main() -> None:
     # --- interval 1: more work, crash mid-commit ------------------------
     tracker.configure(proc.thread(1).bitmap)
     run_some_work(proc, tracker, ops=300, at=800)
-    record, _ = manager.checkpoint_process(crash_during_commit=True)
+    injector.arm(COMMIT_FLAG_WRITE, occurrence=1)  # checkpoint 0 fired it once
+    try:
+        manager.checkpoint_process()
+    except CrashInjected:
+        pass
+    record = manager.checkpoints[-1]
     print(f"\ncheckpoint {record.sequence}: committed={record.committed} "
           "(crashed between staging and commit)")
 

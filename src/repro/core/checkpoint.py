@@ -24,6 +24,11 @@ data corrupted by a torn NVM write and discard it instead of trusting
 completeness alone.  The recovery path lives in
 :mod:`repro.kernel.restore`.
 
+The staging half of (3), the commit of (4) and the roll-forward rule
+live in :class:`StagingBuffer`, which the page-granularity Dirtybit
+baseline (:mod:`repro.persistence.dirtybit`) stages through as well; the
+engine keeps only what is Prosper-specific.
+
 Fault injection: every step is a named crash point (see
 :mod:`repro.faults.injector`); an armed :class:`FaultInjector` threaded
 through here raises :class:`CrashInjected` mid-protocol, leaving the
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -94,6 +100,16 @@ class StagedRun:
     def verify(self) -> bool:
         return self.crc == staged_run_crc(self.run, self.payload)
 
+    def tear(self) -> None:
+        """Silently corrupt this run, as a torn NVM write would."""
+        if self.payload:
+            address, value = self.payload[-1]
+            self.payload = self.payload[:-1] + (
+                (address, value ^ (TORN_CRC_MASK << 16 | TORN_CRC_MASK)),
+            )
+        else:
+            self.crc ^= TORN_CRC_MASK
+
 
 @dataclass
 class CheckpointResult:
@@ -104,7 +120,6 @@ class CheckpointResult:
     runs: int
     words_inspected: int
     cycles: int
-    committed: bool = True
     #: NVM write retries taken by the reliable-write path (media errors);
     #: their backoff cycles are already included in ``cycles``.
     retries: int = 0
@@ -158,6 +173,170 @@ class StagedCheckpoint:
         """Complete *and* every staged run passes its checksum."""
         return self.complete and all(s.verify() for s in self.staged_runs)
 
+    # Persist-order undo callbacks: the write never reached the media.
+    def lose_descriptor(self) -> None:
+        self.descriptor_lost = True
+
+    def lose_run(self, staged_run: StagedRun) -> None:
+        self.staged_runs = [s for s in self.staged_runs if s is not staged_run]
+
+
+class StagingBuffer:
+    """The NVM staging buffer and its two-step commit (Section III-D).
+
+    Owns the protocol both content mechanisms share: stage every dirty run
+    behind a descriptor (step one), then make the staging durable and flip
+    the commit marker (step two).  Each durable write is recorded with the
+    persist-order oracle on the NVM device, if one is attached, under
+    ``<label_prefix>[k].descriptor``, ``.stage_run[i]`` and ``.commit``;
+    recovery (:meth:`recover`) rolls forward only a complete,
+    checksum-clean staging.  Callers reach ``STAGE_COMPLETE`` themselves,
+    around their own copy costs.
+    """
+
+    def __init__(
+        self,
+        hierarchy: MemoryHierarchy,
+        injector: FaultInjector | None = None,
+        label_prefix: str = "ckpt",
+        content_reader: ContentReader | None = None,
+        content_writer: ContentWriter | None = None,
+    ) -> None:
+        self.hierarchy = hierarchy
+        self.injector = injector
+        #: Namespace for persist-order labels.  Callers owning several
+        #: buffers against one NVM device (the kernel manager's per-thread
+        #: engines) must make it unique per buffer, or concurrent stagings
+        #: of the same interval would collide in the oracle's pending set.
+        self.label_prefix = label_prefix
+        #: Optional actual-contents hooks: when set, staged runs carry real
+        #: checksummed payloads and commits apply them to a persistent
+        #: image.  None stages empty payloads (the timing-only model).
+        self.content_reader = content_reader
+        self.content_writer = content_writer
+        self.last_committed_interval: int | None = None
+        self.staged: StagedCheckpoint | None = None
+        #: TEST-ONLY protocol mutant: recovery trusts staging completeness
+        #: without re-checking the per-run CRCs.  A torn staged tail then
+        #: rolls forward silently — exactly the class of bug the persist-
+        #: order fuzzer exists to catch.  Never set outside tests.
+        self.unsafe_trust_completeness = False
+
+    def reached(self, point: str) -> None:
+        """Fire the named crash point on the attached injector, if any."""
+        if self.injector is not None:
+            self.injector.reached(point)
+
+    def _oracle(self):
+        """The persist-order oracle on the NVM device, if one is attached."""
+        nvm = self.hierarchy.nvm
+        return nvm.order_oracle if nvm is not None else None
+
+    def stage(
+        self,
+        interval_index: int,
+        starts: list[int],
+        ends: list[int],
+        active_low: int | None = None,
+    ) -> StagedCheckpoint:
+        """Step one: stage the runs ``[starts[i], ends[i])``.
+
+        The staging descriptor (run count) lands first; each run is then
+        copied with its CRC.  *active_low* is kept for the caller's
+        deferred bitmap clear.
+        """
+        oracle = self._oracle()
+        if oracle is not None and self.staged is not None and self.staged.committed:
+            # Reusing the staging buffer overwrites the replay source of
+            # the previous checkpoint, so the OS flushes its still-pending
+            # commit marker first.  Zero cycles here: bulk staged traffic
+            # never sits in the demand write buffer.
+            oracle.barrier()
+        self.reached(STAGE_BEGIN)
+        staged = StagedCheckpoint(
+            interval_index, expected_runs=len(starts), active_low=active_low
+        )
+        self.staged = staged
+        label = f"{self.label_prefix}[{interval_index}]"
+        if oracle is not None:
+            oracle.record(
+                f"{label}.descriptor", undo=staged.lose_descriptor, size=8
+            )
+        reader = self.content_reader
+        for index, (start, end) in enumerate(zip(starts, ends)):
+            self.reached(stage_run_copy(index))
+            run = DirtyRun(start, end)
+            payload = tuple(reader(run)) if reader else ()
+            staged_run = StagedRun(run, staged_run_crc(run, payload), payload)
+            staged.staged_runs.append(staged_run)
+            if oracle is not None:
+                oracle.record(
+                    f"{label}.stage_run[{index}]",
+                    undo=partial(staged.lose_run, staged_run),
+                    tear=staged_run.tear,
+                    size=run.size,
+                )
+        return staged
+
+    def commit(self) -> int:
+        """Step two: make the staging durable, apply it, flip the marker.
+
+        Persist-order discipline: the barrier retires the staged runs (and
+        descriptor) to guaranteed-durable *before* the commit marker is
+        issued, so the marker can never outlive the data it vouches for.
+        The marker itself stays pending until the next barrier — losing it
+        is always safe, because recovery replays the (durable) staging
+        buffer and lands on the same checkpoint.  Returns the barrier
+        cycles; a no-op when nothing is pending.
+        """
+        staged = self.staged
+        if staged is None or staged.committed:
+            return 0
+        self.reached(PERSIST_BARRIER)
+        cycles = self.hierarchy.persist_barrier()
+        if self.content_writer is not None:
+            for staged_run in staged.staged_runs:
+                self.content_writer(staged_run)
+        previous = self.last_committed_interval
+        staged.committed = True
+        self.last_committed_interval = staged.interval_index
+        oracle = self._oracle()
+        if oracle is not None:
+            def undo_marker() -> None:
+                staged.committed = False
+                self.last_committed_interval = previous
+
+            oracle.record(
+                f"{self.label_prefix}[{staged.interval_index}].commit",
+                undo=undo_marker,
+                size=8,
+            )
+        return cycles
+
+    def recover(self) -> int | None:
+        """Complete an interrupted commit from the staging buffer.
+
+        Rolls forward only when the staging is complete and every staged
+        run passes its checksum — a partial or torn staging is discarded
+        (the previous committed checkpoint wins).  Returns the interval
+        index recovered to, or None when nothing was ever committed.
+        """
+        staged = self.staged
+        if staged is None or staged.committed:
+            return self.last_committed_interval
+        valid = (
+            staged.complete if self.unsafe_trust_completeness else staged.verify()
+        )
+        if valid:
+            self.commit()
+        else:
+            self.discard()
+        return self.last_committed_interval
+
+    def discard(self) -> None:
+        """Drop an incomplete or corrupt staging buffer."""
+        self.staged = None
+
 
 class ProsperCheckpointEngine:
     """Drives tracker + bitmap to produce crash-consistent stack checkpoints."""
@@ -176,37 +355,13 @@ class ProsperCheckpointEngine:
         self.tracker = tracker
         self.bitmap = bitmap
         self.hierarchy = hierarchy
-        #: Namespace for persist-order labels.  Callers owning several
-        #: engines against one NVM device (the kernel manager's per-thread
-        #: engines) must make it unique per engine, or concurrent stagings
-        #: of the same interval would collide in the oracle's pending set.
-        self.label_prefix = label_prefix
         #: Scale for fixed per-event costs under a compressed clock
         #: (see repro.experiments.runner); 1.0 = real latencies.
         self.fixed_scale = fixed_scale
-        self.injector = injector
-        self.content_reader = content_reader
-        self.content_writer = content_writer
+        self.staging = StagingBuffer(
+            hierarchy, injector, label_prefix, content_reader, content_writer
+        )
         self.results: list[CheckpointResult] = []
-        #: The persistent (committed) image state, for recovery tests: maps
-        #: nothing concrete — we record the last committed interval and the
-        #: staged-but-uncommitted checkpoint if any.
-        self.last_committed_interval: int | None = None
-        self.staged: StagedCheckpoint | None = None
-        #: TEST-ONLY protocol mutant: recovery trusts staging completeness
-        #: without re-checking the per-run CRCs.  A torn staged tail then
-        #: rolls forward silently — exactly the class of bug the persist-
-        #: order fuzzer exists to catch.  Never set outside tests.
-        self.unsafe_trust_completeness = False
-
-    def _reached(self, point: str) -> None:
-        if self.injector is not None:
-            self.injector.reached(point)
-
-    def _oracle(self):
-        """The persist-order oracle on the NVM device, if one is attached."""
-        nvm = self.hierarchy.nvm
-        return nvm.order_oracle if nvm is not None else None
 
     # ------------------------------------------------------------------ #
     # Step one: stage dirty runs into the NVM staging buffer
@@ -253,51 +408,15 @@ class ProsperCheckpointEngine:
             ends = ends[live]
 
         # Step 3 — copy dirty runs into the NVM staging buffer.  The
-        # staging descriptor (run count) lands first; each run is then
-        # copied with its CRC.  The copies are pipelined: one fixed device
-        # latency for the batch, plus bandwidth-limited streaming of the
-        # bytes and a small software setup cost per run.
-        oracle = self._oracle()
-        if (
-            oracle is not None
-            and self.staged is not None
-            and self.staged.committed
-        ):
-            # Reusing the staging buffer overwrites the replay source of
-            # the previous checkpoint, so the OS flushes its still-pending
-            # commit marker first.  Zero cycles here: bulk staged traffic
-            # never sits in the demand write buffer.
-            oracle.barrier()
-        self._reached(STAGE_BEGIN)
+        # copies are pipelined: one fixed device latency for the batch,
+        # plus bandwidth-limited streaming of the bytes and a small
+        # software setup cost per run.
         num_runs = len(starts)
-        staged = StagedCheckpoint(
-            interval_index, expected_runs=num_runs, active_low=active_low
-        )
-        self.staged = staged
-        if oracle is not None:
-            oracle.record(
-                f"{self.label_prefix}[{interval_index}].descriptor",
-                undo=self._lose_descriptor(staged),
-                size=8,
-            )
         cycles += num_runs * PER_RUN_SETUP_CYCLES
         copied = int((ends - starts).sum())
-        reader = self.content_reader
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        for index in range(num_runs):
-            self._reached(stage_run_copy(index))
-            run = DirtyRun(starts_list[index], ends_list[index])
-            payload = tuple(reader(run)) if reader else ()
-            staged_run = StagedRun(run, staged_run_crc(run, payload), payload)
-            staged.staged_runs.append(staged_run)
-            if oracle is not None:
-                oracle.record(
-                    f"{self.label_prefix}[{interval_index}].stage_run[{index}]",
-                    undo=self._lose_staged_run(staged, staged_run),
-                    tear=self._tear_staged_run(staged_run),
-                    size=run.size,
-                )
+        staged = self.staging.stage(
+            interval_index, starts.tolist(), ends.tolist(), active_low
+        )
         retries = 0
         if copied:
             copy = self.hierarchy.reliable_copy_dram_to_nvm(
@@ -308,67 +427,20 @@ class ProsperCheckpointEngine:
             if copy.torn and staged.staged_runs:
                 # The write in flight when the media tore was the last one;
                 # corrupt its staged record so only the CRC can tell.
-                self._tear(staged.staged_runs[-1])
-        self._reached(STAGE_COMPLETE)
+                staged.staged_runs[-1].tear()
+        self.staging.reached(STAGE_COMPLETE)
         return StageResult(cycles, copied, num_runs, words, retries)
-
-    # Undo/tear callbacks handed to the persist-order oracle.  Factory
-    # methods (not lambdas in the staging loop) so each closure binds its
-    # own run.
-    @staticmethod
-    def _lose_descriptor(staged: StagedCheckpoint):
-        def undo() -> None:
-            staged.descriptor_lost = True
-
-        return undo
-
-    @staticmethod
-    def _lose_staged_run(staged: StagedCheckpoint, staged_run: StagedRun):
-        def undo() -> None:
-            staged.staged_runs = [
-                s for s in staged.staged_runs if s is not staged_run
-            ]
-
-        return undo
-
-    @classmethod
-    def _tear_staged_run(cls, staged_run: StagedRun):
-        def tear() -> None:
-            cls._tear(staged_run)
-
-        return tear
-
-    @staticmethod
-    def _tear(staged_run: StagedRun) -> None:
-        """Silently corrupt a staged run, as a torn NVM write would."""
-        if staged_run.payload:
-            address, value = staged_run.payload[-1]
-            staged_run.payload = staged_run.payload[:-1] + (
-                (address, value ^ (TORN_CRC_MASK << 16 | TORN_CRC_MASK)),
-            )
-        else:
-            staged_run.crc ^= TORN_CRC_MASK
 
     # ------------------------------------------------------------------ #
     # Step two: commit the staged buffer onto the persistent stack
     # ------------------------------------------------------------------ #
 
     def commit_staged(self) -> int:
-        """Apply the current staging buffer (no-op when already committed)."""
-        if self.staged is None or self.staged.committed:
+        """Copy the staged runs onto the per-thread persistent stack in NVM
+        and commit them (no-op when nothing is pending)."""
+        staged = self.staging.staged
+        if staged is None or staged.committed:
             return 0
-        return self._commit(self.staged)
-
-    def _commit(self, staged: StagedCheckpoint) -> int:
-        """Apply the staged runs to the per-thread persistent stack in NVM.
-
-        Persist-order discipline: the barrier retires the staged runs (and
-        descriptor) to guaranteed-durable *before* the commit marker is
-        issued, so the marker can never outlive the data it vouches for.
-        The marker itself stays pending until the next barrier — losing it
-        is always safe, because recovery replays the (durable) staging
-        buffer and lands on the same checkpoint.
-        """
         total = sum(run.size for run in staged.runs)
         cycles = 0
         if total:
@@ -376,31 +448,13 @@ class ProsperCheckpointEngine:
                 total, self.fixed_scale
             )
             cycles += copy.cycles
-        self._reached(PERSIST_BARRIER)
-        cycles += self.hierarchy.persist_barrier()
-        if self.content_writer is not None:
-            for staged_run in staged.staged_runs:
-                self.content_writer(staged_run)
-        previous = self.last_committed_interval
-        staged.committed = True
-        self.last_committed_interval = staged.interval_index
-        oracle = self._oracle()
-        if oracle is not None:
-            def undo_marker() -> None:
-                staged.committed = False
-                self.last_committed_interval = previous
-
-            oracle.record(
-                f"{self.label_prefix}[{staged.interval_index}].commit",
-                undo=undo_marker,
-                size=8,
-            )
-        return cycles
+        return cycles + self.staging.commit()
 
     def finish_interval(self) -> int:
         """Clear consumed bitmap words and start the next interval."""
-        self._reached(BITMAP_CLEAR)
-        active_low = self.staged.active_low if self.staged is not None else None
+        self.staging.reached(BITMAP_CLEAR)
+        staged = self.staging.staged
+        active_low = staged.active_low if staged is not None else None
         cleared = self.bitmap.clear(active_low)
         self.tracker.begin_interval()
         return cleared * CLEAR_CYCLES_PER_WORD
@@ -414,34 +468,12 @@ class ProsperCheckpointEngine:
         interval_index: int,
         active_low_hint: int | None = None,
         final_sp: int | None = None,
-        crash_after_stage: bool = False,
     ) -> CheckpointResult:
-        """Run one end-of-interval checkpoint; returns size/time accounting.
-
-        Setting *crash_after_stage* simulates a power failure between
-        staging and commit, leaving :attr:`staged` for the recovery path.
-        (It is the legacy single-crash-point shim; arbitrary crash points
-        are injected via a :class:`FaultInjector`.)
-        """
+        """Run one end-of-interval checkpoint; returns size/time accounting."""
         stage = self.stage(interval_index, active_low_hint, final_sp)
         cycles = stage.cycles
-
-        if crash_after_stage:
-            result = CheckpointResult(
-                interval_index,
-                stage.copied_bytes,
-                stage.runs,
-                stage.words_inspected,
-                cycles,
-                committed=False,
-                retries=stage.retries,
-            )
-            self.results.append(result)
-            return result
-
         # Step 4 — apply staging buffer onto the persistent stack and commit.
-        cycles += self._commit(self.staged)
-
+        cycles += self.commit_staged()
         # Step 5 — clear consumed bitmap words.
         cycles += self.finish_interval()
 
@@ -455,36 +487,6 @@ class ProsperCheckpointEngine:
         )
         self.results.append(result)
         return result
-
-    # ------------------------------------------------------------------ #
-    # Recovery
-    # ------------------------------------------------------------------ #
-
-    def recover_staged(self) -> int | None:
-        """Complete an interrupted commit from the staging buffer.
-
-        Rolls forward only when the staging buffer is complete and every
-        staged run passes its checksum — a partial or torn staging is
-        discarded (the previous committed checkpoint wins).  Returns the
-        interval index recovered to, or None when nothing was ever
-        committed.
-        """
-        if self.staged is None or self.staged.committed:
-            return self.last_committed_interval
-        valid = (
-            self.staged.complete
-            if self.unsafe_trust_completeness
-            else self.staged.verify()
-        )
-        if not valid:
-            self.discard_staged()
-            return self.last_committed_interval
-        self._commit(self.staged)
-        return self.last_committed_interval
-
-    def discard_staged(self) -> None:
-        """Drop an incomplete or corrupt staging buffer."""
-        self.staged = None
 
     def _active_low(self, hint: int | None) -> int | None:
         tracker_low = self.tracker.min_dirty_address

@@ -26,35 +26,15 @@ from repro.core.checkpoint import ProsperCheckpointEngine
 from repro.core.policies import AllocationPolicy
 from repro.core.tracker import ProsperTracker
 from repro.cpu.ops import OpKind
+from repro.experiments.overhead import replay_tracker
 from repro.experiments.runner import run_mechanism, vanilla_cycles
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.persistence.dirtybit import DirtyBitPersistence
 from repro.persistence.writeprotect import WriteProtectPersistence
 from repro.workloads.apps import g500_sssp, gapbs_pr, ycsb_mem
 from repro.workloads.spec import spec_workload
-from repro.workloads.trace import Trace
 
 DEFAULT_OPS = 60_000
-
-
-def _replay(trace: Trace, config: TrackerConfig, policy: AllocationPolicy,
-            num_intervals: int = 20) -> tuple[int, int]:
-    """Drive a bare tracker over the trace's stack stores; (loads, stores)."""
-    bitmap = DirtyBitmap(trace.stack_range, config.granularity_bytes)
-    tracker = ProsperTracker(config, policy)
-    tracker.configure(bitmap)
-    boundary = max(1, len(trace.ops) // num_intervals)
-    for i, op in enumerate(trace.ops):
-        if op.kind == OpKind.WRITE and trace.stack_range.contains(op.address):
-            tracker.observe_store(op.address, op.size)
-        if (i + 1) % boundary == 0:
-            tracker.request_flush()
-            tracker.poll_quiescent()
-            bitmap.clear()
-            tracker.begin_interval()
-    tracker.request_flush()
-    tracker.poll_quiescent()
-    return tracker.stats.bitmap_loads, tracker.stats.bitmap_stores
 
 
 # --------------------------------------------------------------------- #
@@ -83,7 +63,7 @@ def allocation_policy_ablation(target_ops: int = DEFAULT_OPS, seed: int = 42) ->
     cells = []
     for trace in traces:
         for policy in AllocationPolicy:
-            loads, stores = _replay(trace, TrackerConfig(), policy)
+            loads, stores = replay_tracker(trace, TrackerConfig(), policy)
             cells.append(PolicyCell(trace.name, policy.value, loads, stores))
     return cells
 
@@ -110,7 +90,7 @@ def table_size_ablation(
     for trace in traces:
         for entries in sizes:
             cfg = TrackerConfig(lookup_table_entries=entries)
-            loads, stores = _replay(trace, cfg, AllocationPolicy.ACCUMULATE_AND_APPLY)
+            loads, stores = replay_tracker(trace, cfg)
             cells.append(TableSizeCell(trace.name, entries, loads + stores))
     return cells
 

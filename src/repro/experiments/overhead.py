@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.config import TrackerConfig
 from repro.core.bitmap import DirtyBitmap
 from repro.core.energy import EnergyModel, EnergyReport
+from repro.core.policies import AllocationPolicy
 from repro.core.tracker import ProsperTracker
 from repro.cpu.ops import OpKind
 from repro.kernel.process import Process
@@ -27,15 +28,21 @@ from repro.workloads.trace import Trace
 FIG12_GRANULARITIES = (8, 64, 128)
 
 
-def _replay_tracker(trace: Trace, config: TrackerConfig, num_intervals: int = 20) -> tuple[int, int]:
-    """Drive a bare tracker with the trace's stack stores.
+def replay_tracker(
+    trace: Trace,
+    config: TrackerConfig,
+    policy: AllocationPolicy = AllocationPolicy.ACCUMULATE_AND_APPLY,
+    num_intervals: int = 20,
+) -> tuple[int, int]:
+    """Drive a bare tracker with the trace's stack stores; (loads, stores).
 
-    Timing-independent: Figure 13 counts tracker-issued bitmap loads and
-    stores, which depend only on the store stream and the table parameters.
-    The lookup table is flushed at interval boundaries as the OS would.
+    Timing-independent: Figure 13 and the policy/table-size ablations
+    count tracker-issued bitmap loads and stores, which depend only on the
+    store stream, the table parameters and the allocation *policy*.  The
+    lookup table is flushed at interval boundaries as the OS would.
     """
     bitmap = DirtyBitmap(trace.stack_range, config.granularity_bytes)
-    tracker = ProsperTracker(config)
+    tracker = ProsperTracker(config, policy)
     tracker.configure(bitmap)
     boundary = max(1, len(trace.ops) // num_intervals)
     for i, op in enumerate(trace.ops):

@@ -36,7 +36,8 @@ the neat plan); ``repro faults fuzz`` is the sampled mode
 Engine targets cover two kinds of mechanism:
 
 * ``prosper`` and ``dirtybit`` stage real checksummed contents through
-  their two-step protocols — the durable image must equal the recovered
+  one two-step protocol (:class:`~repro.core.checkpoint.StagingBuffer`,
+  their ``staging`` attribute) — the durable image must equal the recovered
   checkpoint's snapshot word for word, with no ghost words from a newer
   epoch;
 * ``ssp`` / ``flush`` / ``undo`` / ``redo`` persist in place with no
@@ -285,16 +286,9 @@ class EngineTarget:
     def drop_volatile(self) -> None:
         self.dram.clear()
 
-    @property
-    def _staging(self):
-        """The object that owns the staged protocol (content mechanisms)."""
-        if self.mechanism == "prosper":
-            return self.inner.checkpoint_engine
-        return self.inner
-
     def recover(self) -> int | None:
         if self.staged_protocol:
-            return self._staging.recover_staged()
+            return self.inner.staging.recover()
         return self.recorder.recover()
 
     def check(self, resumed: int | None) -> list[str]:
@@ -309,7 +303,7 @@ class EngineTarget:
                 )
             return problems
         problems = self._check_content(resumed)
-        staged = self._staging.staged
+        staged = self.inner.staging.staged
         if (
             staged is not None
             and staged.committed
@@ -417,7 +411,7 @@ def build_setup(
         raise RuntimeError("fuzzing requires a machine with an NVM device")
     nvm.order_oracle = oracle
     if weaken:
-        inner.checkpoint_engine.unsafe_trust_completeness = True
+        inner.staging.unsafe_trust_completeness = True
     return EngineTarget(
         mechanism, engine_name, engine, injector, oracle, recorder, inner,
         dram, durable, trace, interval_ops,
@@ -1088,6 +1082,8 @@ def run_campaign(config: FuzzConfig) -> dict:
         raise ValueError("budget must be positive")
     if config.intervals <= 0:
         raise ValueError("intervals must be positive")
+    if config.only_schedule is not None and config.only_schedule < 0:
+        raise ValueError("schedule index must be non-negative")
 
     trace = build_trace(config.seed, config.ops)
     interval_ops = max(1, config.ops // config.intervals)

@@ -801,7 +801,7 @@ def _fig13_execute(params: dict) -> dict:
     cfg = TrackerConfig(
         high_water_mark=params["hwm"], low_water_mark=params["lwm"]
     )
-    loads, stores = overhead._replay_tracker(trace, cfg)
+    loads, stores = overhead.replay_tracker(trace, cfg)
     return {
         "rows": [
             {

@@ -246,9 +246,7 @@ class CheckpointManager:
 
         return writer
 
-    def checkpoint_process(
-        self, crash_during_commit: bool = False
-    ) -> tuple[ProcessCheckpoint, int]:
+    def checkpoint_process(self) -> tuple[ProcessCheckpoint, int]:
         """Capture one full process checkpoint; returns (record, cycles).
 
         Protocol order (each step a named crash point):
@@ -259,12 +257,9 @@ class CheckpointManager:
         4. staged runs applied to each thread's persistent stack;
         5. consumed bitmap words cleared.
 
-        With *crash_during_commit* set, the checkpoint stops after step 2 —
-        staged but the flag never flips — simulating a power failure
-        mid-commit for the recovery tests.  A :class:`CrashInjected` raised
-        by an armed injector leaves the record exactly as durably written
-        so far (the partial record stays in :attr:`checkpoints`, as it
-        would in NVM).
+        A :class:`CrashInjected` raised by an armed injector leaves the
+        record exactly as durably written so far (the partial record stays
+        in :attr:`checkpoints`, as it would in NVM).
         """
         record = ProcessCheckpoint(self._sequence, [])
         self.checkpoints.append(record)
@@ -309,16 +304,12 @@ class CheckpointManager:
             )
             snap = snapshots[thread.tid]
             snap.copied_bytes = stage.copied_bytes
-            snap.dirty_runs = engine.staged.runs if engine.staged is not None else []
-            snap.staged_complete = (
-                engine.staged.complete if engine.staged is not None else False
-            )
+            staged = engine.staging.staged
+            snap.dirty_runs = staged.runs if staged is not None else []
+            snap.staged_complete = staged.complete if staged is not None else False
             cycles += stage.cycles
             record.retries += stage.retries
             engines.append(engine)
-
-        if crash_during_commit:
-            return record, cycles
 
         # Persist-order discipline: the metadata record and every thread's
         # staged runs must be guaranteed durable *before* the commit flag
@@ -375,7 +366,7 @@ class CheckpointManager:
             if engine is None:
                 continue
             found = True
-            staged = engine.staged
+            staged = engine.staging.staged
             if (
                 staged is None
                 or staged.interval_index != sequence
@@ -393,7 +384,7 @@ class CheckpointManager:
             if engine is None:
                 continue
             found = True
-            staged = engine.staged
+            staged = engine.staging.staged
             if (
                 staged is None
                 or staged.interval_index != record.sequence
@@ -417,13 +408,15 @@ class CheckpointManager:
         pending = [
             engine
             for engine in self._engines.values()
-            if engine.staged is not None and not engine.staged.committed
+            if engine.staging.staged is not None
+            and not engine.staging.staged.committed
         ]
         if not pending:
             return 0
-        ok = all(_safe_verify(engine.staged) for engine in pending)
+        stagings = [engine.staging.staged for engine in pending]
+        ok = all(_safe_verify(staged) for staged in stagings)
         if ok:
-            for sequence in {engine.staged.interval_index for engine in pending}:
+            for sequence in {staged.interval_index for staged in stagings}:
                 record = self._record_for(sequence)
                 if record is None:
                     ok = False
@@ -438,10 +431,8 @@ class CheckpointManager:
             for engine in pending:
                 engine.commit_staged()
             return len(pending)
-        self.discarded_intervals.update(
-            engine.staged.interval_index for engine in pending
-        )
+        self.discarded_intervals.update(staged.interval_index for staged in stagings)
         for engine in pending:
-            engine.discard_staged()
+            engine.staging.discard()
         self.discarded_staged += len(pending)
         return 0

@@ -9,6 +9,11 @@ and resets the dirty bits for the next interval.
 The inefficiency the paper attacks is visible directly in this model: a
 single 8-byte store dirties a whole 4 KiB page, so the checkpoint size is
 amplified by up to 512x relative to byte-granularity tracking.
+
+Each live dirty page is staged and committed through the same
+:class:`~repro.core.checkpoint.StagingBuffer` as Prosper's checkpoints
+(persist-order labels ``pgckpt[k].*``), so one recovery rule covers
+both; this module keeps only the PTE walk and the page-copy cycles.
 """
 
 from __future__ import annotations
@@ -16,14 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import PAGE_BYTES
-from repro.core.bitmap import DirtyRun
-from repro.core.checkpoint import StagedCheckpoint, StagedRun, staged_run_crc
-from repro.faults.injector import (
-    PERSIST_BARRIER,
-    STAGE_BEGIN,
-    STAGE_COMPLETE,
-    stage_run_copy,
-)
+from repro.core.checkpoint import StagingBuffer
+from repro.faults.injector import STAGE_COMPLETE
 from repro.memory.address import page_index, span_pages
 from repro.persistence.base import (
     Capabilities,
@@ -67,28 +66,22 @@ class DirtyBitPersistence(PersistenceMechanism):
         self._dirty_pages: set[int] = set()
         #: Pages ever mapped (their PTEs exist and must be walked).
         self._mapped_pages: set[int] = set()
-        #: Optional actual-contents hooks, mirroring Prosper's checkpoint
-        #: engine: live dirty pages are staged as checksummed
-        #: :class:`StagedRun` records (descriptor first), made durable by
-        #: the persist barrier, then committed and applied via
-        #: *content_writer*.  None keeps the timing-only model.
+        #: Optional actual-contents hooks for the staging buffer (see
+        #: repro.core.checkpoint.StagingBuffer); None keeps the
+        #: timing-only model.
         self.content_reader = content_reader
         self.content_writer = content_writer
-        self.staged: StagedCheckpoint | None = None
-        self.last_committed_interval: int | None = None
-        self._injector = None
+        self.staging: StagingBuffer | None = None
 
     def attach(self, engine, region) -> None:
         super().attach(engine, region)
-        self._injector = getattr(engine, "fault_injector", None)
-
-    def _reached(self, point: str) -> None:
-        if self._injector is not None:
-            self._injector.reached(point)
-
-    def _oracle(self):
-        nvm = self.hierarchy.nvm
-        return nvm.order_oracle if nvm is not None else None
+        self.staging = StagingBuffer(
+            engine.hierarchy,
+            getattr(engine, "fault_injector", None),
+            "pgckpt",
+            self.content_reader,
+            self.content_writer,
+        )
 
     def on_store(self, address: int, size: int, now: int) -> int:
         self.stats.stores_seen += 1
@@ -139,123 +132,19 @@ class DirtyBitPersistence(PersistenceMechanism):
         live = sorted(p for p in self._dirty_pages if p >= final_page)
         copied = len(live) * self.page_bytes
         cycles += len(self._dirty_pages) * PTE_CLEAR_CYCLES
-        if self.content_reader is not None:
-            self._stage_pages(ctx.interval_index, live)
+        pb = self.page_bytes
+        self.staging.stage(
+            ctx.interval_index, [p * pb for p in live], [(p + 1) * pb for p in live]
+        )
+        self.staging.reached(STAGE_COMPLETE)
         if copied:
             cycles += self.hierarchy.copy_dram_to_nvm(copied, self.fixed_scale)
-        if self.content_reader is not None:
-            self._reached(PERSIST_BARRIER)
-        cycles += self.hierarchy.persist_barrier()
-        if self.content_reader is not None:
-            self._commit_staged()
+        cycles += self.staging.commit()
 
         self.stats.checkpoint_bytes.append(copied)
         self.stats.checkpoint_cycles.append(cycles)
         self._dirty_pages.clear()
         return cycles
-
-    # ------------------------------------------------------------------ #
-    # Content checkpointing (crash-schedule fuzzing substrate)
-    # ------------------------------------------------------------------ #
-
-    def _stage_pages(self, interval_index: int, live_pages: list[int]) -> None:
-        """Stage the live dirty pages as checksummed runs, descriptor first.
-
-        Page-granularity analogue of
-        :meth:`repro.core.checkpoint.ProsperCheckpointEngine.stage`: the
-        same two-step protocol, the same persist-order bookkeeping, so the
-        fuzzer can drive both mechanisms through one oracle.
-        """
-        oracle = self._oracle()
-        if oracle is not None and self.staged is not None and self.staged.committed:
-            # Buffer reuse: flush the previous still-pending commit marker.
-            oracle.barrier()
-        self._reached(STAGE_BEGIN)
-        staged = StagedCheckpoint(interval_index, expected_runs=len(live_pages))
-        self.staged = staged
-        if oracle is not None:
-            oracle.record(
-                f"pgckpt[{interval_index}].descriptor",
-                undo=self._lose_descriptor(staged),
-                size=8,
-            )
-        reader = self.content_reader
-        pb = self.page_bytes
-        for index, page in enumerate(live_pages):
-            self._reached(stage_run_copy(index))
-            run = DirtyRun(page * pb, (page + 1) * pb)
-            payload = tuple(reader(run))
-            staged_run = StagedRun(run, staged_run_crc(run, payload), payload)
-            staged.staged_runs.append(staged_run)
-            if oracle is not None:
-                oracle.record(
-                    f"pgckpt[{interval_index}].stage_run[{index}]",
-                    undo=self._lose_staged_run(staged, staged_run),
-                    tear=self._tear_staged_run(staged_run),
-                    size=run.size,
-                )
-        self._reached(STAGE_COMPLETE)
-
-    def _commit_staged(self) -> None:
-        """Flip the commit marker and apply the (now durable) staged pages."""
-        staged = self.staged
-        if staged is None or staged.committed:
-            return
-        if self.content_writer is not None:
-            for staged_run in staged.staged_runs:
-                self.content_writer(staged_run)
-        previous = self.last_committed_interval
-        staged.committed = True
-        self.last_committed_interval = staged.interval_index
-        oracle = self._oracle()
-        if oracle is not None:
-            def undo_marker() -> None:
-                staged.committed = False
-                self.last_committed_interval = previous
-
-            oracle.record(
-                f"pgckpt[{staged.interval_index}].commit",
-                undo=undo_marker,
-                size=8,
-            )
-
-    @staticmethod
-    def _lose_descriptor(staged: StagedCheckpoint):
-        def undo() -> None:
-            staged.descriptor_lost = True
-
-        return undo
-
-    @staticmethod
-    def _lose_staged_run(staged: StagedCheckpoint, staged_run: StagedRun):
-        def undo() -> None:
-            staged.staged_runs = [
-                s for s in staged.staged_runs if s is not staged_run
-            ]
-
-        return undo
-
-    @staticmethod
-    def _tear_staged_run(staged_run: StagedRun):
-        from repro.core.checkpoint import ProsperCheckpointEngine
-
-        def tear() -> None:
-            ProsperCheckpointEngine._tear(staged_run)
-
-        return tear
-
-    def recover_staged(self) -> int | None:
-        """Recovery: replay a complete, checksum-clean staging; discard
-        anything less.  Returns the interval recovered to (None when no
-        checkpoint ever committed)."""
-        staged = self.staged
-        if staged is None or staged.committed:
-            return self.last_committed_interval
-        if not staged.verify():
-            self.staged = None
-            return self.last_committed_interval
-        self._commit_staged()
-        return self.last_committed_interval
 
     @property
     def dirty_page_count(self) -> int:

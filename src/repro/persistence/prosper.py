@@ -119,10 +119,13 @@ class ProsperPersistence(PersistenceMechanism):
         self.stats.checkpoint_cycles.append(result.cycles)
         return result.cycles
 
+    @property
+    def staging(self):
+        """The checkpoint engine's staging buffer (None until attached)."""
+        engine = self.checkpoint_engine
+        return engine.staging if engine is not None else None
+
     def persisted_state(self) -> dict:
-        committed = (
-            self.checkpoint_engine.last_committed_interval
-            if self.checkpoint_engine is not None
-            else None
-        )
+        staging = self.staging
+        committed = staging.last_committed_interval if staging is not None else None
         return {"kind": "prosper-checkpoint", "last_committed": committed}

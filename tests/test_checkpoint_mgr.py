@@ -3,6 +3,7 @@ whole-process checkpoints, crash, and recovery."""
 
 from repro.config import setup_i
 from repro.core.tracker import ProsperTracker
+from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
 from repro.kernel.checkpoint_mgr import METADATA_BYTES, CheckpointManager
 from repro.kernel.process import Process
 from repro.kernel.restore import CrashSimulator
@@ -11,13 +12,13 @@ from repro.memory.hierarchy import MemoryHierarchy
 import pytest
 
 
-def setup_process(persistent=True, threads=1):
+def setup_process(persistent=True, threads=1, injector=None):
     proc = Process()
     for _ in range(threads):
         proc.spawn_thread(stack_bytes=1 << 20, persistent=persistent)
     hierarchy = MemoryHierarchy(setup_i())
     tracker = ProsperTracker(proc.tracker_config)
-    mgr = CheckpointManager(proc, hierarchy, tracker)
+    mgr = CheckpointManager(proc, hierarchy, tracker, injector=injector)
     return proc, tracker, mgr
 
 
@@ -103,13 +104,17 @@ class TestCrashRecovery:
             CrashSimulator(proc, mgr).recover()
 
     def test_crash_mid_commit_rolls_forward(self):
-        proc, tracker, mgr = setup_process()
+        injector = FaultInjector()
+        proc, tracker, mgr = setup_process(injector=injector)
         dirty_thread(proc, tracker)
         mgr.checkpoint_process()  # sequence 0, committed
         tracker.configure(proc.thread(1).bitmap)
         tracker.observe_store(proc.thread(1).registers.stack_pointer + 256, 8)
         proc.thread(1).registers.op_index = 5678
-        mgr.checkpoint_process(crash_during_commit=True)  # sequence 1, staged
+        # Sequence 1 is fully staged; power fails before its flag flips.
+        injector.arm(COMMIT_FLAG_WRITE, occurrence=1)
+        with pytest.raises(CrashInjected):
+            mgr.checkpoint_process()
         sim = CrashSimulator(proc, mgr)
         sim.crash()
         report = sim.recover()

@@ -9,6 +9,7 @@ from repro.config import TrackerConfig, setup_i
 from repro.core.checkpoint import ProsperCheckpointEngine
 from repro.core.tracker import ProsperTracker
 from repro.faults.injector import (
+    COMMIT_FLAG_WRITE,
     STAGE_COMPLETE,
     CrashInjected,
     FaultInjector,
@@ -164,7 +165,9 @@ class TestTornRecordDetection:
         mgr.checkpoint_process()
 
         dirty_two_runs(proc, tracker, mgr, op_index=222)
-        mgr.checkpoint_process(crash_during_commit=True)  # fully staged
+        inj.arm(COMMIT_FLAG_WRITE, occurrence=1)  # fully staged, flag unflipped
+        with pytest.raises(CrashInjected):
+            mgr.checkpoint_process()
         sim = CrashSimulator(proc, mgr)
         sim.crash()
         report = sim.recover()
@@ -192,11 +195,11 @@ class TestTornRecordDetection:
         engine = ProsperCheckpointEngine(region_tracker, thread.bitmap, hierarchy)
         region_tracker.observe_store(thread.stack.end - 64, 8)
         engine.stage(0)
-        staged = engine.staged
+        staged = engine.staging.staged
         assert staged is not None and staged.complete
         assert not staged.verify()  # the tear corrupted a staged run
-        assert engine.recover_staged() is None  # discarded, nothing committed
-        assert engine.staged is None
+        assert engine.staging.recover() is None  # discarded, nothing committed
+        assert engine.staging.staged is None
 
 
 class TestCrashSimulatorMemoryRestoration:

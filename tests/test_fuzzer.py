@@ -86,6 +86,49 @@ class TestAcceptanceCampaign:
             run_campaign(FuzzConfig(engines=("gpu",)))
         with pytest.raises(ValueError):
             run_campaign(FuzzConfig(budget=0))
+        with pytest.raises(ValueError):
+            run_campaign(FuzzConfig(only_schedule=-5))
+
+    def test_cli_rejects_negative_schedule(self, capsys):
+        from repro.cli import main
+
+        code = main(["faults", "fuzz", "--schedule", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro faults fuzz: error:")
+        assert captured.err.count("\n") == 1
+
+
+#: Per-combo classification counts of the CI campaign,
+#: ``repro faults fuzz --seed 2026 --budget 64 --ops 600 --intervals 3``.
+CI_CAMPAIGN_CLASSIFICATIONS = {
+    ("prosper", "scalar"): {
+        "rolled_forward": 7, "previous": 4, "fresh_start": 4, "no_crash": 1,
+    },
+    ("prosper", "batched"): {
+        "rolled_forward": 2, "previous": 4, "fresh_start": 8, "no_crash": 2,
+    },
+    ("dirtybit", "scalar"): {
+        "rolled_forward": 4, "previous": 5, "fresh_start": 6, "no_crash": 1,
+    },
+    ("dirtybit", "batched"): {
+        "rolled_forward": 5, "previous": 5, "fresh_start": 4, "no_crash": 2,
+    },
+}
+
+
+class TestCampaignPins:
+    def test_ci_campaign_classifications(self):
+        report = run_campaign(
+            FuzzConfig(seed=2026, budget=64, ops=600, intervals=3)
+        )
+        assert report["ok"]
+        got = {
+            (combo["mechanism"], combo["engine"]): combo["classifications"]
+            for combo in report["combos"]
+        }
+        assert got == CI_CAMPAIGN_CLASSIFICATIONS
 
 
 class TestWeakenedRecoveryMutant:

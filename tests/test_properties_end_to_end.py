@@ -10,6 +10,7 @@ paper relies on:
   state matches what was captured.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PAGE_BYTES, TrackerConfig, setup_i
@@ -86,6 +87,11 @@ class TestRecoveryInvariant:
     )
     def test_recovery_always_lands_on_captured_state(self, offsets, crash_mid_commit):
         from repro.core.tracker import ProsperTracker as Tracker
+        from repro.faults.injector import (
+            COMMIT_FLAG_WRITE,
+            CrashInjected,
+            FaultInjector,
+        )
         from repro.kernel.checkpoint_mgr import CheckpointManager
         from repro.kernel.process import Process
         from repro.kernel.restore import CrashSimulator
@@ -94,13 +100,22 @@ class TestRecoveryInvariant:
         thread = proc.spawn_thread(stack_bytes=128 * 1024, persistent=True)
         tracker = Tracker(proc.tracker_config)
         tracker.configure(thread.bitmap)
-        mgr = CheckpointManager(proc, MemoryHierarchy(setup_i()), tracker)
+        injector = FaultInjector()
+        mgr = CheckpointManager(
+            proc, MemoryHierarchy(setup_i()), tracker, injector=injector
+        )
 
         thread.registers.stack_pointer = thread.stack.start  # whole stack live
         for i, off in enumerate(offsets):
             tracker.observe_store(thread.stack.start + off, 8)
             thread.registers.op_index = i + 1
-        mgr.checkpoint_process(crash_during_commit=crash_mid_commit)
+        if crash_mid_commit:
+            # Fully staged; power fails before the commit flag flips.
+            injector.arm(COMMIT_FLAG_WRITE)
+            with pytest.raises(CrashInjected):
+                mgr.checkpoint_process()
+        else:
+            mgr.checkpoint_process()
 
         sim = CrashSimulator(proc, mgr)
         sim.crash()
