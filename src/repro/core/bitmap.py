@@ -34,6 +34,9 @@ class DirtyRun:
     start: int
     end: int
 
+    def __deepcopy__(self, memo: dict) -> "DirtyRun":
+        return self  # immutable
+
     @property
     def size(self) -> int:
         return self.end - self.start

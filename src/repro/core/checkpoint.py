@@ -40,6 +40,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
+from types import FunctionType
 from typing import Callable, Iterable
 
 import numpy as np
@@ -99,6 +100,11 @@ class StagedRun:
 
     def verify(self) -> bool:
         return self.crc == staged_run_crc(self.run, self.payload)
+
+    def __deepcopy__(self, memo: dict) -> "StagedRun":
+        # The run and the payload tuple are immutable; only ``tear``
+        # reassigns fields, so a shallow copy is independent.
+        return StagedRun(self.run, self.crc, self.payload)
 
     def tear(self) -> None:
         """Silently corrupt this run, as a torn NVM write would."""
@@ -302,16 +308,17 @@ class StagingBuffer:
         self.last_committed_interval = staged.interval_index
         oracle = self._oracle()
         if oracle is not None:
-            def undo_marker() -> None:
-                staged.committed = False
-                self.last_committed_interval = previous
-
             oracle.record(
                 f"{self.label_prefix}[{staged.interval_index}].commit",
-                undo=undo_marker,
+                undo=partial(self._lose_marker, staged, previous),
                 size=8,
             )
         return cycles
+
+    def _lose_marker(self, staged: StagedCheckpoint, previous: int | None) -> None:
+        """Persist-order undo of a commit marker: it never landed."""
+        staged.committed = False
+        self.last_committed_interval = previous
 
     def recover(self) -> int | None:
         """Complete an interrupted commit from the staging buffer.
@@ -362,6 +369,16 @@ class ProsperCheckpointEngine:
             hierarchy, injector, label_prefix, content_reader, content_writer
         )
         self.results: list[CheckpointResult] = []
+
+    def __getstate__(self) -> dict:
+        """State for copies: a method wrapped per instance (a profiler's
+        closure over this object) is not state (see
+        :meth:`PersistenceMechanism.__getstate__`)."""
+        cls = type(self)
+        return {
+            name: value for name, value in vars(self).items()
+            if not (isinstance(value, FunctionType) and hasattr(cls, name))
+        }
 
     # ------------------------------------------------------------------ #
     # Step one: stage dirty runs into the NVM staging buffer

@@ -602,7 +602,9 @@ class BatchedExecutionEngine(ExecutionEngine):
                         # a stale list entry would clobber newer mirror
                         # ages written by commit_run).
                         l1_age[base : base + assoc] = set_ages.tolist()
-                        if not l1_free[set_index]:
+                        # An absent free list is a never-touched set
+                        # (every way free); an empty one is a full set.
+                        if not l1_free.get(set_index, True):
                             # argmin = first minimum, the same way the
                             # cache's strict-less scan resolves (ticks are
                             # unique anyway).

@@ -51,6 +51,12 @@ through the exact scalar path, so a batched schedule is bit-identical to
 its scalar twin by construction — which is itself asserted by the tier-1
 tests.
 
+An engine-target schedule does not replay the trace from op 0: it forks
+from the probe's golden run (:class:`GoldenRun`) at the latest interval
+boundary its crash spec allows, and so replays at most one interval.
+Forks are deep copies, so no closure may be reachable from a target
+(see :meth:`EngineTarget.fork`).
+
 This module imports the kernel and engine layers, which reach back down
 to :mod:`repro.memory.devices`; import it as ``repro.faults.fuzzer``, not
 via the package root (see ``repro/faults/__init__.py``).
@@ -58,10 +64,12 @@ via the package root (see ``repro/faults/__init__.py``).
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.tracker import ProsperTracker
 from repro.cpu.engine import ExecutionEngine
@@ -161,6 +169,9 @@ class IntervalSnapshot:
     image: ByteImage
     final_sp: int
 
+    def __deepcopy__(self, memo: dict) -> "IntervalSnapshot":
+        return self  # never mutated once captured
+
 
 class RecordingMechanism(PersistenceMechanism):
     """Transparent wrapper that maintains the golden image.
@@ -171,6 +182,10 @@ class RecordingMechanism(PersistenceMechanism):
     checkpoint reads it, which sees identical contents — no stores happen
     in between).  Batching is disabled so store order and values are
     exact; the fuzzer always runs the scalar path anyway.
+
+    On the probe's golden run, :attr:`golden` is set and every interval
+    start after the first copies the whole target into it, before the
+    inner hook runs (see :class:`GoldenRun`).
     """
 
     def __init__(self, inner: PersistenceMechanism, dram: ByteImage) -> None:
@@ -182,6 +197,7 @@ class RecordingMechanism(PersistenceMechanism):
         self.supports_batching = False
         self.snapshots: list[IntervalSnapshot] = []
         self._counter = 0
+        self.golden: GoldenRun | None = None
 
     def attach(self, engine, region: AddressRange) -> None:
         super().attach(engine, region)
@@ -196,6 +212,8 @@ class RecordingMechanism(PersistenceMechanism):
         return self.inner.on_store(address, size, now)
 
     def on_interval_start(self, ctx: IntervalContext) -> int:
+        if self.golden is not None and ctx.interval_index > 0:
+            self.golden.capture()
         return self.inner.on_interval_start(ctx)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
@@ -229,17 +247,15 @@ class IntervalCommitRecorder(RecordingMechanism):
         self.commits.append(index)
         self.oracle.record(
             f"interval[{index}].commit",
-            undo=self._lose_commit(index),
+            undo=partial(self._lose_commit, index),
             size=8,
         )
         return cycles
 
-    def _lose_commit(self, index: int):
-        def undo() -> None:
-            if index in self.commits:
-                self.commits.remove(index)
-
-        return undo
+    def _lose_commit(self, index: int) -> None:
+        """Persist-order undo: interval *index*'s commit record never landed."""
+        if index in self.commits:
+            self.commits.remove(index)
 
     def recover(self) -> int | None:
         """Newest interval whose commit record survived."""
@@ -267,6 +283,9 @@ class EngineTarget:
     durable: ByteImage | None  # persistent NVM contents (content mechs)
     trace: Sequence[Op] = ()
     interval_ops: int | None = None
+    #: Trace position :meth:`run` starts from: 0 on a fresh machine, the
+    #: interval boundary it was copied at on a fork (:meth:`fork`).
+    start_op: int = 0
 
     @property
     def staged_protocol(self) -> bool:
@@ -281,7 +300,19 @@ class EngineTarget:
         return self.engine.now
 
     def run(self) -> None:
-        self.engine.run(self.trace, interval_ops=self.interval_ops)
+        trace = self.trace[self.start_op:] if self.start_op else self.trace
+        self.engine.run(trace, interval_ops=self.interval_ops)
+
+    def fork(self, memo: dict | None = None) -> "EngineTarget":
+        """An independent copy of the whole machine, sharing only the trace
+        and the (immutable) machine config.  Nothing reachable from a
+        target may be a closure: ``deepcopy`` shares functions, so a
+        closure would keep acting on the original.  Bound methods and
+        ``functools.partial`` are re-bound to the copies."""
+        memo = dict(memo or {})
+        memo[id(self.trace)] = self.trace
+        memo[id(self.engine.config)] = self.engine.config
+        return copy.deepcopy(self, memo)
 
     def drop_volatile(self) -> None:
         self.dram.clear()
@@ -350,17 +381,36 @@ class EngineTarget:
         return problems
 
 
+def _read_run(dram: ByteImage, run) -> Iterable[tuple[int, int]]:
+    """Content reader of an engine target: a dirty run's DRAM words."""
+    return dram.words_in_range(AddressRange(run.start, run.end))
+
+
+def _write_run(durable: ByteImage, staged_run) -> None:
+    """Content writer of an engine target: apply a committed staged run."""
+    durable.replace_range(
+        AddressRange(staged_run.run.start, staged_run.run.end),
+        staged_run.payload,
+    )
+
+
 def build_setup(
     mechanism: str,
     engine_name: str,
     weaken: bool = False,
     trace: Sequence[Op] = (),
     interval_ops: int | None = None,
+    resume_from: EngineTarget | None = None,
 ) -> EngineTarget:
     """Wire one (mechanism, engine) target with recorder, injector and
     persist-order oracle attached, to run *trace* in *interval_ops*-op
     intervals.  *weaken* enables the test-only trust-completeness
-    recovery mutant (prosper only)."""
+    recovery mutant (prosper only).
+
+    *resume_from*, a golden-run snapshot of the same target
+    (:meth:`GoldenRun.resume_point`), returns a fork of it instead of a
+    fresh machine: it runs the rest of the trace from that snapshot's
+    interval boundary, exactly as the golden run continued."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if engine_name not in ENGINES:
@@ -368,21 +418,20 @@ def build_setup(
     if weaken and mechanism != "prosper":
         raise ValueError("the weakened recovery mutant is prosper-only")
 
+    if resume_from is not None:
+        target = resume_from.fork()
+        if weaken:
+            # The golden run is unweakened; the mutant only changes recovery.
+            target.inner.staging.unsafe_trust_completeness = True
+        return target
+
     dram = ByteImage()
     durable: ByteImage | None = None
     oracle = PersistOrderOracle()
     if mechanism in CONTENT_MECHANISMS:
         durable = ByteImage()
-
-        def reader(run):
-            return dram.words_in_range(AddressRange(run.start, run.end))
-
-        def writer(staged_run):
-            durable.replace_range(
-                AddressRange(staged_run.run.start, staged_run.run.end),
-                staged_run.payload,
-            )
-
+        reader = partial(_read_run, dram)
+        writer = partial(_write_run, durable)
         if mechanism == "prosper":
             inner: PersistenceMechanism = ProsperPersistence(
                 content_reader=reader, content_writer=writer
@@ -798,6 +847,72 @@ def run_crash(
     )
 
 
+class GoldenRun:
+    """The probe's unarmed run of one engine target, copied at every
+    interval start after the first: the points schedules fork from.
+
+    A copy is taken in :meth:`RecordingMechanism.on_interval_start`
+    before the inner hook runs — after the previous checkpoint, before
+    the next interval's hooks — so running the rest of the trace on it
+    continues exactly as the golden run did.  The fresh machine is
+    snapshot 0 and is not copied.  The run holds a strong reference to
+    its trace, so the trace identity in its key stays valid.
+    """
+
+    def __init__(
+        self,
+        mechanism: str,
+        engine_name: str,
+        trace: Sequence[Op],
+        interval_ops: int,
+    ) -> None:
+        self.key = (mechanism, engine_name, interval_ops)
+        self.trace = trace
+        #: Interval-start copies, oldest first.  Never run: only forked.
+        self.snapshots: list[EngineTarget] = []
+        #: The target being probed, while it runs.
+        self.recording: EngineTarget | None = None
+
+    def matches(
+        self,
+        mechanism: str,
+        engine_name: str,
+        trace: Sequence[Op],
+        interval_ops: int,
+    ) -> bool:
+        return self.key == (mechanism, engine_name, interval_ops) and self.trace is trace
+
+    def capture(self) -> None:
+        """Copy the recording target (the copy does not record)."""
+        target = self.recording
+        start = target.engine.stats.ops_executed
+        if start >= len(target.trace):
+            return  # the trailing boundary: nothing left to resume
+        snapshot = target.fork({id(self): None})
+        snapshot.start_op = start
+        self.snapshots.append(snapshot)
+
+    def resume_point(self, spec: CrashSpec) -> EngineTarget | None:
+        """The latest snapshot *spec* may resume from (None: the fresh
+        machine).  A point spec (P, N) needs P to have fired at most N
+        times at the snapshot; a cycle spec C needs the snapshot's clock
+        below C.  Either way the crash still lies ahead of the snapshot,
+        and the run up to it is the golden run's."""
+        for snapshot in reversed(self.snapshots):
+            if spec.kind == "cycle":
+                legal = snapshot.cycles < spec.cycle
+            else:
+                legal = snapshot.injector.count(spec.point) <= spec.occurrence
+            if legal:
+                return snapshot
+        return None
+
+
+#: The latest :func:`_probe`'s golden run.  One slot: a campaign probes
+#: one (mechanism, engine) target and then runs all of its schedules.
+_golden: GoldenRun | None = None
+
+
 def run_schedule(
     mechanism: str,
     engine_name: str,
@@ -810,9 +925,18 @@ def run_schedule(
     weaken: bool = False,
 ) -> ScheduleOutcome:
     """One engine-target schedule end to end.  Without *forced_plan* the
-    persist plan is sampled from *plan_rng* (``Random(0)`` when absent)."""
+    persist plan is sampled from *plan_rng* (``Random(0)`` when absent).
+
+    When the latest :func:`_probe` ran this target, the schedule forks
+    from the golden run's latest snapshot legal for *spec*; otherwise it
+    runs on a fresh machine.  The outcome is the same either way."""
+    golden = _golden
+    resume_from = None
+    if golden is not None and golden.matches(mechanism, engine_name, trace, interval_ops):
+        resume_from = golden.resume_point(spec)
     target = build_setup(
-        mechanism, engine_name, weaken=weaken, trace=trace, interval_ops=interval_ops
+        mechanism, engine_name, weaken=weaken, trace=trace,
+        interval_ops=interval_ops, resume_from=resume_from,
     )
     if forced_plan is None and plan_rng is None:
         plan_rng = random.Random(0)
@@ -822,10 +946,20 @@ def run_schedule(
 def _probe(
     mechanism: str, engine_name: str, trace: Sequence[Op], interval_ops: int
 ) -> tuple[int, list[str]]:
-    """:func:`probe` of one (mechanism, engine) target running *trace*."""
-    return probe(
-        build_setup(mechanism, engine_name, trace=trace, interval_ops=interval_ops)
-    )
+    """:func:`probe` of one (mechanism, engine) target running *trace*.
+    Its golden run replaces the stored one, for :func:`run_schedule`."""
+    global _golden
+    target = build_setup(mechanism, engine_name, trace=trace, interval_ops=interval_ops)
+    golden = GoldenRun(mechanism, engine_name, trace, interval_ops)
+    golden.recording = target
+    target.recorder.golden = golden
+    try:
+        result = probe(target)
+    finally:
+        target.recorder.golden = None
+        golden.recording = None
+    _golden = golden
+    return result
 
 
 # ---------------------------------------------------------------------- #

@@ -121,6 +121,15 @@ class FaultInjector:
         self._counts: Counter[str] = Counter()
         self._torn_metadata: set[int] = set()
 
+    def __deepcopy__(self, memo: dict) -> "FaultInjector":
+        """Independent copy of the plan and the firing history."""
+        clone = FaultInjector.__new__(FaultInjector)
+        clone.__dict__.update(self.__dict__)
+        clone.fired = list(self.fired)
+        clone._counts = Counter(self._counts)
+        clone._torn_metadata = set(self._torn_metadata)
+        return clone
+
     # ------------------------------------------------------------------ #
     # Crash plan
     # ------------------------------------------------------------------ #
@@ -174,6 +183,10 @@ class FaultInjector:
     def occurrences(self) -> Counter[str]:
         """Copy of per-point firing counts so far."""
         return Counter(self._counts)
+
+    def count(self, point: str) -> int:
+        """How many times *point* has fired so far."""
+        return self._counts[point]
 
     def reset(self) -> None:
         """Forget fired history and counts (plans stay armed)."""

@@ -136,7 +136,7 @@ def vanilla_cycles_cached(
     if cache is None:
         return vanilla_cycles(trace, config)
     key = result_key(
-        trace_fingerprint(trace), "vanilla", "none", config_label, len(trace.ops)
+        trace_fingerprint(trace), "vanilla", "none", config_label, len(trace)
     )
     value = cache.get(key)
     if value is not None:

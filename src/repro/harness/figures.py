@@ -344,7 +344,7 @@ def _fig3_execute(params: dict) -> dict:
     trace = motivation.stack_only(full_trace)
     base = vanilla_cycles_cached(trace)
     num_intervals = params["num_intervals"]
-    interval_ops = max(1, len(trace.ops) // num_intervals)
+    interval_ops = max(1, len(trace) // num_intervals)
     finals = trace.final_sp_per_interval(num_intervals)
 
     def oracle(i: int, _finals=finals) -> int:

@@ -11,10 +11,13 @@ array, and one last-use-tick array, each ``num_sets * associativity`` long
 slot for O(1) probes.  Exact LRU comes from a global monotonic tick: every
 touch stamps the slot, and a full set evicts the slot with the smallest
 stamp.  Ticks strictly increase, so the minimum is unique and the victim
-matches what an ordered-per-set model would evict.  Tags and ages are plain
-Python lists (unboxed indexing on the hot path); ``tag_array`` /
-``dirty_array`` / ``age_array`` expose numpy snapshots for analysis code
-and the batched engine's precompute.
+matches what an ordered-per-set model would evict.  A set's stack of free
+ways is built on its first miss, so creating a cold cache allocates only
+its flat columns and a copy carries free lists only for the sets in use;
+a set with no free list was never touched and has every way free.  Tags
+and ages are plain Python lists (unboxed indexing on the hot path);
+``tag_array`` / ``dirty_array`` / ``age_array`` expose numpy snapshots for
+analysis code and the batched engine's precompute.
 """
 
 from __future__ import annotations
@@ -85,13 +88,26 @@ class Cache:
         self._age: list[int] = [0] * (num_sets * assoc)
         #: Resident line -> flat slot.
         self._index: dict[int, int] = {}
-        #: Per-set stack of unallocated slots (popped MSB-first so way 0
-        #: fills first, like an empty ordered set would).
-        self._free: list[list[int]] = [
-            list(range((s + 1) * assoc - 1, s * assoc - 1, -1))
-            for s in range(num_sets)
-        ]
+        #: Set index -> stack of unallocated slots (popped MSB-first so way
+        #: 0 fills first, like an empty ordered set would), built on the
+        #: set's first miss.  An absent set has every way free; an empty
+        #: stack means the set is full.
+        self._free: dict[int, list[int]] = {}
         self._tick = 0
+
+    def __deepcopy__(self, memo: dict) -> "Cache":
+        """Independent copy: the columns are sliced, the immutable config
+        and scalars shared."""
+        clone = Cache.__new__(Cache)
+        for name in Cache.__slots__:
+            setattr(clone, name, getattr(self, name))
+        clone.stats = CacheStats(**vars(self.stats))
+        clone._tags = self._tags[:]
+        clone._dirty = self._dirty[:]
+        clone._age = self._age[:]
+        clone._index = self._index.copy()
+        clone._free = {s: free[:] for s, free in self._free.items()}
+        return clone
 
     # ------------------------------------------------------------------ #
     # Demand interface
@@ -125,7 +141,13 @@ class Cache:
             if self._power_of_two_sets
             else line % self._num_sets
         )
-        free = self._free[set_index]
+        free = self._free.get(set_index)
+        if free is None:
+            # First miss in this set: every way is free.
+            base = set_index * self._assoc
+            free = self._free[set_index] = list(
+                range(base + self._assoc - 1, base - 1, -1)
+            )
         age = self._age
         tags = self._tags
         if free:
@@ -189,10 +211,7 @@ class Cache:
         self._index.clear()
         self._tags = [-1] * (self._num_sets * assoc)
         self._dirty = bytearray(self._num_sets * assoc)
-        self._free = [
-            list(range((s + 1) * assoc - 1, s * assoc - 1, -1))
-            for s in range(self._num_sets)
-        ]
+        self._free = {}
         return dirty
 
     # ------------------------------------------------------------------ #
@@ -205,7 +224,8 @@ class Cache:
 
     def set_occupancy(self, set_index: int) -> int:
         """Number of resident ways in one set (debug/test accessor)."""
-        return self._assoc - len(self._free[set_index])
+        free = self._free.get(set_index)
+        return 0 if free is None else self._assoc - len(free)
 
     @property
     def tag_array(self) -> np.ndarray:

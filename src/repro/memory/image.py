@@ -118,3 +118,6 @@ class ByteImage:
         clone = ByteImage()
         clone._words = dict(self._words)
         return clone
+
+    def __deepcopy__(self, memo: dict) -> "ByteImage":
+        return self.snapshot()

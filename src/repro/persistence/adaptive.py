@@ -84,7 +84,7 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
 
     def _program_tracker(self, granularity: int) -> None:
         """(Re)program the tracker for *granularity* (MSR writes + new bitmap)."""
-        assert self.region is not None and self.engine is not None
+        assert self.region is not None
         if granularity == PAGE_FALLBACK:
             if self.tracker is not None:
                 self.tracker.disable()
@@ -101,8 +101,8 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         self.checkpoint_engine = ProsperCheckpointEngine(
             self.tracker,
             self.bitmap,
-            self.engine.hierarchy,
-            fixed_scale=self.engine.fixed_cost_scale,
+            self.hierarchy,
+            fixed_scale=self.fixed_scale,
         )
         self.granularity_history.append(granularity)
 

@@ -21,6 +21,7 @@ DRAM").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -135,7 +136,8 @@ class PersistenceMechanism:
 
     def __init__(self) -> None:
         self.stats = MechanismStats()
-        self.engine: "ExecutionEngine | None" = None
+        self._hierarchy = None
+        self._fixed_scale = 1.0
         self.region: AddressRange | None = None
 
     # ------------------------------------------------------------------ #
@@ -143,20 +145,37 @@ class PersistenceMechanism:
     # ------------------------------------------------------------------ #
 
     def attach(self, engine: "ExecutionEngine", region: AddressRange) -> None:
-        """Bind the mechanism to an engine and the region it protects."""
-        self.engine = engine
+        """Bind the mechanism to an engine's memory hierarchy and clock
+        scale and to the region it protects.
+
+        The engine itself is not kept: the engine owns the mechanism, so a
+        back-reference would make every finished machine a reference cycle
+        that only a full garbage collection frees.
+        """
+        self._hierarchy = engine.hierarchy
+        self._fixed_scale = engine.fixed_cost_scale
         self.region = region
+
+    def __getstate__(self) -> dict:
+        """State for copies: a hook wrapped per instance (a profiler's
+        closure over this object) is not state, so a copy runs the class's
+        own hooks instead of acting on the original."""
+        cls = type(self)
+        return {
+            name: value for name, value in vars(self).items()
+            if not (isinstance(value, FunctionType) and hasattr(cls, name))
+        }
 
     @property
     def hierarchy(self):
-        if self.engine is None:
+        if self._hierarchy is None:
             raise RuntimeError(f"{self.name} is not attached to an engine")
-        return self.engine.hierarchy
+        return self._hierarchy
 
     @property
     def fixed_scale(self) -> float:
         """Scale for fixed per-wall-clock-event costs (see ExecutionEngine)."""
-        return self.engine.fixed_cost_scale if self.engine is not None else 1.0
+        return self._fixed_scale
 
     # ------------------------------------------------------------------ #
     # Hooks

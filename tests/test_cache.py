@@ -1,5 +1,6 @@
 """Tests for repro.memory.cache: set-associative write-back LRU cache."""
 
+import copy
 from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
@@ -227,3 +228,81 @@ class TestReferenceLru:
                 new, step % 2 == 0
             )
         assert cache.stats == model.stats
+
+
+class TestLazyFreeLists:
+    """A set's free list is built on its first miss; a cold cache holds none."""
+
+    def test_untouched_set_has_zero_occupancy(self):
+        cache = tiny_cache(ways=4, sets=4)
+        cache.access(1, False)
+        assert [cache.set_occupancy(s) for s in range(4)] == [0, 1, 0, 0]
+        assert set(cache._free) == {1}
+
+    def test_way_zero_fills_first(self):
+        cache = tiny_cache(ways=4, sets=2)
+        for line in (1, 3, 5):
+            cache.access(line, False)
+        assert cache.tag_array[1].tolist() == [1, 3, 5, -1]
+        assert cache.tag_array[0].tolist() == [-1] * 4
+
+    def test_invalidate_then_miss_reuses_freed_slot(self):
+        cache = tiny_cache(ways=4, sets=1)
+        for line in range(4):
+            cache.access(line, False)
+        assert cache._free[0] == []  # full, not untouched
+        cache.invalidate(2)
+        assert cache.set_occupancy(0) == 3
+        hit, victim = cache.access(9, False)
+        assert (hit, victim) == (False, None)
+        assert cache.stats.evictions == 0
+        assert cache.tag_array[0].tolist() == [0, 1, 9, 3]
+
+    def test_flush_all_resets_the_cache(self):
+        cache = tiny_cache(ways=2, sets=4)
+        for line in range(8):
+            cache.access(line, line % 2 == 0)
+        assert cache.flush_all() == 4
+        assert cache._free == {}
+        assert cache.tag_array.tolist() == [[-1, -1]] * 4
+        assert not cache.dirty_array.any()
+        assert [cache.set_occupancy(s) for s in range(4)] == [0] * 4
+        cache.access(6, False)
+        assert cache.tag_array[2].tolist() == [6, -1]
+
+    def test_deepcopy_is_independent(self):
+        cache = tiny_cache(ways=2, sets=2)
+        for line, write in ((0, True), (1, False), (2, False)):
+            cache.access(line, write)
+        before = (
+            cache.tag_array.tolist(), cache.age_array.tolist(),
+            cache.dirty_array.tolist(), dict(cache._index),
+            {s: list(f) for s, f in cache._free.items()},
+            CacheStats(**vars(cache.stats)), cache._tick,
+        )
+        clone = copy.deepcopy(cache)
+        assert clone.config is cache.config
+        clone.access(3, True)  # untouched set 1
+        clone.access(4, True)  # evicts dirty line 0 from set 0
+        clone.access(1, True)
+        clone.invalidate(2)
+        clone.flush_all()
+        after = (
+            cache.tag_array.tolist(), cache.age_array.tolist(),
+            cache.dirty_array.tolist(), dict(cache._index),
+            {s: list(f) for s, f in cache._free.items()},
+            cache.stats, cache._tick,
+        )
+        assert after == before
+        hit, victim = cache.access(6, False)  # the original still evicts 0
+        assert (hit, victim) == (False, 0)
+
+    def test_deepcopy_continues_like_the_original(self):
+        cache = tiny_cache(ways=2, sets=4)
+        for line in (0, 4, 1, 8, 5):
+            cache.access(line, line % 3 == 0)
+        clone = copy.deepcopy(cache)
+        for line in (12, 0, 9, 3, 16, 4):
+            assert clone.access(line, True) == cache.access(line, True)
+        assert clone.stats == cache.stats
+        assert clone.tag_array.tolist() == cache.tag_array.tolist()

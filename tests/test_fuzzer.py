@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.faults import fuzzer
 from repro.faults.fuzzer import (
     CONTENT_MECHANISMS,
     INTERVAL_MECHANISMS,
@@ -14,6 +15,7 @@ from repro.faults.fuzzer import (
     build_setup,
     build_trace,
     run_campaign,
+    run_crash,
     run_schedule,
     shrink_plan,
 )
@@ -245,3 +247,193 @@ class TestScheduleSemantics:
             plan_rng=random.Random(4),
         )
         assert a.to_dict() == b.to_dict()
+
+
+def _forked_and_scratch_outcomes(config):
+    """Every schedule of *config*'s campaign twice: forked from the golden
+    run (``run_schedule`` after ``_probe``, as ``run_campaign`` runs it)
+    and from scratch (``run_crash`` on a fresh ``build_setup`` target),
+    with the same spec and plan RNG.  Also counts the forked ones."""
+    trace = build_trace(config.seed, config.ops)
+    interval_ops = max(1, config.ops // config.intervals)
+    combos = [(m, e) for m in config.mechanisms for e in config.engines]
+    per_combo = max(1, config.budget // len(combos))
+    pairs, forked = [], 0
+    for mechanism, engine in combos:
+        total_cycles, fired = fuzzer._probe(mechanism, engine, trace, interval_ops)
+        for index in range(per_combo):
+            spec = fuzzer._sample_spec(
+                fuzzer._schedule_rng(config, mechanism, engine, index),
+                total_cycles, fired,
+            )
+            forked += fuzzer._golden.resume_point(spec) is not None
+            fork = run_schedule(
+                mechanism, engine, trace, interval_ops, spec, index=index,
+                plan_rng=fuzzer._plan_rng(config, mechanism, engine, index),
+                weaken=config.weaken,
+            )
+            scratch = run_crash(
+                build_setup(
+                    mechanism, engine, weaken=config.weaken, trace=trace,
+                    interval_ops=interval_ops,
+                ),
+                spec, index, fuzzer._plan_rng(config, mechanism, engine, index),
+            )
+            pairs.append((fork.to_dict(), scratch.to_dict()))
+    return pairs, forked
+
+
+class TestForkedSchedules:
+    """A schedule forked from the probe's interval snapshot must produce
+    exactly the outcome of the same schedule run from scratch."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FuzzConfig(seed=2026, budget=512, ops=OPS, intervals=INTERVALS),
+            FuzzConfig(
+                seed=5, budget=32, mechanisms=INTERVAL_MECHANISMS,
+                engines=("scalar",), ops=500, intervals=INTERVALS,
+            ),
+            FuzzConfig(
+                seed=3, budget=60, mechanisms=("prosper",), engines=("scalar",),
+                ops=OPS, intervals=INTERVALS, weaken=True,
+            ),
+        ],
+        ids=["acceptance", "interval-mechanisms", "weakened"],
+    )
+    def test_forked_equals_scratch(self, config):
+        pairs, forked = _forked_and_scratch_outcomes(config)
+        for fork, scratch in pairs:
+            assert fork == scratch
+        # Most schedules crash past the first interval boundary, so the
+        # comparison covers real forks, not fresh machines.
+        assert forked >= len(pairs) // 2
+        if config.weaken:
+            assert any(not fork["ok"] for fork, _ in pairs)
+
+    def test_no_golden_run_for_another_target(self):
+        trace = _trace()
+        fuzzer._probe("prosper", "scalar", trace, INTERVAL_OPS)
+        assert len(fuzzer._golden.snapshots) == INTERVALS - 1
+        assert fuzzer._golden.matches("prosper", "scalar", trace, INTERVAL_OPS)
+        assert not fuzzer._golden.matches("prosper", "scalar", _trace(), INTERVAL_OPS)
+        assert not fuzzer._golden.matches("dirtybit", "scalar", trace, INTERVAL_OPS)
+
+    def test_legality_rule(self):
+        trace = _trace()
+        total, fired = fuzzer._probe("prosper", "scalar", trace, INTERVAL_OPS)
+        golden = fuzzer._golden
+        first, last = golden.snapshots
+        assert (first.start_op, last.start_op) == (INTERVAL_OPS, 2 * INTERVAL_OPS)
+        # A cycle crash resumes from the latest snapshot strictly before it.
+        assert golden.resume_point(CrashSpec("cycle", cycle=first.cycles)) is None
+        assert golden.resume_point(CrashSpec("cycle", cycle=first.cycles + 1)) is first
+        assert golden.resume_point(CrashSpec("cycle", cycle=total)) is last
+        # Checkpoint k's STAGE_COMPLETE has fired k times at snapshot k.
+        for k, expected in enumerate((None, first, last)):
+            spec = CrashSpec("point", point=STAGE_COMPLETE, occurrence=k)
+            assert golden.resume_point(spec) is expected
+        assert fired.count(STAGE_COMPLETE) == INTERVALS
+
+    def test_fork_drops_per_instance_hook_wrappers(self):
+        # A profiler may wrap hooks on one machine's instances; a wrapper
+        # is a closure over that machine, so a fork runs the class hooks.
+        trace = _trace()
+        target = build_setup("prosper", "scalar", trace=trace, interval_ops=INTERVAL_OPS)
+        calls = []
+        for owner, name in (
+            (target.recorder, "on_interval_end"),
+            (target.inner.checkpoint_engine, "checkpoint"),
+        ):
+            def wrapper(*args, _original=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            setattr(owner, name, wrapper)
+        fork = target.fork()
+        assert "on_interval_end" not in vars(fork.recorder)
+        assert "checkpoint" not in vars(fork.inner.checkpoint_engine)
+        fork.run()
+        assert calls == []
+        assert len(fork.snapshots) == INTERVALS
+        assert fork.inner.staging.last_committed_interval == INTERVALS - 1
+
+    @pytest.mark.parametrize("mechanism", ["prosper", "dirtybit", "ssp"])
+    def test_forks_are_isolated(self, mechanism):
+        # Crash one fork with a plan that drops and tears what it can, and
+        # recover it; a second fork of the same snapshot must still match
+        # the from-scratch outcome.  A callback left pointing at the golden
+        # machine would act on that machine instead of the fork.
+        trace = _trace()
+        fuzzer._probe(mechanism, "scalar", trace, INTERVAL_OPS)
+        snapshot = fuzzer._golden.snapshots[-1]
+        # Early in the last interval the previous commit is still pending;
+        # at the last STAGE_COMPLETE the staged runs are.
+        specs = [CrashSpec("cycle", cycle=snapshot.cycles + 100)]
+        if mechanism in CONTENT_MECHANISMS:
+            specs.append(CrashSpec("point", point=STAGE_COMPLETE, occurrence=2))
+        for spec in specs:
+            assert fuzzer._golden.resume_point(spec) is snapshot
+            reference, first = (
+                build_setup(
+                    mechanism, "scalar", trace=trace, interval_ops=INTERVAL_OPS,
+                    resume_from=resume_from,
+                )
+                for resume_from in (None, snapshot)
+            )
+            _crash(reference, spec)
+            labels = reference.oracle.pending_labels()
+            tearable = [label for label in labels if ".stage_run[" in label]
+            plan = PersistPlan(
+                frozenset(label for label in labels if label not in tearable[-1:]),
+                tearable[-1] if tearable else None,
+            )
+            assert plan.dropped
+            reference.oracle.apply_plan(plan)
+
+            _crash(first, spec)
+            first.oracle.apply_plan(plan)
+            assert _durable_state(first) == _durable_state(reference)
+            first.injector.disarm()
+            first.drop_volatile()
+            assert first.recover() == reference.recover()
+            assert _durable_state(first) == _durable_state(reference)
+
+            # The neat plan rolls a complete staging forward on recovery,
+            # through the fork's content writer.
+            second, scratch = (
+                build_setup(
+                    mechanism, "scalar", trace=trace, interval_ops=INTERVAL_OPS,
+                    resume_from=resume_from,
+                )
+                for resume_from in (snapshot, None)
+            )
+            assert (
+                run_crash(second, spec, forced_plan=PersistPlan()).to_dict()
+                == run_crash(scratch, spec, forced_plan=PersistPlan()).to_dict()
+            )
+
+
+def _crash(target, spec):
+    """Run *target* into the crash *spec* names."""
+    if spec.kind == "cycle":
+        target.injector.arm_cycle(spec.cycle)
+    else:
+        target.injector.arm(spec.point, spec.occurrence)
+    with pytest.raises(CrashInjected):
+        target.run()
+
+
+def _durable_state(target):
+    """What a target holds durably: its staging and persistent image, or
+    its interval-commit records."""
+    if not target.staged_protocol:
+        return list(target.recorder.commits)
+    staging = target.inner.staging
+    staged = staging.staged
+    return (
+        staging.last_committed_interval,
+        staged and (staged.interval_index, staged.committed, staged.complete, staged.verify()),
+        sorted(target.durable.iter_words()),
+    )

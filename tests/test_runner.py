@@ -1,8 +1,12 @@
 """Tests for repro.experiments.runner: scaling and the run driver."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import setup_i
+from repro.experiments import runner
 from repro.experiments.runner import (
     TRACE_PAPER_MS,
     fixed_cost_scale_for,
@@ -59,6 +63,34 @@ class TestDriver:
         assert result.mechanism_name == "prosper-8B"
         assert result.normalized_time >= 1.0
         assert result.overhead_fraction == result.normalized_time - 1.0
+
+    @pytest.mark.parametrize(
+        "factory", [ProsperPersistence, DirtyBitPersistence, lambda: SspPersistence(10.0)]
+    )
+    def test_finished_machine_freed_without_gc(self, factory, monkeypatch):
+        # No engine <-> mechanism cycle: reference counting alone frees a
+        # machine once its result is dropped, even if the caller keeps
+        # the mechanism.
+        engines = []
+        build = runner.make_engine
+
+        def make_engine(*args, **kwargs):
+            engine = build(*args, **kwargs)
+            engines.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(runner, "make_engine", make_engine)
+        trace = random_workload(num_writes=500)
+        mechanism = factory()
+        gc.disable()
+        try:
+            result = run_mechanism(trace, mechanism, 10.0, baseline_cycles=10**6)
+            assert result.stats.ops_executed == len(trace)
+            del result
+            assert len(engines) == 1
+            assert engines[0]() is None
+        finally:
+            gc.enable()
 
     def test_vanilla_normalizes_to_one(self):
         trace = random_workload(num_writes=3_000)
