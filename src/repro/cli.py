@@ -23,7 +23,6 @@ retry, and graceful degradation.  See ``docs/HARNESS.md``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -351,14 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay units already journaled ok in --manifest instead of "
         "re-running them",
     )
-    parser.add_argument(
-        "--engine",
-        choices=["batched", "scalar"],
-        default=None,
-        help="execution engine: the vectorized fast path (default) or the "
-        "scalar reference; both produce identical results "
-        "(see docs/PERFORMANCE.md)",
-    )
     return parser
 
 
@@ -379,9 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.manifest is None:
         print("repro: error: --resume requires --manifest", file=sys.stderr)
         return 2
-    if args.engine is not None:
-        # Through the environment so harness worker processes inherit it.
-        os.environ["REPRO_ENGINE"] = args.engine
 
     names = figure_names() if args.command == "all" else [args.command]
     opts = HarnessOptions(

@@ -163,11 +163,6 @@ class SystemConfig:
     dram_capacity_bytes: int = 3 * 1024**3
     nvm_capacity_bytes: int = 2 * 1024**3
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    #: Execution-engine implementation: "batched" (vectorized fast path,
-    #: the default) or "scalar" (the per-op reference).  Both produce
-    #: identical results; the ``REPRO_ENGINE`` environment variable
-    #: overrides this at run time.  See docs/PERFORMANCE.md.
-    engine: str = "batched"
 
     @property
     def has_nvm(self) -> bool:

@@ -29,6 +29,13 @@ loop:
   ``on_load_batch`` when the mechanism declares ``supports_batching``, in
   either loop; mechanisms whose per-op costs feed back into the current
   cycle (SSP, the logging family) fall back to exact per-op delivery;
+* a fault injector's cycle deadline (``FaultInjector.arm_cycle``) is read
+  once per chunk; a chunk with one armed takes the per-op loop with
+  per-op hooks and polls it after every op, before the interval-boundary
+  test, exactly as the scalar loop does.  Named crash points and the
+  persist-order oracle live in the checkpoint code both engines share,
+  so an unarmed injector or an attached oracle leaves every chunk's loop
+  choice alone;
 * the per-op loop touches plain Python ints from ``tolist()``'d columns
   and handles only the inherently sequential residue: cache tag state,
   device write-buffer timing, and mechanism hooks — the single-line L1
@@ -52,7 +59,7 @@ import numpy as np
 
 from repro.config import CACHE_LINE_BYTES
 from repro.cpu.engine import EngineStats, ExecutionEngine, trace_array
-from repro.cpu.ops import OpKind, array_to_ops
+from repro.cpu.ops import OpKind
 from repro.persistence.none import NoPersistence
 
 _READ = int(OpKind.READ)
@@ -95,21 +102,6 @@ class BatchedExecutionEngine(ExecutionEngine):
         interval_ops: int | None = None,
         final_checkpoint: bool = True,
     ) -> EngineStats:
-        if self._scalar_exact_required():
-            # Graceful degradation: an armed (or merely attached) fault
-            # injector and a persist-order oracle both need the per-op
-            # scalar path — its crash points, cycle-deadline polls, and
-            # write ordering are the semantics under test.  Delegating the
-            # whole run (rather than skipping hooks in vectorized chunks)
-            # guarantees the fired crash points and cycle counts are
-            # identical to the scalar engine by construction.  The scalar
-            # loop iterates Op records: an Op sequence (or a Trace, which
-            # iterates its Op view) passes through, only an array unpacks.
-            if isinstance(ops, np.ndarray):
-                ops = array_to_ops(trace_array(ops))
-            return ExecutionEngine.run(
-                self, ops, interval_cycles, interval_ops, final_checkpoint
-            )
         if interval_cycles < 0:
             raise ValueError("interval_cycles must be non-negative")
         if interval_ops is not None and interval_ops <= 0:
@@ -137,13 +129,6 @@ class BatchedExecutionEngine(ExecutionEngine):
         if periodic and final_checkpoint and ops_in_interval > 0:
             self._end_interval()
         return self.stats
-
-    def _scalar_exact_required(self) -> bool:
-        """True when fault machinery demands the exact scalar path."""
-        if self.fault_injector is not None:
-            return True
-        nvm = self.hierarchy.nvm
-        return nvm is not None and nvm.order_oracle is not None
 
     def _run_chunk(
         self,
@@ -219,6 +204,10 @@ class BatchedExecutionEngine(ExecutionEngine):
         heap_store = heap_mech.on_store if heap_mech is not None else None
         ops_mode = interval_ops is not None
         cycles_mode = next_boundary is not None
+        # An armed cycle deadline is polled after every op, as the scalar
+        # loop does, so the chunk takes the per-op loop with per-op hooks.
+        injector = self.fault_injector
+        deadline = injector.armed_cycle if injector is not None else None
 
         # Batched hook delivery (see PersistenceMechanism.supports_batching).
         # Deferring hooks is exact only when (a) no region is NVM-resident,
@@ -232,7 +221,8 @@ class BatchedExecutionEngine(ExecutionEngine):
             or (heap_mech is not None and heap_mech.region_in_nvm)
         )
         batch_env = (
-            no_nvm
+            deadline is None
+            and no_nvm
             and (mech_trivial or mechanism.supports_batching)
             and (heap_mech is None or heap_trivial or heap_mech.supports_batching)
         )
@@ -858,6 +848,9 @@ class BatchedExecutionEngine(ExecutionEngine):
                 now += 1
                 app += 1
 
+            if deadline is not None and now >= deadline:
+                flush(i + 1)
+                injector.check_cycle(now)
             if ops_mode:
                 ops_in_interval += 1
                 if ops_in_interval >= interval_ops:

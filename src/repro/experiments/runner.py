@@ -14,11 +14,10 @@ not meaningful and are never reported as such.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.config import SystemConfig, setup_i
-from repro.cpu.engine import EngineStats, ExecutionEngine
+from repro.cpu.engine import EngineStats
 from repro.cpu.engine_fast import BatchedExecutionEngine
 from repro.persistence.base import PersistenceMechanism
 from repro.persistence.none import NoPersistence
@@ -47,34 +46,15 @@ class RunResult:
         return self.normalized_time - 1.0
 
 
-def engine_class(config: SystemConfig | None = None) -> type[ExecutionEngine]:
-    """Engine implementation selected by config / ``REPRO_ENGINE``.
-
-    The environment variable wins (it is how the CLI's ``--engine`` flag
-    propagates into harness worker processes); otherwise the config's
-    ``engine`` field decides.  Batched is the default everywhere.
-    """
-    mode = os.environ.get("REPRO_ENGINE", "").strip()
-    if not mode:
-        mode = getattr(config, "engine", None) or "batched"
-    if mode == "scalar":
-        return ExecutionEngine
-    if mode == "batched":
-        return BatchedExecutionEngine
-    raise ValueError(
-        f"unknown engine mode {mode!r} (expected 'batched' or 'scalar')"
-    )
-
-
 def make_engine(
     trace: Trace,
     mechanism: PersistenceMechanism | None = None,
     config: SystemConfig | None = None,
     heap_mechanism: PersistenceMechanism | None = None,
     fixed_cost_scale: float = 1.0,
-) -> ExecutionEngine:
+) -> BatchedExecutionEngine:
     """Build an engine matching *trace*'s address-space layout."""
-    return engine_class(config)(
+    return BatchedExecutionEngine(
         config=config or setup_i(),
         stack_range=trace.stack_range,
         mechanism=mechanism or NoPersistence(),

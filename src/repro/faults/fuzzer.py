@@ -45,11 +45,12 @@ Engine targets cover two kinds of mechanism:
   oracle (interval-commit records are exactly-once and recovery resumes
   from the newest durable one).
 
-Both engines are covered: an attached fault injector (or persist-order
-oracle) forces :class:`~repro.cpu.engine_fast.BatchedExecutionEngine`
-through the exact scalar path, so a batched schedule is bit-identical to
-its scalar twin by construction — which is itself asserted by the tier-1
-tests.
+Both engines are covered, each running its own loop: the batched engine
+(:class:`~repro.cpu.engine_fast.BatchedExecutionEngine`, the one every
+figure runs) polls an armed cycle deadline after every op exactly where
+the scalar reference does, and named points fire in the checkpoint code
+both share, so a batched schedule matches its scalar twin outcome for
+outcome (asserted by the tier-1 tests).
 
 An engine-target schedule does not replay the trace from op 0: it forks
 from the probe's golden run (:class:`GoldenRun`) at the latest interval
@@ -181,7 +182,7 @@ class RecordingMechanism(PersistenceMechanism):
     runs; every interval boundary snapshots the image (before the inner
     checkpoint reads it, which sees identical contents — no stores happen
     in between).  Batching is disabled so store order and values are
-    exact; the fuzzer always runs the scalar path anyway.
+    exact, which keeps the batched engine on its per-op loop.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -1212,17 +1213,31 @@ def run_campaign(config: FuzzConfig) -> dict:
     for engine in config.engines:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-    if config.budget <= 0:
-        raise ValueError("budget must be positive")
     if config.intervals <= 0:
         raise ValueError("intervals must be positive")
     if config.only_schedule is not None and config.only_schedule < 0:
         raise ValueError("schedule index must be non-negative")
+    if config.ops < config.intervals:
+        raise ValueError(
+            f"ops ({config.ops}) must be at least intervals ({config.intervals})"
+        )
+    combos = [(m, e) for m in config.mechanisms for e in config.engines]
+    if not combos:
+        raise ValueError("need at least one mechanism and one engine")
+    if config.budget < len(combos):
+        raise ValueError(
+            f"budget ({config.budget}) must cover every mechanism x engine "
+            f"combination ({len(combos)})"
+        )
+    if config.weaken and config.mechanisms != ("prosper",):
+        raise ValueError(
+            "the weakened recovery mutant is prosper-only: pass --mechanism "
+            "prosper alone"
+        )
 
     trace = build_trace(config.seed, config.ops)
-    interval_ops = max(1, config.ops // config.intervals)
-    combos = [(m, e) for m in config.mechanisms for e in config.engines]
-    per_combo = max(1, config.budget // len(combos))
+    interval_ops = config.ops // config.intervals
+    per_combo = config.budget // len(combos)
 
     combo_reports: list[dict] = []
     violations: list[dict] = []

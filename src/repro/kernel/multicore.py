@@ -156,8 +156,8 @@ class KernelMachine:
         self.cores: list[CoreState] = []
         for index in range(num_cores):
             tracker = ProsperTracker(self.process.tracker_config)
-            # The engine never sees the injector (that would force its
-            # scalar path): crash points stay in the scheduler and manager.
+            # The engine never sees the injector: the kernel's crash points
+            # are protocol steps in the scheduler and manager.
             engine = BatchedExecutionEngine(
                 self.config, mechanism=TrackerMechanism(tracker)
             )

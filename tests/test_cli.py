@@ -21,22 +21,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
-    def test_engine_flag(self):
-        assert build_parser().parse_args(["fig1"]).engine is None
-        args = build_parser().parse_args(["fig1", "--engine", "scalar"])
-        assert args.engine == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig1", "--engine", "turbo"])
+    def test_engine_flag_is_gone(self, capsys):
+        # Figures always run the batched engine; the scalar reference is
+        # constructed directly by tests, never selected from the CLI.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--engine", "scalar"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestExecution:
-    def test_engine_flag_sets_env(self, monkeypatch, capsys):
-        import os
-
-        monkeypatch.setenv("REPRO_ENGINE", "")
-        assert main(["fig1", "--ops", "8000", "--engine", "scalar"]) == 0
-        assert os.environ["REPRO_ENGINE"] == "scalar"
-
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

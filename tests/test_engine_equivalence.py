@@ -412,20 +412,6 @@ class TestConfigurationCorners:
             interval_ops=997,
         )
 
-    def test_scalar_engine_still_selectable(self):
-        from repro.experiments.runner import engine_class
-
-        assert engine_class(dataclasses.replace(setup_i(), engine="scalar")) is (
-            ExecutionEngine
-        )
-        assert engine_class(setup_i()) is BatchedExecutionEngine
-
-    def test_unknown_engine_rejected(self):
-        from repro.experiments.runner import engine_class
-
-        with pytest.raises(ValueError, match="unknown engine mode"):
-            engine_class(dataclasses.replace(setup_i(), engine="turbo"))
-
 
 def _overflowing_trace() -> Trace:
     stack = AddressRange(0x7000_0000, 0x7000_0400)  # 1 KiB stack

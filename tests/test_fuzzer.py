@@ -90,11 +90,58 @@ class TestAcceptanceCampaign:
             run_campaign(FuzzConfig(budget=0))
         with pytest.raises(ValueError):
             run_campaign(FuzzConfig(only_schedule=-5))
+        # Rejected before the first probe, not after a silently
+        # shrunken or over-budget campaign.
+        for bad in (
+            FuzzConfig(ops=0),
+            FuzzConfig(ops=-5),
+            FuzzConfig(ops=10, intervals=20),
+            FuzzConfig(budget=3),
+            FuzzConfig(mechanisms=(), budget=4),
+            FuzzConfig(weaken=True),
+            FuzzConfig(mechanisms=("prosper", "dirtybit"), weaken=True),
+        ):
+            with pytest.raises(ValueError):
+                run_campaign(bad)
+
+    def test_bad_arguments_fail_before_the_first_probe(self, monkeypatch):
+        import repro.faults.fuzzer as fuzzer
+
+        def probe(*args, **kwargs):
+            raise AssertionError("probed a rejected campaign")
+
+        monkeypatch.setattr(fuzzer, "_probe", probe)
+        with pytest.raises(ValueError, match="prosper-only"):
+            run_campaign(FuzzConfig(weaken=True))
+        with pytest.raises(ValueError, match="budget"):
+            run_campaign(FuzzConfig(budget=3))
 
     def test_cli_rejects_negative_schedule(self, capsys):
         from repro.cli import main
 
         code = main(["faults", "fuzz", "--schedule", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro faults fuzz: error:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ops", "0"],
+            ["--ops", "-5"],
+            ["--ops", "10", "--intervals", "20"],
+            ["--budget", "3"],
+            ["--weaken"],
+        ],
+        ids=["ops-zero", "ops-negative", "ops-below-intervals", "budget-below-grid",
+             "weaken-default-mechanisms"],
+    )
+    def test_cli_rejects_unrunnable_campaigns(self, capsys, argv):
+        from repro.cli import main
+
+        code = main(["faults", "fuzz", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
