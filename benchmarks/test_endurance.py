@@ -35,7 +35,7 @@ def run_endurance_comparison(target_ops=50_000):
         (FlushPersistence(), "flush"),
     ):
         engine = make_engine(trace, mech, fixed_cost_scale=scale)
-        engine.run(trace.ops, interval_cycles=interval)
+        engine.run(trace.array, interval_cycles=interval)
         # Wear is compared per unit of *application progress*: every
         # mechanism gets the same vanilla-execution denominator (converted
         # back to paper time), so a slow mechanism cannot claim longevity

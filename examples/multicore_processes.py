@@ -12,13 +12,14 @@ Run:  python examples/multicore_processes.py
 
 import numpy as np
 
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import NO_OPS, OpKind, TraceBuilder
 from repro.kernel.multicore import MultiCoreSimulation
 
 
 def build(num_cores: int) -> MultiCoreSimulation:
+    # Placeholder streams: the stacks are known once the threads exist.
     sim = MultiCoreSimulation(
-        [[Op(OpKind.COMPUTE, size=1)] for _ in range(4)],
+        [NO_OPS] * 4,
         num_cores=num_cores,
         quantum_ops=128,
         checkpoint_every_rounds=3,
@@ -27,11 +28,11 @@ def build(num_cores: int) -> MultiCoreSimulation:
         for slot, (thread, _, _) in enumerate(core.queue):
             rng = np.random.default_rng(thread.tid)
             frame = thread.stack.size // 2
-            ops = [Op(OpKind.CALL, size=frame)]
             base = thread.stack.end - frame
-            for off in (rng.integers(0, frame // 8, size=500) * 8):
-                ops.append(Op(OpKind.WRITE, base + int(off), 8))
-            core.queue[slot] = (thread, ops, 0)
+            ops = TraceBuilder()
+            ops.call(frame)
+            ops.extend(OpKind.WRITE, base + rng.integers(0, frame // 8, size=500) * 8, 8)
+            core.queue[slot] = (thread, ops.to_array(), 0)
     return sim
 
 

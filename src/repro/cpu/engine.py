@@ -24,16 +24,20 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.config import SystemConfig, setup_i
-from repro.cpu.ops import TRACE_DTYPE, Op, OpKind, ops_to_array
+from repro.cpu.ops import TRACE_DTYPE, OpKind, ops_to_array
 from repro.cpu.registers import RegisterFile
 from repro.memory.address import AddressRange
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.persistence.base import IntervalContext, PersistenceMechanism
+
+_WRITE = int(OpKind.WRITE)
+_CALL = int(OpKind.CALL)
+_RET = int(OpKind.RET)
+_COMPUTE = int(OpKind.COMPUTE)
 
 
 class IntervalWriteLog:
@@ -84,14 +88,12 @@ class IntervalWriteLog:
 
 def trace_array(ops) -> np.ndarray:
     """Coerce an op stream (Trace, TRACE_DTYPE array, or Op sequence) to
-    the canonical ``TRACE_DTYPE`` array form."""
-    arr = getattr(ops, "array", None)
-    if arr is not None and isinstance(arr, np.ndarray):
+    a ``TRACE_DTYPE`` array: the one place an ``Op`` sequence is packed."""
+    arr = getattr(ops, "array", ops)
+    if isinstance(arr, np.ndarray):
+        if arr.dtype != TRACE_DTYPE:
+            raise TypeError(f"expected TRACE_DTYPE array, got {arr.dtype}")
         return arr
-    if isinstance(ops, np.ndarray):
-        if ops.dtype != TRACE_DTYPE:
-            raise TypeError(f"expected TRACE_DTYPE array, got {ops.dtype}")
-        return ops
     return ops_to_array(list(ops))
 
 
@@ -237,12 +239,13 @@ class ExecutionEngine:
 
     def run(
         self,
-        ops: Iterable[Op] | Sequence[Op],
+        ops,
         interval_cycles: int = 0,
         interval_ops: int | None = None,
         final_checkpoint: bool = True,
     ) -> EngineStats:
-        """Execute *ops*; fire interval hooks periodically.
+        """Execute *ops* (anything :func:`trace_array` accepts); fire
+        interval hooks periodically.
 
         Interval boundaries are either wall-clock (*interval_cycles* of
         simulated time, like the paper's 10 ms timer) or positional
@@ -257,6 +260,7 @@ class ExecutionEngine:
             raise ValueError("interval_cycles must be non-negative")
         if interval_ops is not None and interval_ops <= 0:
             raise ValueError("interval_ops must be positive")
+        arr = trace_array(ops)
         periodic = bool(interval_cycles) or interval_ops is not None
         next_boundary = self.now + interval_cycles if interval_cycles else None
         ops_in_interval = 0
@@ -264,8 +268,10 @@ class ExecutionEngine:
             self._start_interval()
 
         injector = self.fault_injector
-        for op in ops:
-            self._execute(op)
+        for kind, address, size in zip(
+            arr["kind"].tolist(), arr["address"].tolist(), arr["size"].tolist()
+        ):
+            self._execute(kind, address, size)
             if injector is not None:
                 injector.check_cycle(self.now)
             ops_in_interval += 1
@@ -287,17 +293,16 @@ class ExecutionEngine:
             self._end_interval()
         return self.stats
 
-    def _execute(self, op: Op) -> None:
+    def _execute(self, kind: int, address: int, size: int) -> None:
         self.stats.ops_executed += 1
         self.registers.op_index += 1
-        kind = op.kind
 
-        if kind == OpKind.COMPUTE:
-            self._advance(op.size)
+        if kind == _COMPUTE:
+            self._advance(size)
             return
 
-        if kind == OpKind.CALL:
-            sp = self.registers.push_frame(op.size)
+        if kind == _CALL:
+            sp = self.registers.push_frame(size)
             if sp < self._interval_min_sp:
                 self._interval_min_sp = sp
             if sp < self.stack_range.start:
@@ -307,41 +312,41 @@ class ExecutionEngine:
             self._advance(1)
             return
 
-        if kind == OpKind.RET:
-            self.registers.pop_frame(op.size)
+        if kind == _RET:
+            self.registers.pop_frame(size)
             self._advance(1)
             return
 
         # Memory operation.
-        is_write = kind == OpKind.WRITE
+        is_write = kind == _WRITE
         if self.tlb is not None:
-            self._advance(self.tlb.translate(op.address, is_write))
-        result = self.hierarchy.access(op.address, op.size, is_write)
+            self._advance(self.tlb.translate(address, is_write))
+        result = self.hierarchy.access(address, size, is_write)
         self._advance(result.latency_cycles)
 
-        in_stack = self.stack_range.contains(op.address)
+        in_stack = self.stack_range.contains(address)
         if in_stack:
             if is_write:
                 self.stats.stack_writes += 1
-                self._interval_writes.append(op.address)
+                self._interval_writes.append(address)
             else:
                 self.stats.stack_reads += 1
             extra = (
-                self.mechanism.on_store(op.address, op.size, self.now)
+                self.mechanism.on_store(address, size, self.now)
                 if is_write
-                else self.mechanism.on_load(op.address, op.size, self.now)
+                else self.mechanism.on_load(address, size, self.now)
             )
             self._charge_inline(extra)
-        elif self.heap_range is not None and self.heap_range.contains(op.address):
+        elif self.heap_range is not None and self.heap_range.contains(address):
             if is_write:
                 self.stats.other_writes += 1
             else:
                 self.stats.other_reads += 1
             if self.heap_mechanism is not None:
                 extra = (
-                    self.heap_mechanism.on_store(op.address, op.size, self.now)
+                    self.heap_mechanism.on_store(address, size, self.now)
                     if is_write
-                    else self.heap_mechanism.on_load(op.address, op.size, self.now)
+                    else self.heap_mechanism.on_load(address, size, self.now)
                 )
                 self._charge_inline(extra)
         else:

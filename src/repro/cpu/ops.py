@@ -1,11 +1,13 @@
 """Micro-operation vocabulary for the trace-driven engine.
 
-A workload is a sequence of :class:`Op` records.  The vocabulary is
-deliberately small — it matches what the paper's trace-based analysis needs:
+A workload is a ``TRACE_DTYPE`` structured numpy array of ``(kind,
+address, size)`` records: the one format generators emit (through
+:class:`TraceBuilder`) and all production code consumes.  The vocabulary
+is deliberately small — it matches what the paper's trace-based analysis
+needs:
 
-* ``READ`` / ``WRITE`` — data accesses with an address, a size, and a flag
-  for whether the address falls in the stack segment (precomputed by the
-  workload generators for speed; the engine re-derives it when absent).
+* ``READ`` / ``WRITE`` — data accesses with an address and a size; the
+  engine classifies the address as stack, heap or other.
 * ``CALL`` / ``RET`` — stack-pointer movement.  A ``CALL`` pushes a frame of
   ``size`` bytes (SP moves down); a ``RET`` pops it (SP moves up).  The
   engine uses these to track the *active stack region*, the quantity behind
@@ -14,8 +16,9 @@ deliberately small — it matches what the paper's trace-based analysis needs:
   Normal/Poisson micro-benchmarks whose compute blocks increment a register
   a thousand times between bursts of stack writes.
 
-Traces can also be represented in bulk as numpy structured arrays
-(see :mod:`repro.workloads.trace`), with this module defining the dtype.
+:class:`Op` is one record as a Python object, for hand-written test
+streams and the tests' per-op references; ``cpu.engine.trace_array`` packs
+such a list once at the entry point.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class Op:
 TRACE_DTYPE = np.dtype(
     [("kind", np.uint8), ("address", np.uint64), ("size", np.uint32)]
 )
+#: The empty op stream, e.g. for a thread whose stack is driven directly.
+NO_OPS = np.empty(0, dtype=TRACE_DTYPE)
 
 
 def ops_to_array(ops: list[Op]) -> np.ndarray:
@@ -90,10 +95,9 @@ def array_to_ops(arr: np.ndarray) -> list[Op]:
 class TraceBuilder:
     """Columnar accumulator for generating ``TRACE_DTYPE`` trace arrays.
 
-    Workload generators historically built ``list[Op]``; this builder keeps
-    the same append-style interface but stores plain integer columns and
-    whole numpy chunks, so a trace is materialized directly as a structured
-    array without ever constructing per-op objects.
+    An append-style interface over plain integer columns and whole numpy
+    chunks, so a trace is materialized directly as a structured array
+    without ever constructing per-op objects.
     """
 
     __slots__ = ("_chunks", "_kinds", "_addrs", "_sizes", "_count")
@@ -134,39 +138,31 @@ class TraceBuilder:
         self.append(_COMPUTE, 0, cycles)
 
     def _flush_pending(self) -> None:
-        if not self._kinds:
-            return
-        chunk = np.empty(len(self._kinds), dtype=TRACE_DTYPE)
-        chunk["kind"] = self._kinds
-        chunk["address"] = self._addrs
-        chunk["size"] = self._sizes
-        self._chunks.append(chunk)
-        self._kinds = []
-        self._addrs = []
-        self._sizes = []
+        if self._kinds:
+            self._chunks.append(_pack(self._kinds, self._addrs, self._sizes))
+            self._kinds, self._addrs, self._sizes = [], [], []
 
     def extend(self, kinds, addresses, sizes) -> None:
-        """Append a vector of ops; each column may be an array or a scalar."""
-        n = max(
-            np.size(kinds), np.size(addresses), np.size(sizes)
-        )
-        if n == 0:
+        """Append a vector of ops; each column may be an array, a sequence
+        or a scalar.  Raises :class:`ValueError` on a value its column
+        cannot hold (numpy would silently wrap it)."""
+        columns = []
+        for values in (kinds, addresses, sizes):
+            column = np.asarray(values)
+            if column.dtype.kind not in "biu":
+                # e.g. ints past int64 mixed with small ones come out float64.
+                column = np.array(values, dtype=object)
+            columns.append(column)
+        if max(c.size for c in columns) == 0:
             return
+        for name, column, limit in zip(("kind", "address", "size"), columns, _LIMITS):
+            if column.size and (column.min() < 0 or column.max() > limit):
+                raise ValueError(
+                    f"op {name} out of range [0, {limit}]: "
+                    f"min {column.min()}, max {column.max()}"
+                )
         self._flush_pending()
-        chunk = np.empty(n, dtype=TRACE_DTYPE)
-        chunk["kind"] = kinds
-        chunk["address"] = addresses
-        chunk["size"] = sizes
-        self._chunks.append(chunk)
-        self._count += n
-
-    def extend_array(self, chunk: np.ndarray) -> None:
-        """Append a pre-built ``TRACE_DTYPE`` chunk (kept by reference)."""
-        if chunk.dtype != TRACE_DTYPE:
-            raise TypeError(f"expected TRACE_DTYPE chunk, got {chunk.dtype}")
-        if len(chunk) == 0:
-            return
-        self._flush_pending()
+        chunk = _pack(*columns)
         self._chunks.append(chunk)
         self._count += len(chunk)
 
@@ -180,6 +176,18 @@ class TraceBuilder:
         return np.concatenate(self._chunks)
 
 
+def _pack(kinds, addresses, sizes) -> np.ndarray:
+    """One ``TRACE_DTYPE`` chunk from three broadcastable columns."""
+    n = max(np.size(kinds), np.size(addresses), np.size(sizes))
+    chunk = np.empty(n, dtype=TRACE_DTYPE)
+    chunk["kind"] = kinds
+    chunk["address"] = addresses
+    chunk["size"] = sizes
+    return chunk
+
+
+#: Largest value each column holds: kind, address, size.
+_LIMITS = (max(OpKind), 2**64 - 1, 2**32 - 1)
 _READ = int(OpKind.READ)
 _WRITE = int(OpKind.WRITE)
 _CALL = int(OpKind.CALL)

@@ -25,8 +25,7 @@ from repro.core.bitmap import DirtyBitmap
 from repro.core.checkpoint import ProsperCheckpointEngine
 from repro.core.policies import AllocationPolicy
 from repro.core.tracker import ProsperTracker
-from repro.cpu.ops import OpKind
-from repro.experiments.overhead import replay_tracker
+from repro.experiments.overhead import replay_stores, replay_tracker
 from repro.experiments.runner import run_mechanism, vanilla_cycles
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.persistence.dirtybit import DirtyBitPersistence
@@ -120,6 +119,13 @@ def active_region_bounding_ablation(
     """
     cells = []
     for trace in (gapbs_pr(target_ops, seed), ycsb_mem(target_ops, seed)):
+        boundary = max(1, len(trace) // 20)
+        ends = range(boundary, len(trace) + 1, boundary)
+        *intervals, rest = trace.stack_write_runs(ends)
+        # Lowest SP of each interval, counting the SP it starts from.
+        path = trace.sp_path()
+        starts = [trace.stack_range.end] + [int(path[hi - 1]) for hi in ends]
+        min_sps = [min(sp, int(path[hi - boundary:hi].min())) for sp, hi in zip(starts, ends)]
         results = []
         for bounded in (True, False):
             tracker = ProsperTracker(TrackerConfig())
@@ -128,26 +134,13 @@ def active_region_bounding_ablation(
             engine = ProsperCheckpointEngine(
                 tracker, bitmap, MemoryHierarchy(setup_i())
             )
-            boundary = max(1, len(trace.ops) // 20)
-            sp = trace.stack_range.end
-            min_sp = sp
-            interval = 0
             cycles = 0
-            for i, op in enumerate(trace.ops):
-                if op.kind == OpKind.CALL:
-                    sp -= op.size
-                    min_sp = min(min_sp, sp)
-                elif op.kind == OpKind.RET:
-                    sp += op.size
-                elif op.kind == OpKind.WRITE and trace.stack_range.contains(op.address):
-                    tracker.observe_store(op.address, op.size)
-                if (i + 1) % boundary == 0:
-                    hint = min_sp if bounded else trace.stack_range.start
-                    result = engine.checkpoint(interval, active_low_hint=hint)
-                    cycles += result.cycles
-                    interval += 1
-                    min_sp = sp
-            results.append(cycles / max(1, interval))
+            for interval, (run, min_sp) in enumerate(zip(intervals, min_sps)):
+                replay_stores(tracker, run)
+                hint = min_sp if bounded else trace.stack_range.start
+                cycles += engine.checkpoint(interval, active_low_hint=hint).cycles
+            replay_stores(tracker, rest)
+            results.append(cycles / max(1, len(intervals)))
         cells.append(BoundingCell(trace.name, results[0], results[1]))
     return cells
 

@@ -147,7 +147,7 @@ def adaptive_watermark_experiment(
     from repro.config import TrackerConfig
     from repro.core.bitmap import DirtyBitmap
     from repro.core.tracker import ProsperTracker
-    from repro.cpu.ops import OpKind
+    from repro.experiments.overhead import replay_stores
 
     results = []
     for trace in (
@@ -156,19 +156,16 @@ def adaptive_watermark_experiment(
     ):
         controller = WatermarkController(initial_hwm=20)
         bitmap = DirtyBitmap(trace.stack_range, 8)
-        chunk = max(1, len(trace.ops) // num_intervals)
-        for i in range(num_intervals):
+        chunk = max(1, len(trace) // num_intervals)
+        runs = trace.stack_write_runs(range(chunk, (num_intervals + 1) * chunk, chunk))
+        for run in runs[:num_intervals]:
             config = TrackerConfig(high_water_mark=controller.hwm)
             tracker = ProsperTracker(config)
             tracker.configure(bitmap)
-            stores = 0
-            for op in trace.ops[i * chunk: (i + 1) * chunk]:
-                if op.kind == OpKind.WRITE and trace.stack_range.contains(op.address):
-                    tracker.observe_store(op.address, op.size)
-                    stores += 1
+            replay_stores(tracker, run)
             tracker.request_flush()
             tracker.poll_quiescent()
-            controller.observe(tracker.interval_memory_ops, stores)
+            controller.observe(tracker.interval_memory_ops, len(run[0]))
             bitmap.clear()
         results.append(
             WatermarkWalkResult(
@@ -208,13 +205,14 @@ def cross_thread_write_experiment(
     """
     import numpy as np
 
-    from repro.cpu.ops import Op, OpKind
+    from repro.cpu.ops import NO_OPS, OpKind, TraceBuilder
     from repro.kernel.simulation import MultiThreadSimulation
 
     cells = []
     for fraction in fractions:
+        # Placeholder streams: the stacks are known once the threads exist.
         sim = MultiThreadSimulation(
-            [[Op(OpKind.COMPUTE, size=1)], [Op(OpKind.COMPUTE, size=1)]],
+            [NO_OPS, NO_OPS],
             quantum_ops=200,
             checkpoint_every_quanta=8,
         )
@@ -224,16 +222,16 @@ def cross_thread_write_experiment(
         cross_total = 0
         for me, other in ((threads[0], threads[1]), (threads[1], threads[0])):
             frame = me.stack.size // 2
-            ops = [Op(OpKind.CALL, size=frame)]
+            ops = TraceBuilder()
+            ops.call(frame)
             my_base = me.stack.end - frame
             other_base = other.stack.end - frame
             offsets = rng.integers(0, frame // 8, size=writes_per_thread) * 8
             is_cross = rng.random(writes_per_thread) < fraction
-            for off, cross in zip(offsets, is_cross):
-                base = other_base if cross else my_base
-                ops.append(Op(OpKind.WRITE, base + int(off), 8))
-                cross_total += bool(cross)
-            streams.append((me, ops, 0))
+            bases = np.where(is_cross, other_base, my_base)
+            ops.extend(OpKind.WRITE, bases + offsets, 8)
+            cross_total += int(np.count_nonzero(is_cross))
+            streams.append((me, ops.to_array(), 0))
         sim.cores[0].queue = streams
         stats = sim.run()
         cells.append(CrossThreadCell(fraction, stats.cycles, cross_total))

@@ -18,7 +18,6 @@ from repro.core.bitmap import DirtyBitmap
 from repro.core.energy import EnergyModel, EnergyReport
 from repro.core.policies import AllocationPolicy
 from repro.core.tracker import ProsperTracker
-from repro.cpu.ops import OpKind
 from repro.kernel.process import Process
 from repro.kernel.scheduler import Scheduler
 from repro.workloads.apps import gapbs_pr
@@ -26,6 +25,12 @@ from repro.workloads.trace import Trace
 
 #: Granularities of the Figure 12 sweep (bytes).
 FIG12_GRANULARITIES = (8, 64, 128)
+
+
+def replay_stores(tracker: ProsperTracker, run: tuple[list[int], list[int]]) -> None:
+    """Feed one run of (addresses, sizes) stores to *tracker* in order."""
+    for address, size in zip(*run):
+        tracker.observe_store(address, size)
 
 
 def replay_tracker(
@@ -44,15 +49,15 @@ def replay_tracker(
     bitmap = DirtyBitmap(trace.stack_range, config.granularity_bytes)
     tracker = ProsperTracker(config, policy)
     tracker.configure(bitmap)
-    boundary = max(1, len(trace.ops) // num_intervals)
-    for i, op in enumerate(trace.ops):
-        if op.kind == OpKind.WRITE and trace.stack_range.contains(op.address):
-            tracker.observe_store(op.address, op.size)
-        if (i + 1) % boundary == 0:
-            tracker.request_flush()
-            tracker.poll_quiescent()
-            bitmap.clear()
-            tracker.begin_interval()
+    boundary = max(1, len(trace) // num_intervals)
+    *intervals, rest = trace.stack_write_runs(range(boundary, len(trace) + 1, boundary))
+    for run in intervals:
+        replay_stores(tracker, run)
+        tracker.request_flush()
+        tracker.poll_quiescent()
+        bitmap.clear()
+        tracker.begin_interval()
+    replay_stores(tracker, rest)
     tracker.request_flush()
     tracker.poll_quiescent()
     return tracker.stats.bitmap_loads, tracker.stats.bitmap_stores
@@ -115,11 +120,9 @@ def energy_report(target_ops: int = 50_000, seed: int = 42) -> EnergyReport:
     bitmap = DirtyBitmap(trace.stack_range, config.granularity_bytes)
     tracker = ProsperTracker(config)
     tracker.configure(bitmap)
-    cycles = 0
-    for op in trace.ops:
-        if op.kind == OpKind.WRITE and trace.stack_range.contains(op.address):
-            tracker.observe_store(op.address, op.size)
-        cycles += 4  # nominal per-op cycle cost for the leakage window
+    (run,) = trace.stack_write_runs(())
+    replay_stores(tracker, run)
     tracker.request_flush()
     tracker.poll_quiescent()
-    return EnergyModel().report_for_tracker(tracker, cycles)
+    # Nominal 4 cycles per op for the leakage window.
+    return EnergyModel().report_for_tracker(tracker, 4 * len(trace))

@@ -68,14 +68,16 @@ from __future__ import annotations
 import copy
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from repro.core.tracker import ProsperTracker
-from repro.cpu.engine import ExecutionEngine
+from repro.cpu.engine import ExecutionEngine, trace_array
 from repro.cpu.engine_fast import BatchedExecutionEngine
-from repro.cpu.ops import Op, TraceBuilder, array_to_ops
+from repro.cpu.ops import NO_OPS, TraceBuilder
 from repro.faults.injector import (
     COMMIT_FLAG_WRITE,
     CTX_RESTORE,
@@ -131,7 +133,7 @@ CLUSTER_STRIDE = 4096
 BETWEEN_CHECKPOINT_POINTS = frozenset({CTX_SAVE, CTX_RESTORE})
 
 
-def build_trace(seed: int, ops: int = 1200) -> list[Op]:
+def build_trace(seed: int, ops: int = 1200) -> np.ndarray:
     """Deterministic fuzz workload: window stores/loads, CALL/RET wiggle,
     compute gaps.  Same (seed, ops) -> same trace, on any platform."""
     rng = random.Random(f"fuzz-trace:{seed}")
@@ -154,7 +156,7 @@ def build_trace(seed: int, ops: int = 1200) -> list[Op]:
             tb.ret(frames.pop())
         else:
             tb.compute(rng.randrange(1, 30))
-    return array_to_ops(tb.to_array())
+    return tb.to_array()
 
 
 # ---------------------------------------------------------------------- #
@@ -282,7 +284,7 @@ class EngineTarget:
     inner: PersistenceMechanism
     dram: ByteImage
     durable: ByteImage | None  # persistent NVM contents (content mechs)
-    trace: Sequence[Op] = ()
+    trace: np.ndarray
     interval_ops: int | None = None
     #: Trace position :meth:`run` starts from: 0 on a fresh machine, the
     #: interval boundary it was copied at on a fork (:meth:`fork`).
@@ -301,8 +303,7 @@ class EngineTarget:
         return self.engine.now
 
     def run(self) -> None:
-        trace = self.trace[self.start_op:] if self.start_op else self.trace
-        self.engine.run(trace, interval_ops=self.interval_ops)
+        self.engine.run(self.trace[self.start_op:], interval_ops=self.interval_ops)
 
     def fork(self, memo: dict | None = None) -> "EngineTarget":
         """An independent copy of the whole machine, sharing only the trace
@@ -399,7 +400,7 @@ def build_setup(
     mechanism: str,
     engine_name: str,
     weaken: bool = False,
-    trace: Sequence[Op] = (),
+    trace: np.ndarray = NO_OPS,
     interval_ops: int | None = None,
     resume_from: EngineTarget | None = None,
 ) -> EngineTarget:
@@ -464,7 +465,7 @@ def build_setup(
         inner.staging.unsafe_trust_completeness = True
     return EngineTarget(
         mechanism, engine_name, engine, injector, oracle, recorder, inner,
-        dram, durable, trace, interval_ops,
+        dram, durable, trace_array(trace), interval_ops,
     )
 
 
@@ -613,7 +614,7 @@ class SingleCoreTarget(KernelTarget):
 
     def _build_machine(self) -> KernelMachine:
         return MultiThreadSimulation(
-            [[] for _ in range(self.threads)], injector=self.injector
+            [NO_OPS] * self.threads, injector=self.injector
         )
 
     def _workload_interval(self, k: int) -> None:
@@ -652,7 +653,7 @@ class MulticoreTarget(KernelTarget):
 
     def _build_machine(self) -> KernelMachine:
         return MultiCoreSimulation(
-            [[] for _ in range(2 * self.cores)],
+            [NO_OPS] * (2 * self.cores),
             num_cores=self.cores,
             injector=self.injector,
         )
@@ -864,7 +865,7 @@ class GoldenRun:
         self,
         mechanism: str,
         engine_name: str,
-        trace: Sequence[Op],
+        trace: np.ndarray,
         interval_ops: int,
     ) -> None:
         self.key = (mechanism, engine_name, interval_ops)
@@ -878,7 +879,7 @@ class GoldenRun:
         self,
         mechanism: str,
         engine_name: str,
-        trace: Sequence[Op],
+        trace: np.ndarray,
         interval_ops: int,
     ) -> bool:
         return self.key == (mechanism, engine_name, interval_ops) and self.trace is trace
@@ -917,7 +918,7 @@ _golden: GoldenRun | None = None
 def run_schedule(
     mechanism: str,
     engine_name: str,
-    trace: Sequence[Op],
+    trace: np.ndarray,
     interval_ops: int,
     spec: CrashSpec,
     index: int = 0,
@@ -945,7 +946,7 @@ def run_schedule(
 
 
 def _probe(
-    mechanism: str, engine_name: str, trace: Sequence[Op], interval_ops: int
+    mechanism: str, engine_name: str, trace: np.ndarray, interval_ops: int
 ) -> tuple[int, list[str]]:
     """:func:`probe` of one (mechanism, engine) target running *trace*.
     Its golden run replaces the stored one, for :func:`run_schedule`."""
@@ -1099,7 +1100,7 @@ def torn_metadata_demo(
 def shrink_plan(
     mechanism: str,
     engine_name: str,
-    trace: Sequence[Op],
+    trace: np.ndarray,
     interval_ops: int,
     spec: CrashSpec,
     plan: PersistPlan,

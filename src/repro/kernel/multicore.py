@@ -29,6 +29,7 @@ cycle-exact stats is :class:`repro.kernel.simulation.MultiThreadSimulation`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.config import SystemConfig, setup_i
 from repro.core.tracker import ProsperTracker
 from repro.cpu.engine import trace_array
 from repro.cpu.engine_fast import BatchedExecutionEngine
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import OpKind
 from repro.faults.injector import BARRIER_QUIESCE, FaultInjector
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process, Thread
@@ -88,12 +89,9 @@ class CoreState:
     tracker: ProsperTracker
     scheduler: Scheduler
     engine: BatchedExecutionEngine
-    #: (thread, ops, cursor) tuples assigned to this core.  Ops may be an
-    #: ``Op`` list, a ``TRACE_DTYPE`` array or a ``Trace``; each run loop
-    #: turns them into arrays first.
-    queue: list[tuple[Thread, np.ndarray | list[Op], int]] = field(
-        default_factory=list
-    )
+    #: (thread, ops, cursor) tuples assigned to this core; ops is the
+    #: thread's ``TRACE_DTYPE`` array.
+    queue: list[tuple[Thread, np.ndarray, int]] = field(default_factory=list)
     clock: int = 0
 
     @property
@@ -124,13 +122,15 @@ class MultiCoreStats:
 class KernelMachine:
     """Persistent threads on per-core trackers, checkpointed process-wide.
 
+    Each of *thread_ops* is packed once with
+    :func:`~repro.cpu.engine.trace_array`, so the queues hold arrays only.
     Subclasses own the run loop and the stats object; ``self.stats`` must
     carry ``ops_executed``, ``switches`` and ``checkpoints`` counters.
     """
 
     def __init__(
         self,
-        thread_ops: list[list[Op]],
+        thread_ops: Sequence,
         num_cores: int,
         stack_bytes: int,
         quantum_ops: int,
@@ -192,20 +192,13 @@ class KernelMachine:
 
         for i, ops in enumerate(thread_ops):
             thread = self.process.spawn_thread(stack_bytes, persistent=True)
-            self.cores[i % num_cores].queue.append((thread, ops, 0))
+            self.cores[i % num_cores].queue.append((thread, trace_array(ops), 0))
             self.dram_images[thread.tid] = ByteImage()
             self.nvm_images[thread.tid] = ByteImage()
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-
-    def _normalize_queues(self) -> None:
-        """Turn every queued op stream into its ``TRACE_DTYPE`` array."""
-        for core in self.cores:
-            for slot, (thread, ops, cursor) in enumerate(core.queue):
-                if not isinstance(ops, np.ndarray):
-                    core.queue[slot] = (thread, trace_array(ops), cursor)
 
     def _run_quantum(self, core: CoreState, slot: int) -> int:
         """Switch *core* to the thread in queue *slot* and run one quantum.
@@ -323,7 +316,7 @@ class MultiCoreSimulation(KernelMachine):
 
     def __init__(
         self,
-        thread_ops: list[list[Op]],
+        thread_ops: Sequence,
         num_cores: int = 2,
         stack_bytes: int = 512 * 1024,
         quantum_ops: int = 500,
@@ -343,7 +336,6 @@ class MultiCoreSimulation(KernelMachine):
         self.stats = MultiCoreStats()
 
     def run(self) -> MultiCoreStats:
-        self._normalize_queues()
         rounds = 0
         while any(core.has_work() for core in self.cores):
             for core in self.cores:

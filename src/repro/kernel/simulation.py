@@ -18,10 +18,10 @@ must survive a crash regardless of how the scheduler interleaved them).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
-from repro.cpu.ops import Op
 from repro.faults.injector import FaultInjector
 from repro.kernel.multicore import KernelMachine
 
@@ -43,7 +43,7 @@ class MultiThreadSimulation(KernelMachine):
 
     def __init__(
         self,
-        thread_ops: list[list[Op]],
+        thread_ops: Sequence,
         stack_bytes: int = 512 * 1024,
         quantum_ops: int = 500,
         checkpoint_every_quanta: int = 10,
@@ -71,7 +71,6 @@ class MultiThreadSimulation(KernelMachine):
         *stop_after_quanta* halts execution early (mid-run), which the
         crash/resume tests use to inject failures at arbitrary points.
         """
-        self._normalize_queues()
         core = self.cores[0]
         quanta = 0
         while core.has_work():

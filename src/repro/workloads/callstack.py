@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cpu.ops import TraceBuilder
+from repro.cpu.ops import OpKind, TraceBuilder
 from repro.memory.address import AddressRange
 from repro.workloads.synthetic import DEFAULT_HEAP, DEFAULT_STACK
 from repro.workloads.trace import Trace
@@ -30,6 +30,12 @@ QSORT_LOCAL_WRITES = 6
 
 #: Frame size of one Recursive level.
 RECURSIVE_FRAME_BYTES = 256
+
+_READ = int(OpKind.READ)
+_WRITE = int(OpKind.WRITE)
+_CALL = int(OpKind.CALL)
+_RET = int(OpKind.RET)
+_COMPUTE = int(OpKind.COMPUTE)
 
 
 def quicksort_workload(
@@ -48,56 +54,67 @@ def quicksort_workload(
     *shrinking* at 10 ms in Figure 11.
     """
     rng = np.random.default_rng(seed)
-    heap_base = heap.start
-    ops = TraceBuilder()
-    sp = stack.end
-    values = rng.integers(0, 1_000_000, size=elements).astype(np.int64)
+    rng.integers(0, 1_000_000, size=elements)  # discarded: each round draws its own
+    # One column per TRACE_DTYPE field; every frame appends its ops here.
+    kinds: list[int] = []
+    addrs: list[int] = []
+    sizes: list[int] = []
+    element_addr = [heap.start + k * element_bytes for k in range(elements)]
+    # CALL, the frame's local writes, the pivot read.
+    prologue_kinds = (_CALL,) + (_WRITE,) * QSORT_LOCAL_WRITES + (_READ,)
+    prologue_sizes = (QSORT_FRAME_BYTES,) + (8,) * QSORT_LOCAL_WRITES + (element_bytes,)
+    swap_kinds = (_WRITE, _WRITE)
+    swap_sizes = (element_bytes, element_bytes)
 
-    def element_addr(index: int) -> int:
-        return heap_base + index * element_bytes
-
-    def emit_frame_writes(frame_sp: int) -> None:
-        for k in range(QSORT_LOCAL_WRITES):
-            ops.write(frame_sp + 8 + k * 8, 8)
-
-    def qsort(lo: int, hi: int) -> None:
-        nonlocal sp
+    def qsort(values: list[int], lo: int, hi: int, sp: int) -> None:
         if lo >= hi:
             return
-        ops.call(QSORT_FRAME_BYTES)
         sp -= QSORT_FRAME_BYTES
         if sp < stack.start:
             raise RuntimeError("quicksort recursion exceeded the stack region")
-        emit_frame_writes(sp)
+        kinds.extend(prologue_kinds)
+        addrs.append(0)
+        addrs.extend(range(sp + 8, sp + 8 + 8 * QSORT_LOCAL_WRITES, 8))
+        addrs.append(element_addr[hi])
+        sizes.extend(prologue_sizes)
 
         # Lomuto partition: read every element, swap when needed.
         pivot = values[hi]
-        ops.read(element_addr(hi), element_bytes)
         i = lo - 1
         for j in range(lo, hi):
-            ops.read(element_addr(j), element_bytes)
-            if values[j] <= pivot:
+            kinds.append(_READ)
+            addrs.append(element_addr[j])
+            sizes.append(element_bytes)
+            value = values[j]
+            if value <= pivot:
                 i += 1
                 if i != j:
-                    values[i], values[j] = values[j], values[i]
-                    ops.write(element_addr(i), element_bytes)
-                    ops.write(element_addr(j), element_bytes)
-        values[i + 1], values[hi] = values[hi], values[i + 1]
-        ops.write(element_addr(i + 1), element_bytes)
-        ops.write(element_addr(hi), element_bytes)
+                    values[i], values[j] = value, values[i]
+                    kinds.extend(swap_kinds)
+                    addrs.extend((element_addr[i], element_addr[j]))
+                    sizes.extend(swap_sizes)
         p = i + 1
+        values[p], values[hi] = values[hi], values[p]
+        kinds.extend(swap_kinds)
+        addrs.extend((element_addr[p], element_addr[hi]))
+        sizes.extend(swap_sizes)
 
-        qsort(lo, p - 1)
-        qsort(p + 1, hi)
+        qsort(values, lo, p - 1, sp)
+        qsort(values, p + 1, hi, sp)
 
-        ops.ret(QSORT_FRAME_BYTES)
-        sp += QSORT_FRAME_BYTES
+        kinds.append(_RET)
+        addrs.append(0)
+        sizes.append(QSORT_FRAME_BYTES)
 
-    for round_index in range(max(1, repeats)):
-        values = rng.integers(0, 1_000_000, size=elements).astype(np.int64)
-        qsort(0, elements - 1)
-        assert np.all(values[:-1] <= values[1:]), "quicksort trace did not sort"
-        ops.compute(200)
+    for _round in range(max(1, repeats)):
+        values = rng.integers(0, 1_000_000, size=elements).tolist()
+        qsort(values, 0, elements - 1, stack.end)
+        assert values == sorted(values), "quicksort trace did not sort"
+        kinds.append(_COMPUTE)
+        addrs.append(0)
+        sizes.append(200)
+    ops = TraceBuilder()
+    ops.extend(kinds, addrs, sizes)
     return Trace(ops.to_array(), stack, heap_range=heap, name="quicksort")
 
 

@@ -7,11 +7,11 @@ statistics here power the motivation figures (stack-op fraction for Fig. 1,
 writes beyond the final SP for Fig. 2, page- vs byte-granularity copy size
 for Fig. 4) directly from a trace, without running the timing model.
 
-The canonical storage is a ``TRACE_DTYPE`` structured numpy array — what
-the generators emit and what the batched engine consumes.  A ``list[Op]``
-view is materialized lazily for code that still walks ops one by one (the
-scalar reference engine, ad-hoc analyses); constructing a ``Trace`` from a
-list of ops remains supported and packs the array on demand.
+The op stream is stored only as a ``TRACE_DTYPE`` structured numpy array:
+what the generators emit, what both engines, the kernel model, the fuzzer
+and the experiments consume, and what :mod:`repro.workloads.serialize`
+writes.  Hand-built :class:`~repro.cpu.ops.Op` lists are packed once by
+:func:`repro.cpu.engine.trace_array` before they reach a ``Trace``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.ops import TRACE_DTYPE, Op, OpKind, array_to_ops, ops_to_array
+from repro.cpu.ops import TRACE_DTYPE, OpKind
 from repro.memory.address import AddressRange
 
+_WRITE = int(OpKind.WRITE)
 _CALL = int(OpKind.CALL)
 _RET = int(OpKind.RET)
 
@@ -56,32 +57,23 @@ class TraceStats:
 class Trace:
     """A generated workload: operations plus the layout they assume.
 
-    *ops* may be a ``TRACE_DTYPE`` structured array (the native generator
-    output) or a sequence of :class:`Op` records; either view is derived
-    from the other lazily and cached.
+    *ops* must be a ``TRACE_DTYPE`` structured array.
     """
 
-    __slots__ = ("_array", "_ops", "stack_range", "heap_range", "name",
-                 "initial_sp", "_stats")
+    __slots__ = ("_array", "stack_range", "heap_range", "name", "initial_sp",
+                 "_stats")
 
     def __init__(
         self,
-        ops,
+        ops: np.ndarray,
         stack_range: AddressRange,
         heap_range: AddressRange | None = None,
         name: str = "trace",
         initial_sp: int | None = None,
     ) -> None:
-        if isinstance(ops, np.ndarray):
-            if ops.dtype != TRACE_DTYPE:
-                raise TypeError(
-                    f"trace array must have TRACE_DTYPE, got {ops.dtype}"
-                )
-            self._array: np.ndarray | None = ops
-            self._ops: list[Op] | None = None
-        else:
-            self._ops = list(ops)
-            self._array = None
+        if not isinstance(ops, np.ndarray) or ops.dtype != TRACE_DTYPE:
+            raise TypeError(f"trace ops must be a TRACE_DTYPE array, got {type(ops)}")
+        self._array = ops
         self.stack_range = stack_range
         self.heap_range = heap_range
         self.name = name
@@ -91,25 +83,16 @@ class Trace:
 
     @property
     def array(self) -> np.ndarray:
-        """The canonical ``TRACE_DTYPE`` array of the op stream."""
-        if self._array is None:
-            self._array = ops_to_array(self._ops)
+        """The ``TRACE_DTYPE`` array of the op stream."""
         return self._array
 
     @property
-    def ops(self) -> list[Op]:
-        """Materialized :class:`Op` view (lazy; prefer :attr:`array`)."""
-        if self._ops is None:
-            self._ops = array_to_ops(self._array)
-        return self._ops
+    def ops(self) -> np.ndarray:
+        """Alias of :attr:`array`; ``perfbench/workloads.py`` still reads it."""
+        return self._array
 
     def __len__(self) -> int:
-        if self._array is not None:
-            return len(self._array)
-        return len(self._ops)
-
-    def __iter__(self):
-        return iter(self.ops)
+        return len(self._array)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -151,8 +134,7 @@ class Trace:
     def _interval_bounds(self, num_intervals: int) -> list[tuple[int, int]]:
         """Half-open index bounds of the equal-op interval chunks.
 
-        Mirrors the historical list-slicing behaviour exactly: a trailing
-        remainder shorter than one chunk is dropped.
+        A trailing remainder shorter than one chunk is dropped.
         """
         if num_intervals <= 0:
             raise ValueError("num_intervals must be positive")
@@ -166,7 +148,27 @@ class Trace:
                 bounds.append((lo, hi))
         return bounds
 
-    def _sp_path(self) -> np.ndarray:
+    def _stack_write_mask(self) -> np.ndarray:
+        """Boolean mask of the WRITE ops whose address lies in the stack."""
+        arr = self.array
+        addrs = arr["address"]
+        stack = self.stack_range
+        return (arr["kind"] == _WRITE) & (addrs >= stack.start) & (addrs < stack.end)
+
+    def stack_write_runs(self, ends) -> list[tuple[list[int], list[int]]]:
+        """(addresses, sizes) of the stack writes, cut at trace positions *ends*.
+
+        Run k holds the writes among ops ``[ends[k-1], ends[k])`` (from op 0
+        for k = 0); one more run holds the rest.  The tracker replay studies
+        feed each run to a bare tracker, then do their boundary work.
+        """
+        mask = self._stack_write_mask()
+        addrs = self.array["address"][mask].tolist()
+        sizes = self.array["size"][mask].tolist()
+        cuts = [0, *np.searchsorted(np.flatnonzero(mask), ends).tolist(), len(addrs)]
+        return [(addrs[lo:hi], sizes[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+    def sp_path(self) -> np.ndarray:
         """SP value after each op (CALL pushes, RET pops, others hold)."""
         arr = self.array
         kinds = arr["kind"]
@@ -179,16 +181,6 @@ class Trace:
         sp0 = self.initial_sp if self.initial_sp is not None else self.stack_range.end
         return sp0 + np.cumsum(delta)
 
-    def split_intervals(self, num_intervals: int) -> list[list[Op]]:
-        """Split ops into *num_intervals* equal chunks (trace-time intervals).
-
-        The motivation studies operate on trace position rather than
-        simulated cycles; equal op chunks approximate equal time slices for
-        the steady-state workloads involved.
-        """
-        ops = self.ops
-        return [ops[lo:hi] for lo, hi in self._interval_bounds(num_intervals)]
-
     def writes_beyond_final_sp(self, num_intervals: int) -> list[tuple[int, int]]:
         """Per interval: (total stack writes, writes below the final SP).
 
@@ -200,13 +192,8 @@ class Trace:
         bounds = self._interval_bounds(num_intervals)
         arr = self.array
         addrs = arr["address"].astype(np.int64)
-        stack = self.stack_range
-        stack_write = (
-            (arr["kind"] == int(OpKind.WRITE))
-            & (addrs >= stack.start)
-            & (addrs < stack.end)
-        )
-        path = self._sp_path()
+        stack_write = self._stack_write_mask()
+        path = self.sp_path()
         results: list[tuple[int, int]] = []
         for lo, hi in bounds:
             final_sp = int(path[hi - 1])
@@ -221,7 +208,7 @@ class Trace:
 
     def final_sp_per_interval(self, num_intervals: int) -> list[int]:
         """SP value at the end of each trace-time interval (the SP oracle)."""
-        path = self._sp_path()
+        path = self.sp_path()
         return [int(path[hi - 1]) for _, hi in self._interval_bounds(num_intervals)]
 
     def copy_sizes(
@@ -237,13 +224,7 @@ class Trace:
         arr = self.array
         addrs = arr["address"].astype(np.int64)
         sizes = arr["size"].astype(np.int64)
-        stack = self.stack_range
-        stack_write = (
-            (arr["kind"] == int(OpKind.WRITE))
-            & (addrs >= stack.start)
-            & (addrs < stack.end)
-            & (sizes > 0)
-        )
+        stack_write = self._stack_write_mask() & (sizes > 0)
         firsts_all = addrs // granularity
         lasts_all = (addrs + sizes - 1) // granularity
         out: list[int] = []

@@ -4,7 +4,7 @@ miscellaneous uncovered paths."""
 import pytest
 
 from repro.cpu.engine import ExecutionEngine
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import Op, OpKind, array_to_ops
 from repro.experiments.motivation import stack_only
 from repro.kernel.layout import AddressSpaceLayout
 from repro.kernel.vmem import PageTable
@@ -68,8 +68,8 @@ class TestStackOnly:
     def test_keeps_only_stack_activity(self):
         full = ycsb_mem(target_ops=5_000)
         reduced = stack_only(full)
-        assert len(reduced.ops) < len(full.ops)
-        for op in reduced.ops:
+        assert len(reduced.array) < len(full.array)
+        for op in array_to_ops(reduced.array):
             if op.is_memory:
                 assert full.stack_range.contains(op.address)
             else:
@@ -79,7 +79,7 @@ class TestStackOnly:
         full = ycsb_mem(target_ops=5_000)
         reduced = stack_only(full)
         sp = reduced.stack_range.end
-        for op in reduced.ops:
+        for op in array_to_ops(reduced.array):
             if op.kind == OpKind.CALL:
                 sp -= op.size
             elif op.kind == OpKind.RET:

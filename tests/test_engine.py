@@ -1,9 +1,17 @@
 """Tests for repro.cpu: ops, registers, and the execution engine."""
 
+import numpy as np
 import pytest
 
 from repro.cpu.engine import ExecutionEngine
-from repro.cpu.ops import TRACE_DTYPE, Op, OpKind, array_to_ops, ops_to_array
+from repro.cpu.ops import (
+    TRACE_DTYPE,
+    Op,
+    OpKind,
+    TraceBuilder,
+    array_to_ops,
+    ops_to_array,
+)
 from repro.cpu.registers import RegisterFile
 from repro.memory.address import AddressRange
 from repro.persistence.base import IntervalContext, PersistenceMechanism
@@ -28,6 +36,41 @@ class TestOps:
         assert arr.dtype == TRACE_DTYPE
         back = array_to_ops(arr)
         assert back == ops
+
+
+class TestTraceBuilderExtend:
+    @pytest.mark.parametrize(
+        "kinds, addresses, sizes",
+        [
+            (4, 0, np.array([-5, 2**33 + 7])),  # numpy would wrap both
+            (1, 0x1000, np.array([8, 2**32])),
+            (1, 0x1000, -1),
+            (1, np.array([0x1000, -8]), 8),
+            (1, [2**64], 8),
+            (np.array([1, max(OpKind) + 1]), 0x1000, 8),
+            (-1, 0x1000, 8),
+        ],
+    )
+    def test_rejects_values_that_do_not_fit(self, kinds, addresses, sizes):
+        builder = TraceBuilder()
+        with pytest.raises(ValueError, match="out of range"):
+            builder.extend(kinds, addresses, sizes)
+        assert len(builder) == 0
+
+    def test_column_limits_stored_exactly(self):
+        builder = TraceBuilder()
+        builder.extend([int(OpKind.READ), max(OpKind)], [0, 2**64 - 1], [0, 2**32 - 1])
+        arr = builder.to_array()
+        assert arr["kind"].tolist() == [int(OpKind.READ), int(max(OpKind))]
+        assert arr["address"].tolist() == [0, 2**64 - 1]
+        assert arr["size"].tolist() == [0, 2**32 - 1]
+
+    def test_matches_append(self):
+        vector, scalar = TraceBuilder(), TraceBuilder()
+        vector.extend(int(OpKind.WRITE), np.arange(4, dtype=np.int64) * 8, 8)
+        for i in range(4):
+            scalar.append(int(OpKind.WRITE), i * 8, 8)
+        assert vector.to_array().tobytes() == scalar.to_array().tobytes()
 
 
 class TestRegisterFile:

@@ -1,7 +1,7 @@
 """Tests for the evaluation-module helpers and remaining SSP behaviours."""
 
 from repro.cpu.engine import ExecutionEngine
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import Op, OpKind, array_to_ops
 from repro.experiments import evaluation
 from repro.memory.address import AddressRange
 from repro.persistence.ssp import SspPersistence
@@ -26,14 +26,14 @@ class TestMicroBenchmarkSet:
     def test_scale_shrinks_traces(self):
         small = micro_traces(0.2)
         large = micro_traces(0.5)
-        assert sum(len(t.ops) for t in small) < sum(len(t.ops) for t in large)
+        assert sum(len(t.array) for t in small) < sum(len(t.array) for t in large)
 
     def test_random_is_dense(self):
         """The Figure 10 Random workload must over-write its array several
         times per interval, the regime where Dirtybit beats Prosper."""
         random_trace = evaluation.micro_benchmark_builders(0.5)["random"]()
         writes = sum(
-            1 for op in random_trace.ops if op.kind == OpKind.WRITE
+            1 for op in array_to_ops(random_trace.array) if op.kind == OpKind.WRITE
         )
         array_words = 16 * 1024 // 8
         assert writes > 2 * array_words

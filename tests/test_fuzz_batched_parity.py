@@ -19,7 +19,7 @@ import pytest
 from repro.config import setup_i
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
-from repro.cpu.ops import ops_to_array
+from repro.cpu.ops import array_to_ops
 from repro.faults.fuzzer import (
     _STACK_RANGE,
     MECHANISMS,
@@ -274,9 +274,9 @@ class TestTraceFormParity:
     Trace: all three forms of one trace must behave identically."""
 
     FORMS = {
-        "list": TRACE,
-        "array": ops_to_array(TRACE),
-        "trace": Trace(ops_to_array(TRACE), _STACK_RANGE),
+        "list": array_to_ops(TRACE),
+        "array": TRACE,
+        "trace": Trace(TRACE, _STACK_RANGE),
     }
 
     def test_unarmed_runs_fire_the_same_points(self):

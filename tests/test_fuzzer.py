@@ -4,6 +4,7 @@ and campaign determinism."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.faults import fuzzer
@@ -34,8 +35,8 @@ def _trace(seed=0):
 
 class TestTrace:
     def test_deterministic(self):
-        assert build_trace(7, 200) == build_trace(7, 200)
-        assert build_trace(7, 200) != build_trace(8, 200)
+        assert np.array_equal(build_trace(7, 200), build_trace(7, 200))
+        assert not np.array_equal(build_trace(7, 200), build_trace(8, 200))
 
     def test_requested_length(self):
         assert len(build_trace(0, 321)) == 321

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu.engine import trace_array
 from repro.cpu.ops import Op, OpKind
 from repro.kernel.simulation import MultiThreadSimulation
 from repro.memory.address import AddressRange
@@ -172,7 +173,7 @@ def build_sim(num_threads=2, writes=300, **kwargs):
         base = thread.stack.end - frame
         for off in (rng.integers(0, frame // 8, size=writes) * 8):
             ops.append(Op(OpKind.WRITE, base + int(off), 8))
-        streams.append((thread, ops, 0))
+        streams.append((thread, trace_array(ops), 0))
     sim.cores[0].queue = streams
     return sim
 

@@ -31,13 +31,8 @@ FRAME = 16 * 1024
 
 class ReferenceQuanta:
     """The per-op quantum interpreter, as the kernel ran it before quanta
-    moved onto the batched engine."""
-
-    def _normalize_queues(self) -> None:
-        for core in self.cores:
-            for slot, (thread, ops, cursor) in enumerate(core.queue):
-                if not isinstance(ops, list):
-                    core.queue[slot] = (thread, array_to_ops(trace_array(ops)), cursor)
+    moved onto the batched engine.  It unpacks each quantum's slice of the
+    queued array into ``Op`` records."""
 
     def _run_quantum(self, core: CoreState, slot: int) -> int:
         thread, ops, cursor = core.queue[slot]
@@ -48,7 +43,7 @@ class ReferenceQuanta:
         tracker = core.tracker
         image = self.dram_images[thread.tid]
         regs = thread.registers
-        for op in ops[cursor:end]:
+        for op in array_to_ops(ops[cursor:end]):
             kind = op.kind
             if kind == OpKind.COMPUTE:
                 cycles += op.size
@@ -143,7 +138,7 @@ def heap_heavy_trace(thread, seed):
     )
 
 
-def fill_queues(sim, kind, ops, seed, as_type):
+def fill_queues(sim, kind, ops, seed):
     threads = list(sim.process.iter_threads())
     heap = sim.process.layout.heap_range
     for core in sim.cores:
@@ -155,13 +150,7 @@ def fill_queues(sim, kind, ops, seed, as_type):
                 trace = Trace(
                     mixed_stream(thread, threads, heap, ops, tseed), thread.stack
                 )
-            if as_type == "list":
-                stream = trace.ops
-            elif as_type == "array":
-                stream = trace.array
-            else:
-                stream = trace
-            core.queue[slot] = (thread, stream, 0)
+            core.queue[slot] = (thread, trace.array, 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -231,7 +220,7 @@ def test_multithread_stop_crash_resume(kind, stop_after):
     for cls in (ReferenceMultiThread, MultiThreadSimulation):
         sim = cls([[Op(OpKind.COMPUTE, size=1)]] * 3, quantum_ops=173,
                   checkpoint_every_quanta=2)
-        fill_queues(sim, kind, ops=900, seed=stop_after, as_type="list")
+        fill_queues(sim, kind, ops=900, seed=stop_after)
         sims.append(sim)
     ref, new = sims
     stages = []
@@ -249,10 +238,20 @@ def test_multithread_stop_crash_resume(kind, stop_after):
 
 @pytest.mark.parametrize("as_type", ["list", "array", "trace"])
 def test_multithread_queue_types_agree(as_type):
+    """The constructor packs an Op list, an array or a Trace into the same
+    queued array.  A process lays out its stacks deterministically, so
+    streams built against one machine's threads fit a fresh machine's."""
+    layout = MultiThreadSimulation([[Op(OpKind.COMPUTE, size=1)]] * 2)
+    fill_queues(layout, "mixed", ops=700, seed=5)
+    form = {
+        "list": lambda thread, arr: array_to_ops(arr),
+        "array": lambda thread, arr: arr,
+        "trace": lambda thread, arr: Trace(arr, thread.stack),
+    }[as_type]
+    streams = [form(thread, arr) for thread, arr, _ in layout.cores[0].queue]
     sims = []
     for cls in (ReferenceMultiThread, MultiThreadSimulation):
-        sim = cls([[Op(OpKind.COMPUTE, size=1)]] * 2, quantum_ops=250)
-        fill_queues(sim, "mixed", ops=700, seed=5, as_type=as_type)
+        sim = cls(streams, quantum_ops=250)
         sim.run()
         sims.append(machine_state(sim))
     assert sims[0] == sims[1]
@@ -271,7 +270,7 @@ def test_multicore_matches_reference(cores, quantum, kind):
     for cls in (ReferenceMultiCore, MultiCoreSimulation):
         sim = cls([[Op(OpKind.COMPUTE, size=1)]] * (cores + 1), num_cores=cores,
                   quantum_ops=quantum, checkpoint_every_rounds=2)
-        fill_queues(sim, kind, ops=800, seed=cores, as_type="array")
+        fill_queues(sim, kind, ops=800, seed=cores)
         sim.run()
         written_by = {
             tid: {value >> 32 for _address, value in image.iter_words()}
@@ -292,13 +291,17 @@ def test_cross_thread_writes_take_the_fault_path():
     heap = sim.process.layout.heap_range.start
     cross = [Op(OpKind.WRITE, other.stack.end - 64, 8)]
     heap_writes = [Op(OpKind.WRITE, heap + 8 * i, 8) for i in range(5)]
-    sim.cores[0].queue = [(me, cross + heap_writes, 0), (other, [], 0)]
+    sim.cores[0].queue = [
+        (me, trace_array(cross + heap_writes), 0), (other, trace_array([]), 0)
+    ]
     stats = sim.run()
     assert sim.dram_images[other.tid].read(other.stack.end - 64) == (me.tid << 32)
     assert stats.cycles > CROSS_THREAD_FAULT_CYCLES
     ref = ReferenceMultiThread([[Op(OpKind.COMPUTE, size=1)]] * 2, quantum_ops=1000)
     (rme, _, _), (rother, _, _) = ref.cores[0].queue
-    ref.cores[0].queue = [(rme, cross + heap_writes, 0), (rother, [], 0)]
+    ref.cores[0].queue = [
+        (rme, trace_array(cross + heap_writes), 0), (rother, trace_array([]), 0)
+    ]
     assert dataclasses.asdict(ref.run()) == dataclasses.asdict(stats)
 
 
@@ -309,7 +312,7 @@ def test_call_below_stack_raises():
     (me, _, _), (neighbour, _, _) = sim.cores[0].queue
     below = neighbour.stack.end - 64
     ops = [Op(OpKind.CALL, size=me.stack.end - below), Op(OpKind.WRITE, below, 8)]
-    sim.cores[0].queue = [(me, ops, 0), (neighbour, [], 0)]
+    sim.cores[0].queue = [(me, trace_array(ops), 0), (neighbour, trace_array([]), 0)]
     with pytest.raises(RuntimeError, match="stack overflow"):
         sim.run()
     assert len(sim.dram_images[neighbour.tid]) == 0
@@ -320,7 +323,7 @@ def test_engine_keeps_no_write_log_across_quanta():
     writes for one: its memory stays flat however long the run."""
     sim = MultiCoreSimulation([[Op(OpKind.COMPUTE, size=1)]] * 2, num_cores=2,
                               quantum_ops=100)
-    fill_queues(sim, "heap", ops=0, seed=1, as_type="array")
+    fill_queues(sim, "heap", ops=0, seed=1)
     sim.run()
     assert sim.stats.ops_executed > 1000
     for core in sim.cores:

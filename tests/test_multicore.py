@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cpu.engine import trace_array
 from repro.cpu.ops import Op, OpKind
 from repro.kernel.multicore import MultiCoreSimulation
 
@@ -14,7 +15,7 @@ def thread_trace(thread, writes=400, seed=0):
     base = thread.stack.end - frame
     for off in (rng.integers(0, frame // 8, size=writes) * 8):
         ops.append(Op(OpKind.WRITE, base + int(off), 8))
-    return ops
+    return trace_array(ops)
 
 
 def build_sim(num_threads=4, num_cores=2, writes=400, **kwargs):
@@ -85,9 +86,9 @@ class TestCrossThreadWrites:
         frame = victim.stack.size // 2
         base = victim.stack.end - frame
         writes = [Op(OpKind.WRITE, base + 64 * i, 8) for i in range(64)]
-        sim.cores[0].queue[0] = (writer, writes, 0)
+        sim.cores[0].queue[0] = (writer, trace_array(writes), 0)
         # The victim's frame stays live, so its checkpoint covers the writes.
-        sim.cores[1].queue[0] = (victim, [Op(OpKind.CALL, size=frame)], 0)
+        sim.cores[1].queue[0] = (victim, trace_array([Op(OpKind.CALL, size=frame)]), 0)
         sim.run()
         copied = sum(
             snap.copied_bytes

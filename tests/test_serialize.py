@@ -14,7 +14,7 @@ class TestRoundtrip:
         path = save_trace(trace, tmp_path / "t")
         assert path.suffix == ".npz"
         loaded = load_trace(path)
-        assert loaded.ops == trace.ops
+        assert np.array_equal(loaded.array, trace.array)
         assert loaded.stack_range == trace.stack_range
         assert loaded.name == trace.name
 

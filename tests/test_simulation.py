@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cpu.engine import trace_array
 from repro.cpu.ops import Op, OpKind
 from repro.faults.injector import (
     BARRIER_QUIESCE,
@@ -39,7 +40,7 @@ def build_sim(num_threads=2, writes=600, **kwargs):
             ops.append(Op(OpKind.WRITE, base + int(off), 8))
         # The frame stays live (no trailing RET): SP-aware checkpoints copy
         # only live frames, and the tests assert that data was captured.
-        streams.append((thread, ops, 0))
+        streams.append((thread, trace_array(ops), 0))
     sim.cores[0].queue = streams
     return sim
 

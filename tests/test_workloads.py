@@ -1,8 +1,9 @@
 """Tests for repro.workloads: generators and trace analysis."""
 
+import numpy as np
 import pytest
 
-from repro.cpu.ops import OpKind
+from repro.cpu.ops import Op, OpKind, array_to_ops
 from repro.workloads.apps import APP_PROFILES, app_workload, gapbs_pr, g500_sssp, ycsb_mem
 from repro.workloads.callstack import quicksort_workload, recursive_workload
 from repro.workloads.spec import SPEC_PROFILES, spec_workload
@@ -13,13 +14,14 @@ from repro.workloads.synthetic import (
     sparse_workload,
     stream_workload,
 )
+from repro.workloads.trace import Trace
 
 
 def replay_sp(trace):
     """Replay CALL/RET and assert SP never leaves the stack region."""
     sp = trace.stack_range.end
     min_sp = sp
-    for op in trace.ops:
+    for op in array_to_ops(trace.array):
         if op.kind == OpKind.CALL:
             sp -= op.size
         elif op.kind == OpKind.RET:
@@ -34,17 +36,17 @@ class TestSyntheticGenerators:
     def test_random_determinism(self):
         a = random_workload(num_writes=500, seed=3)
         b = random_workload(num_writes=500, seed=3)
-        assert a.ops == b.ops
+        assert np.array_equal(a.array, b.array)
 
     def test_random_seed_changes_trace(self):
         a = random_workload(num_writes=500, seed=3)
         b = random_workload(num_writes=500, seed=4)
-        assert a.ops != b.ops
+        assert not np.array_equal(a.array, b.array)
 
     def test_random_stays_in_array(self):
         t = random_workload(array_bytes=4096, num_writes=200)
         frame_base = t.stack_range.end - 4096
-        for op in t.ops:
+        for op in array_to_ops(t.array):
             if op.is_memory:
                 assert frame_base <= op.address < t.stack_range.end
 
@@ -54,12 +56,12 @@ class TestSyntheticGenerators:
 
     def test_stream_covers_every_word(self):
         t = stream_workload(array_bytes=1024, passes=1)
-        writes = {op.address for op in t.ops if op.kind == OpKind.WRITE}
+        writes = {op.address for op in array_to_ops(t.array) if op.kind == OpKind.WRITE}
         assert len(writes) == 1024 // 8
 
     def test_sparse_touches_once_per_page(self):
         t = sparse_workload(pages=4, rounds=1)
-        writes = [op for op in t.ops if op.kind == OpKind.WRITE]
+        writes = [op for op in array_to_ops(t.array) if op.kind == OpKind.WRITE]
         assert len(writes) == 4
         pages = {op.address // 4096 for op in writes}
         assert len(pages) == 4
@@ -71,7 +73,7 @@ class TestSyntheticGenerators:
 
     def test_normal_poisson_have_compute_blocks(self):
         for t in (normal_workload(blocks=20), poisson_workload(blocks=20)):
-            kinds = {op.kind for op in t.ops}
+            kinds = set(t.array["kind"].tolist())
             assert OpKind.COMPUTE in kinds
             assert OpKind.WRITE in kinds
 
@@ -80,7 +82,7 @@ class TestCallstackGenerators:
     def test_quicksort_sorts(self):
         # The generator asserts sortedness internally; reaching here is the test.
         t = quicksort_workload(elements=256)
-        assert len(t.ops) > 256
+        assert len(t.array) > 256
 
     def test_quicksort_sp_balanced(self):
         t = quicksort_workload(elements=128)
@@ -90,7 +92,7 @@ class TestCallstackGenerators:
 
     def test_quicksort_heap_accesses_in_heap(self):
         t = quicksort_workload(elements=64)
-        for op in t.ops:
+        for op in array_to_ops(t.array):
             if op.is_memory and not t.stack_range.contains(op.address):
                 assert t.heap_range.contains(op.address)
 
@@ -136,19 +138,19 @@ class TestAppModels:
 
     def test_heap_ops_within_heap(self):
         t = ycsb_mem(target_ops=5_000)
-        for op in t.ops:
+        for op in array_to_ops(t.array):
             if op.is_memory and not t.stack_range.contains(op.address):
                 assert t.heap_range.contains(op.address)
 
     def test_deterministic(self):
-        assert gapbs_pr(5_000, seed=1).ops == gapbs_pr(5_000, seed=1).ops
+        assert np.array_equal(gapbs_pr(5_000, seed=1).array, gapbs_pr(5_000, seed=1).array)
 
 
 class TestSpecModels:
     def test_all_profiles_generate(self):
         for name in SPEC_PROFILES:
             t = spec_workload(name, target_ops=5_000)
-            assert len(t.ops) >= 5_000
+            assert len(t.array) >= 5_000
             assert t.name == name
 
     def test_unknown_name_raises(self):
@@ -161,7 +163,7 @@ class TestSpecModels:
         def granules_per_write(trace):
             writes = [
                 op.address // 8
-                for op in trace.ops
+                for op in array_to_ops(trace.array)
                 if op.kind == OpKind.WRITE and trace.stack_range.contains(op.address)
             ]
             return len(set(writes)) / len(writes)
@@ -171,16 +173,43 @@ class TestSpecModels:
         assert granules_per_write(mcf) > granules_per_write(perl)
 
 
-class TestTraceAnalysis:
-    def test_split_intervals_partition(self):
-        t = random_workload(num_writes=1000)
-        chunks = t.split_intervals(10)
-        assert sum(len(c) for c in chunks) <= len(t.ops)
-        assert len(chunks) == 10
+class TestTraceContainer:
+    def test_rejects_anything_but_a_trace_array(self):
+        stack = random_workload(num_writes=10).stack_range
+        for ops in ([Op(OpKind.WRITE, stack.start, 8)], np.zeros(3)):
+            with pytest.raises(TypeError):
+                Trace(ops, stack)
 
-    def test_split_rejects_bad_count(self):
+    def test_ops_aliases_the_array(self):
+        t = random_workload(num_writes=10)
+        assert t.ops is t.array
+
+    @pytest.mark.parametrize("ends", [(), (0, 100, 100, 700), (350, 10**6)])
+    def test_stack_write_runs_cut_the_writes_in_trace_order(self, ends):
+        t = quicksort_workload(elements=32)
+        edges = [0, *ends, len(t.array)]
+        expected = [
+            [
+                (op.address, op.size)
+                for op in array_to_ops(t.array[lo:hi])
+                if op.kind == OpKind.WRITE and t.stack_range.contains(op.address)
+            ]
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        runs = t.stack_write_runs(ends)
+        assert [list(zip(addrs, sizes)) for addrs, sizes in runs] == expected
+
+
+class TestTraceAnalysis:
+    def test_interval_bounds_partition(self):
+        t = random_workload(num_writes=1000)
+        bounds = t._interval_bounds(10)
+        assert sum(hi - lo for lo, hi in bounds) <= len(t.array)
+        assert len(bounds) == 10
+
+    def test_interval_analysis_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            random_workload(num_writes=10).split_intervals(0)
+            random_workload(num_writes=10).final_sp_per_interval(0)
 
     def test_copy_sizes_page_vs_byte(self):
         t = sparse_workload(pages=16, rounds=4)
@@ -210,7 +239,8 @@ class TestYcsbPhased:
         from repro.workloads.apps import ycsb_mem_phased
 
         t = ycsb_mem_phased(target_ops=30_000, load_fraction=0.5)
-        half = len(t.ops) // 2
+        ops = array_to_ops(t.array)
+        half = len(ops) // 2
         def write_share(ops):
             writes = sum(
                 1 for op in ops
@@ -221,7 +251,7 @@ class TestYcsbPhased:
                 if op.kind == OpKind.READ and t.stack_range.contains(op.address)
             )
             return writes / max(1, writes + reads)
-        assert write_share(t.ops[:half]) > write_share(t.ops[half:])
+        assert write_share(ops[:half]) > write_share(ops[half:])
 
     def test_rejects_bad_fraction(self):
         import pytest as _pytest
