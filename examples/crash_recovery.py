@@ -16,7 +16,6 @@ from repro.core.tracker import ProsperTracker
 from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process
-from repro.kernel.restore import CrashSimulator
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -37,7 +36,6 @@ def main() -> None:
     tracker.configure(proc.thread(1).bitmap)
     injector = FaultInjector()
     manager = CheckpointManager(proc, hierarchy, tracker, injector=injector)
-    sim = CrashSimulator(proc, manager)
 
     # --- interval 0: work, then a clean checkpoint ---------------------
     run_some_work(proc, tracker, ops=500, at=500)
@@ -46,9 +44,9 @@ def main() -> None:
           f"{record.total_bytes} bytes, {cycles} cycles")
 
     # --- crash out of nowhere ------------------------------------------
-    sim.crash()
+    manager.crash()
     print("\n*** power failure #1 (DRAM and registers lost) ***")
-    report = sim.recover()
+    report = manager.recover()
     print(f"recovered from checkpoint {report.resumed_from_sequence}; "
           f"thread resumes at op {proc.thread(1).registers.op_index}")
     assert proc.thread(1).registers.op_index == 500
@@ -65,9 +63,9 @@ def main() -> None:
     print(f"\ncheckpoint {record.sequence}: committed={record.committed} "
           "(crashed between staging and commit)")
 
-    sim.crash()
+    manager.crash()
     print("*** power failure #2 (mid-commit) ***")
-    report = sim.recover()
+    report = manager.recover()
     print(f"rolled forward: {report.rolled_forward}; "
           f"recovered from checkpoint {report.resumed_from_sequence}; "
           f"thread resumes at op {proc.thread(1).registers.op_index}")

@@ -21,8 +21,8 @@ so recovery can tell a *complete* staging (safe to roll forward) from a
 partial one (discard); a failure during (4) is recovered by replaying the
 fully staged buffer.  The per-run checksums let recovery detect staged
 data corrupted by a torn NVM write and discard it instead of trusting
-completeness alone.  The recovery path lives in
-:mod:`repro.kernel.restore`.
+completeness alone.  Process-wide recovery over several engines lives in
+:meth:`repro.kernel.checkpoint_mgr.CheckpointManager.recover`.
 
 The staging half of (3), the commit of (4) and the roll-forward rule
 live in :class:`StagingBuffer`, which the page-granularity Dirtybit
@@ -55,7 +55,10 @@ from repro.faults.injector import (
     FaultInjector,
     stage_run_copy,
 )
+from repro.memory.address import AddressRange
+from repro.memory.devices import ReliableWriteResult
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.image import ByteImage
 
 #: Cycles for the OS to stream-inspect one 64-byte cache line of bitmap
 #: (16 words): an 8-byte-at-a-time scan that skips zero words quickly, the
@@ -77,6 +80,20 @@ TORN_CRC_MASK = 0xA5A5_A5A5
 ContentReader = Callable[[DirtyRun], Iterable[tuple[int, int]]]
 #: Applies a committed staged run to the persistent NVM contents.
 ContentWriter = Callable[["StagedRun"], None]
+
+
+def read_run(image: ByteImage, run: DirtyRun) -> Iterable[tuple[int, int]]:
+    """Content reader over a DRAM image: a dirty run's words.  Bind the
+    image with :func:`functools.partial`, so copies of the owner rebind."""
+    return image.words_in_range(AddressRange(run.start, run.end))
+
+
+def write_run(image: ByteImage, staged_run: "StagedRun") -> None:
+    """Content writer over a persistent image: apply a committed run."""
+    image.replace_range(
+        AddressRange(staged_run.run.start, staged_run.run.end),
+        staged_run.payload,
+    )
 
 
 def staged_run_crc(run: DirtyRun, payload: tuple[tuple[int, int], ...]) -> int:
@@ -191,13 +208,14 @@ class StagingBuffer:
     """The NVM staging buffer and its two-step commit (Section III-D).
 
     Owns the protocol both content mechanisms share: stage every dirty run
-    behind a descriptor (step one), then make the staging durable and flip
-    the commit marker (step two).  Each durable write is recorded with the
+    behind a descriptor and copy it in (step one, where a torn media write
+    corrupts the staged tail), then make the staging durable and flip the
+    commit marker (step two).  Each durable write is recorded with the
     persist-order oracle on the NVM device, if one is attached, under
     ``<label_prefix>[k].descriptor``, ``.stage_run[i]`` and ``.commit``;
     recovery (:meth:`recover`) rolls forward only a complete,
-    checksum-clean staging.  Callers reach ``STAGE_COMPLETE`` themselves,
-    around their own copy costs.
+    checksum-clean staging.  Callers charge their own walk and commit
+    costs around it.
     """
 
     def __init__(
@@ -315,26 +333,49 @@ class StagingBuffer:
             )
         return cycles
 
+    def finish_stage(
+        self, size: int, latency_scale: float = 1.0
+    ) -> ReliableWriteResult:
+        """End step one: copy the *size* staged bytes DRAM -> NVM through
+        the reliable-write path, then fire ``STAGE_COMPLETE``.
+
+        The write in flight when the media tore was the last one: its
+        staged record is corrupted so that only the CRC can tell.
+        """
+        copy = ReliableWriteResult(0)
+        if size > 0:
+            copy = self.hierarchy.reliable_copy_dram_to_nvm(size, latency_scale)
+        staged = self.staged
+        if copy.torn and staged is not None and staged.staged_runs:
+            staged.staged_runs[-1].tear()
+        self.reached(STAGE_COMPLETE)
+        return copy
+
     def _lose_marker(self, staged: StagedCheckpoint, previous: int | None) -> None:
         """Persist-order undo of a commit marker: it never landed."""
         staged.committed = False
         self.last_committed_interval = previous
 
+    def can_roll_forward(self) -> bool:
+        """True when the staging is complete and every staged run passes
+        its checksum (complete alone, under the test-only mutant)."""
+        staged = self.staged
+        if staged is None:
+            return False
+        return staged.complete if self.unsafe_trust_completeness else staged.verify()
+
     def recover(self) -> int | None:
         """Complete an interrupted commit from the staging buffer.
 
-        Rolls forward only when the staging is complete and every staged
-        run passes its checksum — a partial or torn staging is discarded
-        (the previous committed checkpoint wins).  Returns the interval
-        index recovered to, or None when nothing was ever committed.
+        Rolls forward only what :meth:`can_roll_forward` accepts — a
+        partial or torn staging is discarded (the previous committed
+        checkpoint wins).  Returns the interval index recovered to, or
+        None when nothing was ever committed.
         """
         staged = self.staged
         if staged is None or staged.committed:
             return self.last_committed_interval
-        valid = (
-            staged.complete if self.unsafe_trust_completeness else staged.verify()
-        )
-        if valid:
+        if self.can_roll_forward():
             self.commit()
         else:
             self.discard()
@@ -431,22 +472,12 @@ class ProsperCheckpointEngine:
         num_runs = len(starts)
         cycles += num_runs * PER_RUN_SETUP_CYCLES
         copied = int((ends - starts).sum())
-        staged = self.staging.stage(
+        self.staging.stage(
             interval_index, starts.tolist(), ends.tolist(), active_low
         )
-        retries = 0
-        if copied:
-            copy = self.hierarchy.reliable_copy_dram_to_nvm(
-                copied, self.fixed_scale
-            )
-            cycles += copy.cycles
-            retries = copy.retries
-            if copy.torn and staged.staged_runs:
-                # The write in flight when the media tore was the last one;
-                # corrupt its staged record so only the CRC can tell.
-                staged.staged_runs[-1].tear()
-        self.staging.reached(STAGE_COMPLETE)
-        return StageResult(cycles, copied, num_runs, words, retries)
+        copy = self.staging.finish_stage(copied, self.fixed_scale)
+        cycles += copy.cycles
+        return StageResult(cycles, copied, num_runs, words, copy.retries)
 
     # ------------------------------------------------------------------ #
     # Step two: commit the staged buffer onto the persistent stack

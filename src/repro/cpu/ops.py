@@ -113,9 +113,11 @@ class TraceBuilder:
         return self._count
 
     def append(self, kind: int, address: int = 0, size: int = 8) -> None:
-        """Append one op (kind may be an :class:`OpKind` or its int value)."""
-        if size < 0:
-            raise ValueError(f"op size must be non-negative, got {size}")
+        """Append one op (kind may be an :class:`OpKind` or its int value).
+
+        Values are range-checked when the pending ops are packed (by the
+        next :meth:`extend` or :meth:`to_array`), with :meth:`extend`'s
+        check, so a bad op raises :class:`ValueError` there."""
         self._kinds.append(kind)
         self._addrs.append(address)
         self._sizes.append(size)
@@ -144,27 +146,14 @@ class TraceBuilder:
 
     def extend(self, kinds, addresses, sizes) -> None:
         """Append a vector of ops; each column may be an array, a sequence
-        or a scalar.  Raises :class:`ValueError` on a value its column
-        cannot hold (numpy would silently wrap it)."""
-        columns = []
-        for values in (kinds, addresses, sizes):
-            column = np.asarray(values)
-            if column.dtype.kind not in "biu":
-                # e.g. ints past int64 mixed with small ones come out float64.
-                column = np.array(values, dtype=object)
-            columns.append(column)
-        if max(c.size for c in columns) == 0:
-            return
-        for name, column, limit in zip(("kind", "address", "size"), columns, _LIMITS):
-            if column.size and (column.min() < 0 or column.max() > limit):
-                raise ValueError(
-                    f"op {name} out of range [0, {limit}]: "
-                    f"min {column.min()}, max {column.max()}"
-                )
+        or a scalar, broadcast against the others.  Raises
+        :class:`ValueError` on a value its column cannot hold (numpy would
+        silently wrap it) or on column lengths that do not broadcast."""
         self._flush_pending()
-        chunk = _pack(*columns)
-        self._chunks.append(chunk)
-        self._count += len(chunk)
+        chunk = _pack(kinds, addresses, sizes)
+        if len(chunk):
+            self._chunks.append(chunk)
+            self._count += len(chunk)
 
     def to_array(self) -> np.ndarray:
         """Materialize the accumulated ops as one ``TRACE_DTYPE`` array."""
@@ -177,16 +166,35 @@ class TraceBuilder:
 
 
 def _pack(kinds, addresses, sizes) -> np.ndarray:
-    """One ``TRACE_DTYPE`` chunk from three broadcastable columns."""
-    n = max(np.size(kinds), np.size(addresses), np.size(sizes))
-    chunk = np.empty(n, dtype=TRACE_DTYPE)
-    chunk["kind"] = kinds
-    chunk["address"] = addresses
-    chunk["size"] = sizes
+    """One ``TRACE_DTYPE`` chunk from three broadcastable columns, each
+    range-checked against its field (see :meth:`TraceBuilder.extend`)."""
+    columns = []
+    for name, values, limit in zip(_FIELDS, (kinds, addresses, sizes), _LIMITS):
+        column = np.asarray(values)
+        if column.dtype.kind not in "biu":
+            # e.g. ints past int64 mixed with small ones come out float64.
+            column = np.array(values, dtype=object)
+        if column.size and (column.min() < 0 or column.max() > limit):
+            raise ValueError(
+                f"op {name} out of range [0, {limit}]: "
+                f"min {column.min()}, max {column.max()}"
+            )
+        columns.append(column)
+    try:
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+    except ValueError:
+        shapes = ", ".join(
+            f"{name} {column.shape}" for name, column in zip(_FIELDS, columns)
+        )
+        raise ValueError(f"op columns do not broadcast: {shapes}") from None
+    chunk = np.empty(shape or 1, dtype=TRACE_DTYPE)
+    for name, column in zip(_FIELDS, columns):
+        chunk[name] = column
     return chunk
 
 
-#: Largest value each column holds: kind, address, size.
+#: The columns of a trace and the largest value each holds.
+_FIELDS = ("kind", "address", "size")
 _LIMITS = (max(OpKind), 2**64 - 1, 2**32 - 1)
 _READ = int(OpKind.READ)
 _WRITE = int(OpKind.WRITE)

@@ -68,12 +68,13 @@ from __future__ import annotations
 import copy
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from repro.core.checkpoint import read_run, write_run
 from repro.core.tracker import ProsperTracker
 from repro.cpu.engine import ExecutionEngine, trace_array
 from repro.cpu.engine_fast import BatchedExecutionEngine
@@ -88,9 +89,9 @@ from repro.faults.injector import (
 )
 from repro.faults.nvm_errors import NvmErrorModel
 from repro.faults.order import CrashOutcome, PersistOrderOracle, PersistPlan
+from repro.kernel.checkpoint_mgr import RecoveryReport
 from repro.kernel.multicore import KernelMachine, MultiCoreSimulation
 from repro.kernel.process import Thread
-from repro.kernel.restore import RecoveryReport
 from repro.kernel.simulation import MultiThreadSimulation
 from repro.memory.address import AddressRange
 from repro.memory.image import WORD_BYTES, ByteImage
@@ -383,19 +384,6 @@ class EngineTarget:
         return problems
 
 
-def _read_run(dram: ByteImage, run) -> Iterable[tuple[int, int]]:
-    """Content reader of an engine target: a dirty run's DRAM words."""
-    return dram.words_in_range(AddressRange(run.start, run.end))
-
-
-def _write_run(durable: ByteImage, staged_run) -> None:
-    """Content writer of an engine target: apply a committed staged run."""
-    durable.replace_range(
-        AddressRange(staged_run.run.start, staged_run.run.end),
-        staged_run.payload,
-    )
-
-
 def build_setup(
     mechanism: str,
     engine_name: str,
@@ -432,8 +420,8 @@ def build_setup(
     oracle = PersistOrderOracle()
     if mechanism in CONTENT_MECHANISMS:
         durable = ByteImage()
-        reader = partial(_read_run, dram)
-        writer = partial(_write_run, durable)
+        reader = partial(read_run, dram)
+        writer = partial(write_run, durable)
         if mechanism == "prosper":
             inner: PersistenceMechanism = ProsperPersistence(
                 content_reader=reader, content_writer=writer

@@ -82,8 +82,8 @@ class CrashInjected(Exception):
     """Raised at an armed crash point: the simulated machine lost power.
 
     Durable state written before the crash point survives; the handler is
-    expected to drop volatile state (:meth:`CrashSimulator.crash`) and then
-    drive recovery.
+    expected to drop volatile state (:meth:`CheckpointManager.crash`) and
+    then drive recovery.
     """
 
     def __init__(self, point: str, occurrence: int) -> None:

@@ -13,8 +13,8 @@ software component.  This subpackage provides the equivalent substrate:
 * :mod:`repro.kernel.scheduler` — round-robin scheduling with Prosper
   tracker state save/restore on context switches (Section III-C);
 * :mod:`repro.kernel.checkpoint_mgr` — the periodic whole-process
-  checkpoint procedure (registers + memory segments);
-* :mod:`repro.kernel.restore` — the crash model and recovery path;
+  checkpoint procedure (registers + memory segments), the crash model
+  and the recovery path;
 * :mod:`repro.kernel.multicore` — the kernel machine that ties them
   together (per-core trackers, quanta run as slices on each core's
   batched engine, quiesce-then-checkpoint, crash/recover) and its N-threads-on-M-cores run loop;
@@ -25,8 +25,11 @@ from repro.kernel.layout import AddressSpaceLayout
 from repro.kernel.vmem import PageTable, PageTableEntry
 from repro.kernel.process import Process, Thread
 from repro.kernel.scheduler import ContextSwitchStats, Scheduler
-from repro.kernel.checkpoint_mgr import CheckpointManager, ProcessCheckpoint
-from repro.kernel.restore import CrashSimulator, RecoveryReport
+from repro.kernel.checkpoint_mgr import (
+    CheckpointManager,
+    ProcessCheckpoint,
+    RecoveryReport,
+)
 from repro.kernel.simulation import MultiThreadSimulation, SimulationStats
 from repro.kernel.multicore import MultiCoreSimulation, MultiCoreStats
 
@@ -40,7 +43,6 @@ __all__ = [
     "ContextSwitchStats",
     "CheckpointManager",
     "ProcessCheckpoint",
-    "CrashSimulator",
     "RecoveryReport",
     "MultiThreadSimulation",
     "SimulationStats",

@@ -1,4 +1,5 @@
-"""Periodic whole-process checkpointing (the GemOS baseline of Section III-D).
+"""Periodic whole-process checkpointing (the GemOS baseline of Section III-D),
+and the crash and recovery of the checkpointed process.
 
 The checkpoint manager captures, every interval, all process state needed to
 resume after a crash:
@@ -16,23 +17,32 @@ protocol, *process-wide*: every thread's dirty runs are staged first, then
 a single commit flag flips, then the staged data is applied to each
 thread's persistent stack.  A crash at any point therefore leaves either
 the previous or the new checkpoint fully intact across **all** threads —
-never a mix.  :mod:`repro.kernel.restore` consumes the records produced
-here; :mod:`repro.faults.fuzzer` crashes at every step and checks exactly
-that invariant.
+never a mix.
+
+The manager also owns the crash model and the recovery path.  The paper
+validates correctness by killing gem5 while an application runs inside
+GemOS, restarting, and observing the process resume from its last
+checkpoint.  Here :meth:`CheckpointManager.crash` discards everything
+volatile — registers, DRAM stack contents, tracker state — and keeps only
+what lives in NVM: the checkpoint records, the staging buffers and the
+persistent stack images.  :meth:`CheckpointManager.recover` then applies
+one roll-forward rule and restores registers and stack contents from the
+newest committed checkpoint.  :mod:`repro.faults.fuzzer` crashes at every
+step and checks exactly that invariant.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.bitmap import DirtyRun
-from repro.core.checkpoint import ProsperCheckpointEngine, StagedRun
+from repro.core.checkpoint import ProsperCheckpointEngine, read_run, write_run
 from repro.core.tracker import ProsperTracker
 from repro.cpu.registers import RegisterFile
 from repro.faults.injector import COMMIT_FLAG_WRITE, METADATA_WRITE, FaultInjector
 from repro.kernel.process import Process, Thread
-from repro.memory.address import AddressRange
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
 
@@ -82,6 +92,31 @@ class ProcessCheckpoint:
             return False
         return self.metadata_crc == _metadata_crc(self)
 
+    # Persist-order callbacks: the write never reached the media, or was
+    # cut mid-flight.
+    def lose_metadata(self) -> None:
+        self.metadata_crc = None
+
+    def tear_metadata(self) -> None:
+        if self.metadata_crc is not None:
+            self.metadata_crc ^= TORN_METADATA_MASK
+
+    def lose_commit_flag(self) -> None:
+        self.committed = False
+
+
+@dataclass
+class RecoveryReport:
+    """Outcome of one crash/recover cycle."""
+
+    resumed_from_sequence: int | None
+    rolled_forward: bool
+    threads_restored: int
+
+    @property
+    def recovered(self) -> bool:
+        return self.resumed_from_sequence is not None
+
 
 def _metadata_crc(record: ProcessCheckpoint) -> int:
     """CRC32 over the recovery-critical metadata: sequence + register files."""
@@ -100,44 +135,6 @@ def _metadata_crc(record: ProcessCheckpoint) -> int:
         )
     )
     return zlib.crc32(payload.encode())
-
-
-def _safe_verify(staged) -> bool:
-    """Checksum a staging buffer, treating a record so mangled that the
-    verify itself fails as a failed checksum (recovery must degrade to
-    the previous checkpoint, never crash)."""
-    try:
-        return staged.verify()
-    except Exception:
-        return False
-
-
-def _lose_metadata(record: "ProcessCheckpoint"):
-    """Persist-order undo: the metadata record never reached the media."""
-
-    def undo() -> None:
-        record.metadata_crc = None
-
-    return undo
-
-
-def _tear_metadata(record: "ProcessCheckpoint"):
-    """Persist-order tear: the metadata line was cut mid-flight."""
-
-    def tear() -> None:
-        if record.metadata_crc is not None:
-            record.metadata_crc ^= TORN_METADATA_MASK
-
-    return tear
-
-
-def _lose_commit_flag(record: "ProcessCheckpoint"):
-    """Persist-order undo: the commit flag never flipped in NVM."""
-
-    def undo() -> None:
-        record.committed = False
-
-    return undo
 
 
 class CheckpointManager:
@@ -168,6 +165,8 @@ class CheckpointManager:
         #: checksum-failed, and the interval indices they belonged to.
         self.discarded_staged = 0
         self.discarded_intervals: set[int] = set()
+        #: Set by :meth:`crash`, cleared by :meth:`recover`.
+        self.crashed = False
 
     def _reached(self, point: str) -> None:
         if self.injector is not None:
@@ -200,15 +199,15 @@ class CheckpointManager:
             return None
         engine = self._engines.get(thread.tid)
         if engine is None:
-            reader = self._content_reader(thread.tid)
-            writer = self._content_writer(thread.tid)
+            dram = (self.dram_images or {}).get(thread.tid)
+            nvm = (self.nvm_images or {}).get(thread.tid)
             engine = ProsperCheckpointEngine(
                 self.tracker,
                 thread.bitmap,
                 self.hierarchy,
                 injector=self.injector,
-                content_reader=reader,
-                content_writer=writer,
+                content_reader=partial(read_run, dram) if dram is not None else None,
+                content_writer=partial(write_run, nvm) if nvm is not None else None,
                 # Per-thread namespace: several engines share one NVM
                 # device, and persist-order labels must not collide when
                 # two threads stage the same checkpoint sequence.
@@ -216,35 +215,6 @@ class CheckpointManager:
             )
             self._engines[thread.tid] = engine
         return engine
-
-    def _content_reader(self, tid: int):
-        if self.dram_images is None:
-            return None
-        images = self.dram_images
-
-        def reader(run: DirtyRun):
-            image = images.get(tid)
-            if image is None:
-                return ()
-            return image.words_in_range(AddressRange(run.start, run.end))
-
-        return reader
-
-    def _content_writer(self, tid: int):
-        if self.nvm_images is None:
-            return None
-        images = self.nvm_images
-
-        def writer(staged_run: StagedRun) -> None:
-            image = images.get(tid)
-            if image is None:
-                return
-            image.replace_range(
-                AddressRange(staged_run.run.start, staged_run.run.end),
-                staged_run.payload,
-            )
-
-        return writer
 
     def checkpoint_process(self) -> tuple[ProcessCheckpoint, int]:
         """Capture one full process checkpoint; returns (record, cycles).
@@ -280,13 +250,13 @@ class CheckpointManager:
             and self.injector.should_tear_metadata(record.sequence)
         )
         if torn:
-            record.metadata_crc ^= TORN_METADATA_MASK
+            record.tear_metadata()
         oracle = self._order_oracle()
         if oracle is not None:
             oracle.record(
                 f"proc[{record.sequence}].metadata",
-                undo=_lose_metadata(record),
-                tear=_tear_metadata(record),
+                undo=record.lose_metadata,
+                tear=record.tear_metadata,
                 size=METADATA_BYTES,
             )
 
@@ -327,7 +297,7 @@ class CheckpointManager:
         if oracle is not None:
             oracle.record(
                 f"proc[{record.sequence}].commit",
-                undo=_lose_commit_flag(record),
+                undo=record.lose_commit_flag,
                 size=8,
             )
         if self.hierarchy.nvm is not None:
@@ -350,89 +320,108 @@ class CheckpointManager:
                 return record
         return None
 
-    def _record_for(self, sequence: int) -> ProcessCheckpoint | None:
-        for record in reversed(self.checkpoints):
-            if record.sequence == sequence:
-                return record
-        return None
+    # ------------------------------------------------------------------ #
+    # Crash / recovery
+    # ------------------------------------------------------------------ #
 
-    def _staged_covers(self, sequence: int) -> bool:
-        """True when every tracked thread holds a complete staging for
-        *sequence* (committed or not) — the process-level completeness test
-        recovery applies before rolling anything forward."""
-        found = False
-        for thread in self.process.iter_threads():
-            engine = self._engine_for(thread)
-            if engine is None:
-                continue
-            found = True
-            staged = engine.staging.staged
-            if (
-                staged is None
-                or staged.interval_index != sequence
-                or not staged.complete
-            ):
-                return False
-        return found
+    def crash(self) -> None:
+        """Power failure: drop all volatile state.
 
-    def staging_complete_for(self, record: ProcessCheckpoint) -> bool:
-        """True when every tracked thread's staging for *record* has been
-        applied — the promotion test after :meth:`complete_staged_commits`."""
-        found = False
-        for thread in self.process.iter_threads():
-            engine = self._engine_for(thread)
-            if engine is None:
-                continue
-            found = True
-            staged = engine.staging.staged
-            if (
-                staged is None
-                or staged.interval_index != record.sequence
-                or not staged.committed
-            ):
-                return False
-        return found
-
-    def complete_staged_commits(self) -> int:
-        """Recovery helper: finish any staged-but-uncommitted thread commits.
-
-        All-or-nothing across the process: the pending staged buffers are
-        applied only if **every** one passes its checksums, the owning
-        record's metadata verifies (unless the commit flag already flipped,
-        which is authoritative), and every tracked thread staged the same
-        interval completely.  Anything less and the whole set is discarded —
-        rolling one thread forward while another falls back would leave a
-        blended process state.  Returns the number of thread engines whose
-        staged data was applied.
+        Register files are zeroed, dirty bitmaps cleared, tracker state
+        dropped and the DRAM stack images emptied — they lived in DRAM or
+        in the core.  The checkpoint records, the staging buffers and the
+        persistent NVM images survive.  Which writes still pending behind
+        the last persist barrier landed is decided before this, by the
+        crash checker's persist plan (:mod:`repro.faults.fuzzer`).
         """
+        self.crashed = True
+        for thread in self.process.iter_threads():
+            thread.registers.stack_pointer = 0
+            thread.registers.op_index = 0
+            thread.registers.gprs = [0] * len(thread.registers.gprs)
+            if thread.bitmap is not None:
+                thread.bitmap.clear()
+            thread.tracker_state = None
+        if self.dram_images is not None:
+            for image in self.dram_images.values():
+                image.clear()
+
+    def recover(self) -> RecoveryReport:
+        """Restart after :meth:`crash` and resume from the best checkpoint.
+
+        One rule decides what survives.  The per-thread stagings still
+        pending (staged, not yet applied) roll forward together or not at
+        all.  They roll forward when every one is complete and
+        checksum-clean, and the checkpoint each belongs to either flipped
+        its commit flag, or has a clean metadata CRC and a complete staging
+        on every tracked thread.  Rolling forward applies them and marks
+        that checkpoint committed in the same step.  Anything less
+        discards them all: rolling one thread forward while another falls
+        back would blend two epochs.
+
+        The newest committed checkpoint then wins.  Each thread's registers
+        come back from it, and its DRAM stack image is refilled from its
+        persistent NVM image.  With nothing committed, every thread
+        restarts from its pristine state (empty stack, first op).
+        """
+        if not self.crashed:
+            raise RuntimeError("recover() called without a crash")
+        self.crashed = False
         pending = [
-            engine
-            for engine in self._engines.values()
+            engine for engine in self._engines.values()
             if engine.staging.staged is not None
             and not engine.staging.staged.committed
         ]
-        if not pending:
-            return 0
-        stagings = [engine.staging.staged for engine in pending]
-        ok = all(_safe_verify(staged) for staged in stagings)
-        if ok:
-            for sequence in {staged.interval_index for staged in stagings}:
-                record = self._record_for(sequence)
-                if record is None:
-                    ok = False
-                    break
-                if not record.committed and not record.verify_metadata():
-                    ok = False
-                    break
-                if not record.committed and not self._staged_covers(sequence):
-                    ok = False
-                    break
-        if ok:
+        # Records are numbered by their position in self.checkpoints.
+        sequences = {engine.staging.staged.interval_index for engine in pending}
+        # Each tracked thread's newest staging (None: it never staged).
+        newest = [
+            self._engines[thread.tid].staging.staged
+            if thread.tid in self._engines else None
+            for thread in self.process.iter_threads()
+            if thread.bitmap is not None
+        ]
+        valid = all(engine.staging.can_roll_forward() for engine in pending)
+        for sequence in sequences:
+            record = self.checkpoints[sequence]
+            covered = bool(newest) and all(
+                staged is not None
+                and staged.interval_index == sequence
+                and staged.complete
+                for staged in newest
+            )
+            valid = valid and (
+                record.committed or (record.verify_metadata() and covered)
+            )
+        rolled = bool(pending) and valid
+        if rolled:
             for engine in pending:
                 engine.commit_staged()
-            return len(pending)
-        self.discarded_intervals.update(staged.interval_index for staged in stagings)
-        for engine in pending:
-            engine.staging.discard()
-        self.discarded_staged += len(pending)
-        return 0
+            for sequence in sequences:
+                self.checkpoints[sequence].committed = True
+        elif pending:
+            self.discarded_intervals.update(sequences)
+            for engine in pending:
+                engine.staging.discard()
+            self.discarded_staged += len(pending)
+
+        candidate = self.last_committed
+        if candidate is None:
+            for thread in self.process.iter_threads():
+                thread.registers.restore(
+                    RegisterFile(stack_pointer=thread.stack.end)
+                )
+            return RecoveryReport(None, rolled, 0)
+        restored = 0
+        for snap in candidate.threads:
+            thread = self.process.threads.get(snap.tid)
+            if thread is None:
+                continue
+            thread.registers.restore(snap.registers)
+            if self.dram_images is not None and self.nvm_images is not None:
+                source = self.nvm_images.get(snap.tid)
+                target = self.dram_images.get(snap.tid)
+                if source is not None and target is not None:
+                    target.copy_range_from(source, thread.stack)
+            restored += 1
+        return RecoveryReport(candidate.sequence, rolled, restored)

@@ -40,9 +40,8 @@ from repro.cpu.engine import trace_array
 from repro.cpu.engine_fast import BatchedExecutionEngine
 from repro.cpu.ops import OpKind
 from repro.faults.injector import BARRIER_QUIESCE, FaultInjector
-from repro.kernel.checkpoint_mgr import CheckpointManager
+from repro.kernel.checkpoint_mgr import CheckpointManager, RecoveryReport
 from repro.kernel.process import Process, Thread
-from repro.kernel.restore import CrashSimulator, RecoveryReport
 from repro.kernel.scheduler import Scheduler
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
@@ -183,12 +182,6 @@ class KernelMachine:
             dram_images=self.dram_images,
             nvm_images=self.nvm_images,
         )
-        self.crash_sim = CrashSimulator(
-            self.process,
-            self.manager,
-            dram_images=self.dram_images,
-            nvm_images=self.nvm_images,
-        )
 
         for i, ops in enumerate(thread_ops):
             thread = self.process.spawn_thread(stack_bytes, persistent=True)
@@ -293,13 +286,14 @@ class KernelMachine:
 
     def crash(self) -> None:
         """Power failure: volatile state (registers, DRAM images) vanishes."""
-        self.crash_sim.crash()
+        self.manager.crash()
 
     def recover(self) -> RecoveryReport:
-        """Restart: registers restore from the last committed checkpoint and
-        each thread's DRAM stack image is repopulated from its persistent
-        NVM image (both handled by the crash simulator)."""
-        return self.crash_sim.recover()
+        """Restart: the checkpoint manager rolls a complete staging forward
+        or discards it, restores registers from the last committed
+        checkpoint and repopulates each thread's DRAM stack image from its
+        persistent NVM image (:meth:`CheckpointManager.recover`)."""
+        return self.manager.recover()
 
     def verify_recovered_contents(self) -> bool:
         """Check every thread's restored stack equals its persistent image."""

@@ -13,7 +13,9 @@ amplified by up to 512x relative to byte-granularity tracking.
 Each live dirty page is staged and committed through the same
 :class:`~repro.core.checkpoint.StagingBuffer` as Prosper's checkpoints
 (persist-order labels ``pgckpt[k].*``), so one recovery rule covers
-both; this module keeps only the PTE walk and the page-copy cycles.
+both, and copies them through its reliable-write path, so a torn media
+write tears the staged tail exactly as it does for Prosper; this module
+keeps only the PTE walk and its cycles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from repro.config import PAGE_BYTES
 from repro.core.checkpoint import StagingBuffer
-from repro.faults.injector import STAGE_COMPLETE
 from repro.memory.address import page_index, span_pages
 from repro.persistence.base import (
     Capabilities,
@@ -136,9 +137,7 @@ class DirtyBitPersistence(PersistenceMechanism):
         self.staging.stage(
             ctx.interval_index, [p * pb for p in live], [(p + 1) * pb for p in live]
         )
-        self.staging.reached(STAGE_COMPLETE)
-        if copied:
-            cycles += self.hierarchy.copy_dram_to_nvm(copied, self.fixed_scale)
+        cycles += self.staging.finish_stage(copied, self.fixed_scale).cycles
         cycles += self.staging.commit()
 
         self.stats.checkpoint_bytes.append(copied)

@@ -1,12 +1,11 @@
-"""Tests for repro.kernel.checkpoint_mgr and repro.kernel.restore:
-whole-process checkpoints, crash, and recovery."""
+"""Tests for repro.kernel.checkpoint_mgr: whole-process checkpoints,
+crash, and recovery."""
 
 from repro.config import setup_i
 from repro.core.tracker import ProsperTracker
 from repro.faults.injector import COMMIT_FLAG_WRITE, CrashInjected, FaultInjector
 from repro.kernel.checkpoint_mgr import METADATA_BYTES, CheckpointManager
 from repro.kernel.process import Process
-from repro.kernel.restore import CrashSimulator
 from repro.memory.hierarchy import MemoryHierarchy
 
 import pytest
@@ -81,8 +80,7 @@ class TestCrashRecovery:
         proc, tracker, mgr = setup_process()
         dirty_thread(proc, tracker)
         mgr.checkpoint_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
+        mgr.crash()
         t = proc.thread(1)
         assert t.registers.op_index == 0
         assert t.bitmap.dirty_granule_count() == 0
@@ -91,9 +89,8 @@ class TestCrashRecovery:
         proc, tracker, mgr = setup_process()
         dirty_thread(proc, tracker)
         mgr.checkpoint_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         assert report.recovered
         assert report.resumed_from_sequence == 0
         assert proc.thread(1).registers.op_index == 1234
@@ -101,7 +98,7 @@ class TestCrashRecovery:
     def test_recover_without_crash_raises(self):
         proc, _, mgr = setup_process()
         with pytest.raises(RuntimeError):
-            CrashSimulator(proc, mgr).recover()
+            mgr.recover()
 
     def test_crash_mid_commit_rolls_forward(self):
         injector = FaultInjector()
@@ -115,9 +112,8 @@ class TestCrashRecovery:
         injector.arm(COMMIT_FLAG_WRITE, occurrence=1)
         with pytest.raises(CrashInjected):
             mgr.checkpoint_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         assert report.rolled_forward
         # The fully-staged checkpoint 1 was completed and wins.
         assert report.resumed_from_sequence == 1
@@ -125,9 +121,8 @@ class TestCrashRecovery:
 
     def test_crash_before_any_checkpoint(self):
         proc, _, mgr = setup_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         assert not report.recovered
         assert report.threads_restored == 0
 
@@ -135,15 +130,14 @@ class TestCrashRecovery:
         proc, tracker, mgr = setup_process()
         dirty_thread(proc, tracker)
         mgr.checkpoint_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        sim.recover()
+        mgr.crash()
+        mgr.recover()
         # Run a bit more, checkpoint, crash again.
         tracker.configure(proc.thread(1).bitmap)
         tracker.observe_store(proc.thread(1).registers.stack_pointer + 512, 8)
         proc.thread(1).registers.op_index = 9999
         mgr.checkpoint_process()
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         assert report.resumed_from_sequence == 1
         assert proc.thread(1).registers.op_index == 9999

@@ -65,6 +65,34 @@ class TestTraceBuilderExtend:
         assert arr["address"].tolist() == [0, 2**64 - 1]
         assert arr["size"].tolist() == [0, 2**32 - 1]
 
+    @pytest.mark.parametrize(
+        "op", [(9, 0, 8), (1, -8, 8), (1, 0, -1), (1, 2**64, 8), (1, 0, 2**32)]
+    )
+    def test_append_is_range_checked_when_packed(self, op):
+        builder = TraceBuilder()
+        builder.append(*op)
+        with pytest.raises(ValueError, match="out of range"):
+            builder.to_array()
+        with pytest.raises(ValueError, match="out of range"):
+            builder.extend(1, 0, 8)
+
+    def test_empty_column_appends_nothing(self):
+        builder = TraceBuilder()
+        builder.extend(4, 0, [])
+        assert len(builder) == 0
+        assert len(builder.to_array()) == 0
+
+    def test_mismatched_columns_name_the_columns(self):
+        builder = TraceBuilder()
+        with pytest.raises(ValueError, match=r"kind \(3,\), address \(2,\), size"):
+            builder.extend([1, 2, 3], [0, 8], 8)
+        assert len(builder) == 0
+
+    def test_all_scalar_columns_append_one_op(self):
+        builder = TraceBuilder()
+        builder.extend(int(OpKind.WRITE), 0x40, 8)
+        assert builder.to_array().tolist() == [(int(OpKind.WRITE), 0x40, 8)]
+
     def test_matches_append(self):
         vector, scalar = TraceBuilder(), TraceBuilder()
         vector.extend(int(OpKind.WRITE), np.arange(4, dtype=np.int64) * 8, 8)

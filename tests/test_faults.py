@@ -10,6 +10,7 @@ from repro.core.checkpoint import ProsperCheckpointEngine
 from repro.core.tracker import ProsperTracker
 from repro.faults.injector import (
     COMMIT_FLAG_WRITE,
+    PERSIST_BARRIER,
     STAGE_COMPLETE,
     CrashInjected,
     FaultInjector,
@@ -19,6 +20,7 @@ from repro.faults.fuzzer import (
     CrashSpec,
     MulticoreTarget,
     SingleCoreTarget,
+    build_setup,
     build_trace,
     classify_resume,
     expected_resumes,
@@ -31,7 +33,6 @@ from repro.faults.fuzzer import (
 from repro.faults.nvm_errors import WRITE_OK, WRITE_TORN, NvmErrorModel
 from repro.kernel.checkpoint_mgr import CheckpointManager
 from repro.kernel.process import Process
-from repro.kernel.restore import CrashSimulator
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
 
@@ -126,9 +127,8 @@ class TestPartialStagingNotPromoted:
         with pytest.raises(CrashInjected):
             mgr.checkpoint_process()
 
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         # The half-staged checkpoint 1 must NOT be promoted.
         assert report.resumed_from_sequence == 0
         assert not report.rolled_forward
@@ -148,9 +148,8 @@ class TestPartialStagingNotPromoted:
         with pytest.raises(CrashInjected):
             mgr.checkpoint_process()
 
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         assert report.rolled_forward
         assert report.resumed_from_sequence == 1
         assert proc.thread(1).registers.op_index == 222
@@ -168,9 +167,8 @@ class TestTornRecordDetection:
         inj.arm(COMMIT_FLAG_WRITE, occurrence=1)  # fully staged, flag unflipped
         with pytest.raises(CrashInjected):
             mgr.checkpoint_process()
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
-        report = sim.recover()
+        mgr.crash()
+        report = mgr.recover()
         # Staging is complete, but the metadata CRC fails: fall back.
         assert report.resumed_from_sequence == 0
         assert proc.thread(1).registers.op_index == 111
@@ -202,7 +200,33 @@ class TestTornRecordDetection:
         assert engine.staging.staged is None
 
 
-class TestCrashSimulatorMemoryRestoration:
+class TestDirtybitMediaTears:
+    @staticmethod
+    def _recover_after_crash(point, torn_write_rate):
+        target = build_setup(
+            "dirtybit", "scalar", trace=build_trace(0, 200), interval_ops=100
+        )
+        target.engine.hierarchy.nvm.error_model = NvmErrorModel(
+            torn_write_rate=torn_write_rate
+        )
+        # Power fails once interval 0 is fully staged and copied.
+        target.injector.arm(point)
+        with pytest.raises(CrashInjected):
+            target.run()
+        staging = target.inner.staging
+        assert staging.staged is not None and staging.staged.complete
+        return staging.recover(), staging.staged
+
+    @pytest.mark.parametrize("point", [STAGE_COMPLETE, PERSIST_BARRIER])
+    def test_torn_staged_copy_is_discarded(self, point):
+        # Every media write tears, so the staged copy's last run is
+        # corrupt and only its checksum can tell.  On clean media the same
+        # crash rolls the staging forward.
+        assert self._recover_after_crash(point, 0.0)[0] == 0
+        assert self._recover_after_crash(point, 1.0) == (None, None)
+
+
+class TestRecoveryMemoryRestoration:
     def test_recover_restores_stack_contents(self):
         proc, tracker, mgr = make_world(with_images=True)
         thread = proc.thread(1)
@@ -210,10 +234,9 @@ class TestCrashSimulatorMemoryRestoration:
         dirty_two_runs(proc, tracker, mgr, op_index=42, value=0xDEAD)
         mgr.checkpoint_process()
 
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
+        mgr.crash()
         assert mgr.dram_images[thread.tid].read(sp + 8) == 0  # DRAM died
-        report = sim.recover()
+        report = mgr.recover()
         assert report.resumed_from_sequence == 0
         # Contents, not just registers, came back from the NVM image.
         assert mgr.dram_images[thread.tid].read(sp + 8) == 0xDEAD

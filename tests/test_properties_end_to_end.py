@@ -94,8 +94,7 @@ class TestRecoveryInvariant:
         )
         from repro.kernel.checkpoint_mgr import CheckpointManager
         from repro.kernel.process import Process
-        from repro.kernel.restore import CrashSimulator
-
+        
         proc = Process()
         thread = proc.spawn_thread(stack_bytes=128 * 1024, persistent=True)
         tracker = Tracker(proc.tracker_config)
@@ -117,10 +116,9 @@ class TestRecoveryInvariant:
         else:
             mgr.checkpoint_process()
 
-        sim = CrashSimulator(proc, mgr)
-        sim.crash()
+        mgr.crash()
         assert thread.registers.op_index == 0  # volatile state gone
-        report = sim.recover()
+        report = mgr.recover()
         # Fully-staged checkpoints roll forward; either way we recover.
         assert report.recovered
         assert thread.registers.op_index == len(offsets)

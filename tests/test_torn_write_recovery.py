@@ -5,7 +5,7 @@ barrier.  These tests crash the kernel target's checkpoint protocol
 mid-staging, force a persist plan that tears one specific record, and
 assert that recovery *detects* the tear via CRC32, degrades to the
 previous committed checkpoint (or pristine state), and never raises out
-of ``CrashSimulator.recover``."""
+of ``CheckpointManager.recover``."""
 
 import pytest
 
