@@ -149,10 +149,6 @@ class WatermarkController:
         self._levels: dict[int, tuple[int, float]] = {}
         self.history: list[int] = [initial_hwm]
 
-    def _mean(self, hwm: int) -> float | None:
-        entry = self._levels.get(hwm)
-        return entry[1] if entry else None
-
     def observe(self, memory_ops: int, stores: int) -> int:
         """Feed one interval's tracker counters; returns the next HWM."""
         if stores == 0:

@@ -344,7 +344,9 @@ class StagingBuffer:
         """
         copy = ReliableWriteResult(0)
         if size > 0:
-            copy = self.hierarchy.reliable_copy_dram_to_nvm(size, latency_scale)
+            copy = self.hierarchy.reliable_copy_to_nvm(
+                self.hierarchy.dram, size, latency_scale
+            )
         staged = self.staged
         if copy.torn and staged is not None and staged.staged_runs:
             staged.staged_runs[-1].tear()
@@ -492,8 +494,8 @@ class ProsperCheckpointEngine:
         total = sum(run.size for run in staged.runs)
         cycles = 0
         if total:
-            copy = self.hierarchy.reliable_copy_nvm_to_nvm(
-                total, self.fixed_scale
+            copy = self.hierarchy.reliable_copy_to_nvm(
+                self.hierarchy.nvm, total, self.fixed_scale
             )
             cycles += copy.cycles
         return cycles + self.staging.commit()

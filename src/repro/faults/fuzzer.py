@@ -184,8 +184,10 @@ class RecordingMechanism(PersistenceMechanism):
     written into the shared DRAM image *before* the inner mechanism's hook
     runs; every interval boundary snapshots the image (before the inner
     checkpoint reads it, which sees identical contents — no stores happen
-    in between).  Batching is disabled so store order and values are
-    exact, which keeps the batched engine on its per-op loop.
+    in between).  The recorder batches exactly when its inner mechanism
+    does: a batch of stores takes its counter values in store order, so
+    the batched engine's batched hooks are checked with the same golden
+    image as per-op delivery.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -198,7 +200,7 @@ class RecordingMechanism(PersistenceMechanism):
         self.dram = dram
         self.name = inner.name
         self.region_in_nvm = inner.region_in_nvm
-        self.supports_batching = False
+        self.supports_batching = inner.supports_batching
         self.snapshots: list[IntervalSnapshot] = []
         self._counter = 0
         self.golden: GoldenRun | None = None
@@ -214,6 +216,20 @@ class RecordingMechanism(PersistenceMechanism):
         self._counter += 1
         self.dram.write(address, self._counter)
         return self.inner.on_store(address, size, now)
+
+    def on_load_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
+        return self.inner.on_load_batch(addresses, sizes, now)
+
+    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
+        first = self._counter + 1
+        self._counter += len(addresses)
+        self.dram.write_array(addresses, np.arange(first, self._counter + 1))
+        return self.inner.on_store_batch(addresses, sizes, now)
+
+    def store_cost_bound_array(
+        self, addresses: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        return self.inner.store_cost_bound_array(addresses, sizes)
 
     def on_interval_start(self, ctx: IntervalContext) -> int:
         if self.golden is not None and ctx.interval_index > 0:

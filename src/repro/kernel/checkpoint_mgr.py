@@ -64,9 +64,6 @@ class ThreadSnapshot:
     registers: RegisterFile
     dirty_runs: list[DirtyRun] = field(default_factory=list)
     copied_bytes: int = 0
-    #: Whether every planned run reached the staging buffer (written as part
-    #: of the staging descriptor; recovery must not trust a False one).
-    staged_complete: bool = True
 
 
 @dataclass
@@ -241,7 +238,9 @@ class CheckpointManager:
                 ThreadSnapshot(thread.tid, thread.registers.snapshot())
             )
         self._reached(METADATA_WRITE)
-        metadata = self.hierarchy.reliable_copy_dram_to_nvm(METADATA_BYTES)
+        metadata = self.hierarchy.reliable_copy_to_nvm(
+            self.hierarchy.dram, METADATA_BYTES
+        )
         cycles += metadata.cycles
         record.retries += metadata.retries
         record.metadata_crc = _metadata_crc(record)
@@ -276,7 +275,6 @@ class CheckpointManager:
             snap.copied_bytes = stage.copied_bytes
             staged = engine.staging.staged
             snap.dirty_runs = staged.runs if staged is not None else []
-            snap.staged_complete = staged.complete if staged is not None else False
             cycles += stage.cycles
             record.retries += stage.retries
             engines.append(engine)

@@ -95,10 +95,6 @@ class Process:
     def iter_threads(self) -> Iterator[Thread]:
         return iter(self.threads.values())
 
-    @property
-    def persistent_threads(self) -> list[Thread]:
-        return [t for t in self.threads.values() if t.persistent]
-
     # ------------------------------------------------------------------ #
     # Inter-thread stack protection (Section III-C)
     # ------------------------------------------------------------------ #

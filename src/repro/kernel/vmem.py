@@ -1,12 +1,14 @@
 """Virtual memory: page tables with dirty / write-protect bits.
 
-Implements the substrate both page-granularity baselines depend on
-(Section II-B): PTEs carry *present*, *writable*, *dirty* and *accessed*
-bits; the hardware walker sets the dirty bit on a write, while the
-write-protection scheme clears the writable bit and takes a fault on the
-first store.  The stack region grows on demand — a touch below the mapped
-low-water mark maps new pages, the way Linux (and GemOS) service stack
-growth.
+Models the PTE bits of Section II-B: PTEs carry *present*, *writable*,
+*dirty* and *accessed* bits; the hardware walker sets the dirty bit on a
+write, while write protection clears the writable bit and takes a fault
+on the first store.  The stack region grows on demand — a touch below the
+mapped low-water mark maps new pages, the way Linux (and GemOS) service
+stack growth.  The two page-granularity baselines
+(:mod:`repro.persistence.dirtybit`, :mod:`repro.persistence.writeprotect`)
+do not walk a :class:`PageTable`: they keep their dirty pages as a set and
+charge PTE walk, fault and re-arm cycles per page.
 
 Also hosts the per-thread stack-permission scheme Prosper uses for
 inter-thread stack writes (Section III-C): each thread's view maps its own

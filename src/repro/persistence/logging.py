@@ -215,9 +215,10 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self.stats.intervals += 1
         # Apply the log: copy every pending location from log to home.
         apply_bytes = len(self._pending) * 8
-        cycles = self.hierarchy.copy_nvm_to_nvm(apply_bytes)
-        cycles += self.hierarchy.persist_barrier()
-        cycles += self.hierarchy.nvm.write(LOG_ENTRY_HEADER_BYTES, ctx.now)
+        hierarchy = self.hierarchy
+        cycles = hierarchy.reliable_copy_to_nvm(hierarchy.nvm, apply_bytes).cycles
+        cycles += hierarchy.persist_barrier()
+        cycles += hierarchy.nvm.write(LOG_ENTRY_HEADER_BYTES, ctx.now)
         self.stats.checkpoint_bytes.append(apply_bytes)
         self.stats.checkpoint_cycles.append(cycles)
         self._pending.clear()

@@ -169,7 +169,10 @@ class SspPersistence(PersistenceMechanism):
             self.consolidated_lines_total += merged
             state.unconsolidated_lines.clear()
         if merged_bytes:
-            cycles += self.hierarchy.copy_nvm_to_nvm(merged_bytes, scale)
+            hierarchy = self.hierarchy
+            cycles += hierarchy.reliable_copy_to_nvm(
+                hierarchy.nvm, merged_bytes, scale
+            ).cycles
         self._last_consolidation = invocation_now
         return cycles
 

@@ -158,6 +158,11 @@ class TestAdaptiveProsper:
         # In fallback mode checkpoints are page-sized multiples.
         last = mech.stats.checkpoint_bytes[-1]
         assert last % PAGE_BYTES == 0 and last > 0
+        # ...staged and committed through the Dirtybit page checkpoint.
+        staged = mech.pages.staging.staged
+        assert staged.committed
+        assert staged.interval_index == mech.stats.intervals - 1
+        assert sum(run.size for run in staged.runs) == last
 
     def test_granularity_history_recorded(self):
         mech = AdaptiveProsperPersistence()

@@ -26,6 +26,7 @@ from repro.faults.fuzzer import (
     CrashSpec,
     _probe,
     _sample_spec,
+    build_setup,
     build_trace,
     run_schedule,
 )
@@ -119,6 +120,43 @@ class TestUnarmedFaultMachineryStaysVectorized:
         scalar = results[ExecutionEngine]
         assert results[BatchedExecutionEngine] == scalar
         assert len(scalar[1]["intervals"]) > 1 and scalar[3]
+
+
+class TestRecorderBatching:
+    """The golden-image recorder batches exactly when its inner mechanism
+    does, so a batched probe crash-checks the batched hooks the figures
+    run, with the same golden image as the scalar reference."""
+
+    @pytest.mark.parametrize("mechanism", ["prosper", "dirtybit"])
+    def test_batched_probe_delivers_store_batches(self, mechanism):
+        targets = {}
+        batches = []
+        for engine_name in ("scalar", "batched"):
+            target = build_setup(
+                mechanism, engine_name, trace=build_trace(0, 1200),
+                interval_ops=300,
+            )
+            if engine_name == "batched":
+                inner_hook = target.inner.on_store_batch
+
+                def counting_hook(addresses, sizes, now, inner_hook=inner_hook):
+                    batches.append(len(addresses))
+                    return inner_hook(addresses, sizes, now)
+
+                target.inner.on_store_batch = counting_hook
+            target.run()
+            targets[engine_name] = target
+        scalar, batched = targets["scalar"], targets["batched"]
+        assert batched.recorder.supports_batching
+        assert batches and sum(batches) == batched.engine.stats.stack_writes
+        assert batched.cycles == scalar.cycles
+        assert dict(batched.dram.iter_words()) == dict(scalar.dram.iter_words())
+        assert dict(batched.durable.iter_words()) == dict(
+            scalar.durable.iter_words()
+        )
+        assert [
+            (dict(s.image.iter_words()), s.final_sp) for s in batched.snapshots
+        ] == [(dict(s.image.iter_words()), s.final_sp) for s in scalar.snapshots]
 
 
 class _ClockInjector(FaultInjector):

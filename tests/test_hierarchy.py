@@ -126,20 +126,19 @@ class TestBulkCopies:
     def test_copy_costs_ordering(self):
         h = hybrid()
         size = 64 * 1024
-        d2n = h.copy_dram_to_nvm(size)
-        d2d = h.copy_dram_to_dram(size)
-        n2n = h.copy_nvm_to_nvm(size)
-        assert d2d < d2n <= n2n
+        d2n = h.reliable_copy_to_nvm(h.dram, size).cycles
+        n2n = h.reliable_copy_to_nvm(h.nvm, size).cycles
+        assert d2n <= n2n
 
     def test_zero_copy_free(self):
         h = hybrid()
-        assert h.copy_dram_to_nvm(0) == 0
-        assert h.copy_nvm_to_nvm(0) == 0
+        assert h.reliable_copy_to_nvm(h.dram, 0).cycles == 0
+        assert h.reliable_copy_to_nvm(h.nvm, 0).cycles == 0
 
     def test_latency_scale_reduces_fixed_part(self):
         h = hybrid()
-        full = h.copy_dram_to_nvm(4096, latency_scale=1.0)
-        scaled = h.copy_dram_to_nvm(4096, latency_scale=0.01)
+        full = h.reliable_copy_to_nvm(h.dram, 4096, latency_scale=1.0).cycles
+        scaled = h.reliable_copy_to_nvm(h.dram, 4096, latency_scale=0.01).cycles
         assert scaled < full
 
     def test_reset_stats(self):

@@ -1,0 +1,93 @@
+"""Golden run statistics of the mechanisms whose checkpoints copy pages or
+copy within NVM: write-protect, Dirtybit, the adaptive Prosper page
+fallback, SSP consolidation and the redo-log apply.
+
+Each case runs one mechanism over one trace at a 10 ms paper interval and
+hashes, with SHA-256, the engine statistics, the mechanism statistics and
+the DRAM and NVM device counters.  The pins were recorded before the page
+checkpoint was given one owner, so a refactor of that path must leave
+every cycle, byte and device access where it was.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro.experiments.runner import run_mechanism
+from repro.persistence.adaptive import AdaptiveProsperPersistence
+from repro.persistence.dirtybit import DirtyBitPersistence
+from repro.persistence.logging import RedoLogPersistence
+from repro.persistence.ssp import SspPersistence
+from repro.persistence.writeprotect import WriteProtectPersistence
+from repro.workloads.apps import ycsb_mem
+from repro.workloads.synthetic import sparse_workload, stream_workload
+
+TRACES = {
+    "sparse": lambda: sparse_workload(pages=48, rounds=100, seed=11),
+    "stream": lambda: stream_workload(array_bytes=64 * 1024, passes=2, seed=11),
+    "ycsb_mem": lambda: ycsb_mem(20_000, 42),
+}
+
+MECHANISMS = {
+    "writeprotect": WriteProtectPersistence,
+    "dirtybit": DirtyBitPersistence,
+    "prosper-adaptive": AdaptiveProsperPersistence,
+    "ssp-10us": lambda: SspPersistence(10.0),
+    "redo": RedoLogPersistence,
+}
+
+#: SHA-256 of each run's statistics (see :func:`_digest`).
+GOLDEN = {
+    ("sparse", "dirtybit"): "b48ceaa5348832c2e855808a84a0888e5edbc6e7b13692b4aca4a117febc2cb8",
+    ("sparse", "prosper-adaptive"): "ba3316b9dbf81fc3753b37e10b2d9d85576959d8f37d1e067c241d15d54da596",
+    ("sparse", "redo"): "822549e864405bfeda513be0095367af923e58b4d384961fc22b12c6a0dc0a6a",
+    ("sparse", "ssp-10us"): "c922126ed9782ae73e518811d744f0e4485ae2a2d48ff317669b917cb06d225b",
+    ("sparse", "writeprotect"): "48fb27ea4a28ee3d35cefd4fed40c3b70e7e515566421aab7a71fcdf572cf3c7",
+    ("stream", "dirtybit"): "9a7bdd40d5b48dd08ef03232c6c52cd3eb898294a47967afe7f889ffef5a80fe",
+    ("stream", "prosper-adaptive"): "1b256dcc12f2a64af45b24fecd509665665ff7905bf928ec8468a6e340a09d8f",
+    ("stream", "redo"): "18c07550080b43c0fa5baf0b437f9d0cd2f7c1364c813ca0ce7e77f396843ebc",
+    ("stream", "ssp-10us"): "ebd43ed27a1f104443de0552853f6e4dfc79dc2c647459cfa86bf1b1ed007560",
+    ("stream", "writeprotect"): "ff61a99fb02b78f3487e3a64623b9ca40f72958a099b0e4e53517348d96ac237",
+    ("ycsb_mem", "dirtybit"): "be861e9d0c170ff7aa4a94c81010a7f5712abb46a89a9c71a3111f9bbfe37b1b",
+    ("ycsb_mem", "prosper-adaptive"): "d009c93e9c8bb0a706767874e49cb4a0211461c8ce093786da86911488748d5c",
+    ("ycsb_mem", "redo"): "95a073424dcc542c30a6b5fb7b53826c8a28c54ee0f84930fd9cbca8f741fe1a",
+    ("ycsb_mem", "ssp-10us"): "96402b2309a73d73550c437dd89ddfb7ccc3ce183cb7c167a4bbaf5b77b929d7",
+    ("ycsb_mem", "writeprotect"): "321a1ab5ede938241477906865fcdb80ad49c8abaff3f1b75a252e9e7be8ef59",
+}
+
+
+def _run(trace_name: str, mechanism_name: str):
+    mechanism = MECHANISMS[mechanism_name]()
+    result = run_mechanism(TRACES[trace_name](), mechanism, 10.0)
+    return result, mechanism
+
+
+def _digest(result, mechanism) -> str:
+    hierarchy = mechanism.hierarchy
+    state = {
+        "engine": dataclasses.asdict(result.stats),
+        "mechanism": dataclasses.asdict(mechanism.stats),
+        "dram": dataclasses.asdict(hierarchy.dram.stats),
+        "nvm": dataclasses.asdict(hierarchy.nvm.stats),
+        "faults": getattr(mechanism, "faults", None),
+        "granularity_history": getattr(mechanism, "granularity_history", None),
+    }
+    blob = json.dumps(state, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("mechanism_name", sorted(MECHANISMS))
+@pytest.mark.parametrize("trace_name", sorted(TRACES))
+def test_run_statistics_pinned(trace_name, mechanism_name):
+    result, mechanism = _run(trace_name, mechanism_name)
+    assert _digest(result, mechanism) == GOLDEN[(trace_name, mechanism_name)]
+
+
+def test_stream_reaches_page_fallback():
+    """The adaptive stream case checkpoints through the page fallback, so
+    its pin covers that path."""
+    _, mechanism = _run("stream", "prosper-adaptive")
+    assert 4096 in mechanism.granularity_history
+    assert mechanism.in_page_fallback

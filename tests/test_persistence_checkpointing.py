@@ -3,6 +3,13 @@
 from repro.config import PAGE_BYTES, TrackerConfig
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.ops import Op, OpKind
+from repro.faults.injector import (
+    PERSIST_BARRIER,
+    STAGE_BEGIN,
+    STAGE_COMPLETE,
+    FaultInjector,
+    stage_run_copy,
+)
 from repro.memory.address import AddressRange
 from repro.persistence.dirtybit import DirtyBitPersistence
 from repro.persistence.none import NoPersistence
@@ -101,6 +108,29 @@ class TestWriteProtect:
         assert wp_stats.total_cycles > db_stats.total_cycles
         # Same checkpoint size — only the tracking overhead differs.
         assert wp.stats.checkpoint_bytes == db.stats.checkpoint_bytes
+
+    def test_checkpoint_goes_through_the_staging_protocol(self):
+        injector = FaultInjector()
+        mech = WriteProtectPersistence()
+        engine = ExecutionEngine(
+            stack_range=STACK, mechanism=mech, fault_injector=injector
+        )
+        frame = Op(OpKind.CALL, size=STACK.size)
+        ops = stack_writes([STACK.start + 8, STACK.start + PAGE_BYTES + 8])
+        engine.run([frame] + ops, interval_ops=len(ops) + 1)
+        assert list(injector.fired) == [
+            STAGE_BEGIN,
+            stage_run_copy(0),
+            stage_run_copy(1),
+            STAGE_COMPLETE,
+            PERSIST_BARRIER,
+        ]
+        staged = mech.staging.staged
+        assert staged.committed and staged.interval_index == 0
+        assert [(r.start, r.end) for r in staged.runs] == [
+            (STACK.start, STACK.start + PAGE_BYTES),
+            (STACK.start + PAGE_BYTES, STACK.start + 2 * PAGE_BYTES),
+        ]
 
 
 class TestProsperMechanism:
