@@ -12,7 +12,12 @@ from repro.faults.nvm_errors import (
     NvmErrorModel,
     NvmMediaError,
 )
+from repro.cpu.engine import ExecutionEngine
+from repro.cpu.ops import Op, OpKind
+from repro.memory.address import AddressRange
 from repro.memory.devices import NvmDevice
+from repro.persistence.logging import RedoLogPersistence
+from repro.persistence.ssp import SspPersistence
 
 
 class ScriptedModel(NvmErrorModel):
@@ -141,3 +146,75 @@ class TestReliableWritePath:
         assert result.retries == 0
         assert result.cycles == clean_write_cycles(size)
         assert device.torn_writes_total == 1
+
+
+STACK = AddressRange(0x7000_0000, 0x7010_0000)
+
+
+def run_under_model(mechanism, model, ops):
+    """Run *ops* under one live frame with *model* on the NVM device."""
+    engine = ExecutionEngine(stack_range=STACK, mechanism=mechanism)
+    engine.hierarchy.nvm.error_model = model
+    frame = Op(OpKind.CALL, size=STACK.size)
+    engine.run([frame] + ops, interval_ops=len(ops) + 1)
+    return engine
+
+
+def redo_ops():
+    return [Op(OpKind.WRITE, STACK.start + 64 * i, 8) for i in range(16)]
+
+
+def ssp_ops():
+    # One page written first, then a long run on another page: the first
+    # goes inactive and a consolidation pass merges its lines.
+    first = [Op(OpKind.WRITE, STACK.start + 64 * i, 8) for i in range(8)]
+    rest = [Op(OpKind.WRITE, STACK.start + 0x8000 + 8 * (i % 64), 8) for i in range(400)]
+    return first + rest
+
+
+class TestUncheckedBulkCopies:
+    """SSP consolidation and the redo-log apply copy through the reliable
+    path but keep no checksum: a transient failure is retried and charged,
+    a torn copy is counted by the device and otherwise ignored."""
+
+    def test_redo_apply_retry_is_charged(self):
+        clean = run_under_model(RedoLogPersistence(), None, redo_ops())
+        model = ScriptedModel([(WRITE_TRANSIENT, None)])
+        faulty = run_under_model(RedoLogPersistence(), model, redo_ops())
+        apply_bytes = 16 * 8
+        assert faulty.mechanism.stats.checkpoint_bytes == [apply_bytes]
+        assert faulty.hierarchy.nvm.retry_count_total == 1
+        extra = (
+            faulty.mechanism.stats.checkpoint_cycles[0]
+            - clean.mechanism.stats.checkpoint_cycles[0]
+        )
+        assert extra == clean_write_cycles(apply_bytes) + model.backoff_cycles(1)
+        nvm, base = faulty.hierarchy.nvm.stats, clean.hierarchy.nvm.stats
+        assert nvm.writes == base.writes + 1
+        assert nvm.write_bytes == base.write_bytes + apply_bytes
+
+    def test_ssp_consolidation_retry_is_charged(self):
+        clean = run_under_model(SspPersistence(0.01), None, ssp_ops())
+        assert clean.mechanism.consolidated_lines_total > 0
+        model = ScriptedModel([(WRITE_TRANSIENT, None)])
+        faulty = run_under_model(SspPersistence(0.01), model, ssp_ops())
+        assert faulty.hierarchy.nvm.retry_count_total == 1
+        assert (
+            faulty.mechanism.interference_cycles_total
+            > clean.mechanism.interference_cycles_total
+        )
+
+    def test_torn_copies_are_ignored(self):
+        for factory, ops in ((RedoLogPersistence, redo_ops), (
+            lambda: SspPersistence(0.01), ssp_ops
+        )):
+            clean = run_under_model(factory(), None, ops())
+            torn = run_under_model(
+                factory(), ScriptedModel([(WRITE_TORN, None)]), ops()
+            )
+            assert torn.hierarchy.nvm.torn_writes_total == 1
+            assert torn.hierarchy.nvm.retry_count_total == 0
+            assert torn.mechanism.stats.checkpoint_bytes == (
+                clean.mechanism.stats.checkpoint_bytes
+            )
+            assert torn.stats.total_cycles == clean.stats.total_cycles
