@@ -41,7 +41,6 @@ from repro.cpu import ExecutionEngine, Op, OpKind
 from repro.memory import AddressRange, MemoryHierarchy
 from repro.persistence import (
     AdaptiveProsperPersistence,
-    CombinedPersistence,
     DirtyBitPersistence,
     FlushPersistence,
     NoPersistence,
@@ -95,7 +94,6 @@ __all__ = [
     "SspPersistence",
     "ProsperPersistence",
     "AdaptiveProsperPersistence",
-    "CombinedPersistence",
     # harness
     "RunResult",
     "run_mechanism",

@@ -1,20 +1,10 @@
 """Result aggregation and rendering for the experiment harness."""
 
-from repro.analysis.metrics import (
-    geomean,
-    normalized_times,
-    speedup,
-    summarize_checkpoints,
-)
 from repro.analysis.report import render_series, render_table
 from repro.analysis.endurance import EnduranceReport, endurance_report
 from repro.analysis.export import export_experiment, write_csv
 
 __all__ = [
-    "geomean",
-    "speedup",
-    "normalized_times",
-    "summarize_checkpoints",
     "render_table",
     "render_series",
     "EnduranceReport",

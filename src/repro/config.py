@@ -16,10 +16,6 @@ its timing from a single place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tlb uses config)
-    from repro.memory.tlb import TlbConfig
 
 #: CPU clock frequency used in both setups (Table II).
 CPU_FREQ_HZ = 3_000_000_000
@@ -139,16 +135,10 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A full machine configuration (one of the paper's two setups).
-
-    ``tlb`` optionally enables the TLB/page-table-walker timing model
-    (:mod:`repro.memory.tlb`); the calibrated paper experiments run without
-    it since normalized results divide the translation costs out.
-    """
+    """A full machine configuration (one of the paper's two setups)."""
 
     name: str
     freq_hz: int = CPU_FREQ_HZ
-    tlb: "TlbConfig | None" = None
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig(32 * 1024, 8, 3, 16)
     )

@@ -214,14 +214,6 @@ class ExecutionEngine:
         self.now = 0
         self.stats = EngineStats()
 
-        # Optional TLB/page-table-walker timing (SystemConfig.tlb).
-        if self.config.tlb is not None:
-            from repro.memory.tlb import Tlb
-
-            self.tlb: "Tlb | None" = Tlb(self.config.tlb)
-        else:
-            self.tlb = None
-
         self.mechanism.attach(self, self.stack_range)
         if heap_mechanism is not None:
             if heap_range is None:
@@ -319,8 +311,6 @@ class ExecutionEngine:
 
         # Memory operation.
         is_write = kind == _WRITE
-        if self.tlb is not None:
-            self._advance(self.tlb.translate(address, is_write))
         result = self.hierarchy.access(address, size, is_write)
         self._advance(result.latency_cycles)
 

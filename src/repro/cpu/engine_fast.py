@@ -11,9 +11,9 @@ loop:
   single-line detection, and the full SP trajectory (cumulative CALL/RET
   deltas) are computed as numpy arrays up front;
 * each chunk then takes one of two exact loops.  **Vectorized-run mode**
-  needs a configuration without a TLB or an NVM-resident persistence
-  region, whose every mechanism hook is trivial or batch-eligible, *and*
-  a hit-dense chunk.  L1 residency is predicted at chunk entry; maximal
+  needs a configuration without an NVM-resident persistence region, whose
+  every mechanism hook is trivial or batch-eligible, *and* a hit-dense
+  chunk.  L1 residency is predicted at chunk entry; maximal
   runs of predicted single-line L1 hits are committed as whole array
   operations against numpy mirrors of the cache's replacement state
   (ages authoritative in the mirror, tags patched from the cache's list,
@@ -29,6 +29,13 @@ loop:
   ``on_load_batch`` when the mechanism declares ``supports_batching``, in
   either loop; mechanisms whose per-op costs feed back into the current
   cycle (SSP, the logging family) fall back to exact per-op delivery;
+* both loops end an interval through one boundary step.  Each loop
+  decides inline whether an op (or, in vector mode, a run found by binary
+  search) reaches the boundary; in cycles mode ``due`` then delivers the
+  deferred hooks and tests the exact cycle count, and ``cross`` flushes
+  the chunk's aggregates, ends the interval, re-arms the next boundary and
+  starts the next interval.  Deferred hooks are delivered by one routine
+  over a list of ``(region mask, mechanism)`` pairs, stack first;
 * a fault injector's cycle deadline (``FaultInjector.arm_cycle``) is read
   once per chunk; a chunk with one armed takes the per-op loop with
   per-op hooks and polls it after every op, before the interval-boundary
@@ -152,7 +159,6 @@ class BatchedExecutionEngine(ExecutionEngine):
         is_write_np = kinds_np == _WRITE
         mem_np = kinds_np <= _WRITE
         stack_np = mem_np & (addrs_np >= stack_start) & (addrs_np < stack_end)
-        stack_write_np = stack_np & is_write_np
         single_np = mem_np & (sizes_np > 0) & (
             addrs_np % line_bytes + sizes_np <= line_bytes
         )
@@ -194,7 +200,6 @@ class BatchedExecutionEngine(ExecutionEngine):
         l1_latency = self.config.l1d.latency_cycles
         access_line = hierarchy._access_line
         full_access = hierarchy.access
-        tlb = self.tlb
         mechanism = self.mechanism
         mech_trivial = type(mechanism) is NoPersistence
         mech_load = mechanism.on_load
@@ -226,33 +231,27 @@ class BatchedExecutionEngine(ExecutionEngine):
             and (mech_trivial or mechanism.supports_batching)
             and (heap_mech is None or heap_trivial or heap_mech.supports_batching)
         )
-        stack_batched = batch_env and not mech_trivial and mechanism.supports_batching
-        heap_batched = (
-            batch_env
-            and heap_mech is not None
-            and not heap_trivial
-            and heap_mech.supports_batching
-        )
+        stack_batched = batch_env and not mech_trivial
+        heap_batched = batch_env and not heap_trivial
+        # (region mask, mechanism) for every deferring mechanism, stack
+        # first: the order hooks are delivered in.
+        batched = []
+        if stack_batched:
+            batched.append((stack_np, mechanism))
+        if heap_batched:
+            batched.append((heap_np, heap_mech))
         bounds_np = None
-        if stack_batched or heap_batched:
+        if batched:
             # Per-op upper bounds on deferred store costs: the loop may keep
             # deferring only while the accumulated bound cannot reach the
             # next interval boundary.
             bounds_np = np.zeros(n, dtype=np.int64)
-            if stack_batched and stack_write_np.any():
-                bounds_np[stack_write_np] = mechanism.store_cost_bound_array(
-                    addrs_np[stack_write_np], sizes_np[stack_write_np]
-                )
-            if heap_batched:
-                hw_mask = heap_np & is_write_np
-                if hw_mask.any():
-                    bounds_np[hw_mask] = heap_mech.store_cost_bound_array(
-                        addrs_np[hw_mask], sizes_np[hw_mask]
+            for mask, mech in batched:
+                w = mask & is_write_np
+                if w.any():
+                    bounds_np[w] = mech.store_cost_bound_array(
+                        addrs_np[w], sizes_np[w]
                     )
-        mech_store_batch = mechanism.on_store_batch
-        mech_load_batch = mechanism.on_load_batch
-        heap_store_batch = heap_mech.on_store_batch if heap_mech is not None else None
-        heap_load_batch = heap_mech.on_load_batch if heap_mech is not None else None
 
         now = self.now
         app = 0
@@ -268,41 +267,18 @@ class BatchedExecutionEngine(ExecutionEngine):
             if end <= mseg:
                 return
             win = slice(mseg, end)
-            if stack_batched:
-                w = stack_write_np[win]
-                if w.any():
-                    extra = mech_store_batch(
-                        addrs_np[win][w], sizes_np[win][w], now
-                    )
-                    if extra:
-                        now += extra
-                        inline += extra
-                r = stack_np[win] & ~is_write_np[win]
-                if r.any():
-                    extra = mech_load_batch(
-                        addrs_np[win][r], sizes_np[win][r], now
-                    )
-                    if extra:
-                        now += extra
-                        inline += extra
-            if heap_batched:
-                hwin = heap_np[win]
-                w = hwin & is_write_np[win]
-                if w.any():
-                    extra = heap_store_batch(
-                        addrs_np[win][w], sizes_np[win][w], now
-                    )
-                    if extra:
-                        now += extra
-                        inline += extra
-                r = hwin & ~is_write_np[win]
-                if r.any():
-                    extra = heap_load_batch(
-                        addrs_np[win][r], sizes_np[win][r], now
-                    )
-                    if extra:
-                        now += extra
-                        inline += extra
+            for mask, mech in batched:
+                region = mask[win]
+                writes = is_write_np[win]
+                for sel, deliver in (
+                    (region & writes, mech.on_store_batch),
+                    (region & ~writes, mech.on_load_batch),
+                ):
+                    if sel.any():
+                        extra = deliver(addrs_np[win][sel], sizes_np[win][sel], now)
+                        if extra:
+                            now += extra
+                            inline += extra
             mseg = end
             pending_bound = 0
 
@@ -358,6 +334,31 @@ class BatchedExecutionEngine(ExecutionEngine):
             self.now = now
             hierarchy.now = now
 
+        # ------------------------------------------------------------------
+        # The boundary step, shared by both loops.  A loop decides inline
+        # whether op i reaches the boundary (the op count in ops mode; in
+        # cycles mode the cycle count plus the deferred-cost bound, which
+        # can only over-estimate), then asks due() in cycles mode and ends
+        # the interval through cross().
+        # ------------------------------------------------------------------
+        def due(end: int) -> bool:
+            """Deliver the deferred hooks for ops [mseg, end), then test the
+            exact cycle count against the boundary, as the scalar loop does."""
+            if pending_bound:
+                mech_flush(end)
+            return now >= next_boundary
+
+        def cross(end: int) -> None:
+            """End the interval after op ``end - 1`` and start the next."""
+            nonlocal now, next_boundary, ops_in_interval
+            flush(end)
+            self._end_interval()
+            if cycles_mode:
+                next_boundary = self.now + interval_cycles
+            ops_in_interval = 0
+            self._start_interval()
+            now = self.now
+
         loop_end = overflow_at if overflow_at >= 0 else n
         l1_index = l1._index
 
@@ -390,7 +391,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         # are exact, so the choice changes only host speed.
         # ------------------------------------------------------------------
         vector = False
-        if tlb is None and batch_env and loop_end:
+        if batch_env and loop_end:
             nonsimple_np = np.empty(n, dtype=bool)
             mark_nonsimple(0)
             sequential = int(np.count_nonzero(nonsimple_np[:loop_end]))
@@ -398,19 +399,17 @@ class BatchedExecutionEngine(ExecutionEngine):
 
         # ------------------------------------------------------------------
         # Vectorized-run mode: when per-op state feedback is limited to the
-        # L1 replacement state (no TLB, and every mechanism either trivial
-        # or batched), whole runs of predicted L1 hits commit as array
-        # operations.  Residency is predicted once per chunk and updated
-        # incrementally at each miss (the inserted line becomes a future
-        # hit, the evicted LRU victim a future miss), so run membership is
-        # exact; interval boundaries inside a run are located by binary
-        # search over the run's cumulative cost (plus the deferred-cost
-        # bound, which can only over-estimate and therefore never misses a
-        # boundary).
+        # L1 replacement state (every mechanism either trivial or batched),
+        # whole runs of predicted L1 hits commit as array operations.
+        # Residency is predicted once per chunk and updated incrementally
+        # at each miss (the inserted line becomes a future hit, the evicted
+        # LRU victim a future miss), so run membership is exact; interval
+        # boundaries inside a run are located by binary search over the
+        # run's cumulative cost (plus the deferred-cost bound, which can
+        # only over-estimate and therefore never misses a boundary).
         # ------------------------------------------------------------------
         if vector:
             self.vector_chunks += 1
-            any_batched = stack_batched or heap_batched
             # Static cost of every *simple* op: a single-line L1 hit costs
             # the L1 latency, COMPUTE its size, CALL/RET one cycle.  Only
             # run members (predicted hits / non-memory ops) read this.
@@ -427,7 +426,7 @@ class BatchedExecutionEngine(ExecutionEngine):
             ccost_all = np.cumsum(costs_np)
             cb_all = (
                 np.cumsum(bounds_np)
-                if (cycles_mode and any_batched)
+                if (cycles_mode and batched)
                 else None
             )
             tot_all = ccost_all + cb_all if cb_all is not None else ccost_all
@@ -639,118 +638,57 @@ class BatchedExecutionEngine(ExecutionEngine):
                         pred_stale = True
                     now += latency
                     app += latency
-                    if cycles_mode and any_batched:
+                    if cb_all is not None:
                         pending_bound += int(bounds_np[i])
-                    if ops_mode:
-                        ops_in_interval += 1
-                        if ops_in_interval >= interval_ops:
-                            sync_ages()
-                            flush(i + 1)
-                            self._end_interval()
-                            ops_in_interval = 0
-                            self._start_interval()
-                            now = self.now
-                            pred_stale = True
-                    elif cycles_mode:
-                        ops_in_interval += 1
-                        if now + pending_bound >= next_boundary:
-                            if pending_bound:
-                                mech_flush(i + 1)
-                            if now >= next_boundary:
-                                sync_ages()
-                                flush(i + 1)
-                                self._end_interval()
-                                next_boundary = self.now + interval_cycles
-                                ops_in_interval = 0
-                                self._start_interval()
-                                now = self.now
-                                pred_stale = True
-                    i += 1
-                    continue
-
-                # Maximal run of simple ops [i, r1).
-                seg_ns = nonsimple_np[i:loop_end]
-                rel = int(seg_ns.argmax())
-                r1 = i + rel if seg_ns[rel] else loop_end
-                r0 = i
-                while r0 < r1:
-                    seg_len = r1 - r0
-                    boundary_hit = False
-                    base_c = int(ccost_all[r0 - 1]) if r0 else 0
+                    stop = i + 1
+                    ops_in_interval += 1
+                    boundary = (
+                        ops_in_interval >= interval_ops
+                        if ops_mode
+                        else cycles_mode and now + pending_bound >= next_boundary
+                    )
+                else:
+                    # Maximal run of simple ops [i, stop), cut short at the
+                    # first op that reaches the boundary: by binary search
+                    # over the non-decreasing cumulative (bound-inflated)
+                    # cost in cycles mode, by the ops remaining in ops mode.
+                    seg_ns = nonsimple_np[i:loop_end]
+                    rel = int(seg_ns.argmax())
+                    stop = i + rel if seg_ns[rel] else loop_end
+                    boundary = False
                     if cycles_mode:
-                        # First op where the (bound-inflated) cycle count
-                        # reaches the boundary, by binary search over the
-                        # non-decreasing cumulative cost.
-                        base_t = int(tot_all[r0 - 1]) if r0 else 0
+                        base_t = int(tot_all[i - 1]) if i else 0
                         budget = next_boundary - now - pending_bound + base_t
-                        if int(tot_all[r1 - 1]) < budget:
-                            # Whole run fits before the boundary — the
-                            # overwhelmingly common case; skip the search.
-                            stop = r1
-                        else:
-                            j = int(
-                                np.searchsorted(tot_all[r0:r1], budget)
+                        # The whole run fits before the boundary in the
+                        # overwhelmingly common case; skip the search.
+                        if int(tot_all[stop - 1]) >= budget:
+                            boundary = True
+                            stop = i + 1 + int(
+                                np.searchsorted(tot_all[i:stop], budget)
                             )
-                            if j < seg_len:
-                                boundary_hit = True
-                                stop = r0 + j + 1
-                            else:
-                                stop = r1
-                        commit_run(r0, stop)
-                        adv = int(ccost_all[stop - 1]) - base_c
-                        now += adv
-                        app += adv
-                        if cb_all is not None:
-                            pending_bound += (
-                                int(cb_all[stop - 1])
-                                - (int(cb_all[r0 - 1]) if r0 else 0)
-                            )
-                        ops_in_interval += stop - r0
                     elif ops_mode:
                         remaining = interval_ops - ops_in_interval
-                        if remaining <= seg_len:
-                            boundary_hit = True
-                            stop = r0 + remaining
-                        else:
-                            stop = r1
-                        commit_run(r0, stop)
-                        adv = int(ccost_all[stop - 1]) - base_c
-                        now += adv
-                        app += adv
-                        ops_in_interval += stop - r0
-                    else:
-                        stop = r1
-                        commit_run(r0, stop)
-                        adv = int(ccost_all[stop - 1]) - base_c
-                        now += adv
-                        app += adv
-                    r0 = stop
-                    if boundary_hit:
-                        if cycles_mode:
-                            if pending_bound:
-                                mech_flush(stop)
-                            if now >= next_boundary:
-                                sync_ages()
-                                flush(stop)
-                                self._end_interval()
-                                next_boundary = self.now + interval_cycles
-                                ops_in_interval = 0
-                                self._start_interval()
-                                now = self.now
-                                pred_stale = True
-                                break
-                            # Bound over-estimated: no boundary yet, keep
-                            # consuming the run with the bound reset.
-                        else:
-                            sync_ages()
-                            flush(stop)
-                            self._end_interval()
-                            ops_in_interval = 0
-                            self._start_interval()
-                            now = self.now
-                            pred_stale = True
-                            break
-                i = r0
+                        if remaining <= stop - i:
+                            boundary = True
+                            stop = i + remaining
+                    commit_run(i, stop)
+                    adv = int(ccost_all[stop - 1]) - (
+                        int(ccost_all[i - 1]) if i else 0
+                    )
+                    now += adv
+                    app += adv
+                    if cb_all is not None:
+                        pending_bound += int(cb_all[stop - 1]) - (
+                            int(cb_all[i - 1]) if i else 0
+                        )
+                    ops_in_interval += stop - i
+                i = stop
+                # An over-estimating bound (due() is False) only resets the
+                # bound: the run resumes at i, re-found from the prediction.
+                if boundary and (ops_mode or due(stop)):
+                    sync_ages()
+                    cross(stop)
+                    pred_stale = True
 
             # Leaving vector mode: the cache's list state must be exact
             # again for the scalar-visible world (next chunk, fault
@@ -760,124 +698,96 @@ class BatchedExecutionEngine(ExecutionEngine):
             # syncing would clobber it.
             if not pred_stale:
                 sync_ages()
-            if overflow_at >= 0:
-                flush(overflow_at + 1)
-                sp = int(sp_np[overflow_at])
-                raise RuntimeError(
-                    f"stack overflow: SP {sp:#x} below {stack_start:#x}"
-                )
-            flush(n)
-            return next_boundary, ops_in_interval
+        else:
+            # Per-op loop (miss-dense chunks and non-batchable
+            # configurations) over Python-int columns.
+            self.per_op_chunks += 1
+            kinds = kinds_np.tolist()
+            addrs = addrs_np.tolist()
+            sizes = sizes_np.tolist()
+            stack_flags = stack_np.tolist()
+            single_flags = single_np.tolist()
+            lines = lines_np.tolist()
+            heap_flags = heap_np.tolist() if heap_np is not None else None
+            sbounds = bounds_np.tolist() if bounds_np is not None else None
 
-        # Python-int columns for the per-op loop (miss-dense chunks, and
-        # TLB-enabled or non-batchable configurations).
-        self.per_op_chunks += 1
-        kinds = kinds_np.tolist()
-        addrs = addrs_np.tolist()
-        sizes = sizes_np.tolist()
-        stack_flags = stack_np.tolist()
-        single_flags = single_np.tolist()
-        lines = lines_np.tolist()
-        heap_flags = heap_np.tolist() if heap_np is not None else None
-        sbounds = bounds_np.tolist() if bounds_np is not None else None
-
-        i = 0
-        while i < loop_end:
-            k = kinds[i]
-            if k <= _WRITE:
-                address = addrs[i]
-                size = sizes[i]
-                is_write = k == _WRITE
-                if tlb is not None:
-                    cost = tlb.translate(address, is_write)
-                    now += cost
-                    app += cost
-                if single_flags[i]:
-                    slot = l1_index_get(lines[i])
-                    if slot is not None:
-                        # Inline L1 hit: the dominant case.
-                        l1_hits += 1
-                        tick = l1._tick + 1
-                        l1._tick = tick
-                        l1_age[slot] = tick
-                        if is_write:
-                            l1_dirty[slot] = 1
-                        latency = l1_latency
+            for i in range(loop_end):
+                k = kinds[i]
+                if k <= _WRITE:
+                    address = addrs[i]
+                    size = sizes[i]
+                    is_write = k == _WRITE
+                    if single_flags[i]:
+                        slot = l1_index_get(lines[i])
+                        if slot is not None:
+                            # Inline L1 hit: the dominant case.
+                            l1_hits += 1
+                            tick = l1._tick + 1
+                            l1._tick = tick
+                            l1_age[slot] = tick
+                            if is_write:
+                                l1_dirty[slot] = 1
+                            latency = l1_latency
+                        else:
+                            hierarchy.now = now
+                            latency = access_line(
+                                lines[i], address, is_write
+                            ).latency_cycles
                     else:
                         hierarchy.now = now
-                        latency = access_line(
-                            lines[i], address, is_write
-                        ).latency_cycles
-                else:
-                    hierarchy.now = now
-                    latency = full_access(address, size, is_write).latency_cycles
-                now += latency
-                app += latency
-                if stack_flags[i]:
-                    if stack_batched:
-                        # Hook deferred; only the cost bound advances.
-                        pending_bound += sbounds[i]
-                    elif not mech_trivial:
-                        hierarchy.now = now
-                        extra = (
-                            mech_store(address, size, now)
-                            if is_write
-                            else mech_load(address, size, now)
-                        )
-                        if extra:
-                            now += extra
-                            inline += extra
-                elif heap_flags is not None and heap_flags[i]:
-                    if heap_batched:
-                        pending_bound += sbounds[i]
-                    elif not heap_trivial:
-                        hierarchy.now = now
-                        extra = (
-                            heap_store(address, size, now)
-                            if is_write
-                            else heap_load(address, size, now)
-                        )
-                        if extra:
-                            now += extra
-                            inline += extra
-            elif k == _COMPUTE:
-                cost = sizes[i]
-                now += cost
-                app += cost
-            else:  # CALL / RET (overflowing CALLs were truncated out above)
-                now += 1
-                app += 1
+                        latency = full_access(address, size, is_write).latency_cycles
+                    now += latency
+                    app += latency
+                    if stack_flags[i]:
+                        if stack_batched:
+                            # Hook deferred; only the cost bound advances.
+                            pending_bound += sbounds[i]
+                        elif not mech_trivial:
+                            hierarchy.now = now
+                            extra = (
+                                mech_store(address, size, now)
+                                if is_write
+                                else mech_load(address, size, now)
+                            )
+                            if extra:
+                                now += extra
+                                inline += extra
+                    elif heap_flags is not None and heap_flags[i]:
+                        if heap_batched:
+                            pending_bound += sbounds[i]
+                        elif not heap_trivial:
+                            hierarchy.now = now
+                            extra = (
+                                heap_store(address, size, now)
+                                if is_write
+                                else heap_load(address, size, now)
+                            )
+                            if extra:
+                                now += extra
+                                inline += extra
+                elif k == _COMPUTE:
+                    cost = sizes[i]
+                    now += cost
+                    app += cost
+                else:  # CALL / RET (overflowing CALLs were truncated out above)
+                    now += 1
+                    app += 1
 
-            if deadline is not None and now >= deadline:
-                flush(i + 1)
-                injector.check_cycle(now)
-            if ops_mode:
-                ops_in_interval += 1
-                if ops_in_interval >= interval_ops:
+                if deadline is not None and now >= deadline:
                     flush(i + 1)
-                    self._end_interval()
-                    ops_in_interval = 0
-                    self._start_interval()
-                    now = self.now
-            elif cycles_mode:
-                # The count still matters here: a trailing partial interval
-                # is only committed when ops ran since the last boundary.
+                    injector.check_cycle(now)
+                # The count still matters in cycles mode: a trailing partial
+                # interval is only committed when ops ran since the last
+                # boundary.
                 ops_in_interval += 1
-                if now + pending_bound >= next_boundary:
-                    # The boundary is within reach of the deferred costs:
-                    # deliver the pending batch to learn the exact cycle
-                    # count, then test the boundary as the scalar engine
-                    # would have.
-                    if pending_bound:
-                        mech_flush(i + 1)
-                    if now >= next_boundary:
-                        flush(i + 1)
-                        self._end_interval()
-                        next_boundary = self.now + interval_cycles
-                        ops_in_interval = 0
-                        self._start_interval()
-                        now = self.now
-            i += 1
+                if (
+                    ops_in_interval >= interval_ops
+                    if ops_mode
+                    else cycles_mode
+                    and now + pending_bound >= next_boundary
+                    and due(i + 1)
+                ):
+                    cross(i + 1)
 
         if overflow_at >= 0:
             # Replicate the scalar engine exactly: the faulting CALL counts

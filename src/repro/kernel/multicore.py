@@ -160,8 +160,6 @@ class KernelMachine:
             engine = BatchedExecutionEngine(
                 self.config, mechanism=TrackerMechanism(tracker)
             )
-            # The kernel model charges no address translation.
-            engine.tlb = None
             self.cores.append(
                 CoreState(
                     index=index,

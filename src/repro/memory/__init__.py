@@ -22,7 +22,6 @@ from repro.memory.devices import DramDevice, MemoryDevice, NvmDevice
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.image import ByteImage
-from repro.memory.tlb import Tlb, TlbConfig
 
 __all__ = [
     "AddressRange",
@@ -41,6 +40,4 @@ __all__ = [
     "AccessResult",
     "MemoryHierarchy",
     "ByteImage",
-    "Tlb",
-    "TlbConfig",
 ]

@@ -3,8 +3,8 @@
 All mechanisms implement the :class:`~repro.persistence.base.PersistenceMechanism`
 interface, which the execution engine drives with per-access and per-interval
 hooks.  This uniformity is what lets the benchmarks sweep mechanisms and what
-lets :class:`~repro.persistence.combined.CombinedPersistence` compose one
-mechanism for the heap with another for the stack (Figure 9).
+lets the engine run one mechanism for the heap and another for the stack
+(Figure 9).
 """
 
 from repro.persistence.base import (
@@ -25,7 +25,6 @@ from repro.persistence.romulus import RomulusPersistence
 from repro.persistence.ssp import SspPersistence
 from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.adaptive import AdaptiveProsperPersistence
-from repro.persistence.combined import CombinedPersistence
 
 __all__ = [
     "Capabilities",
@@ -42,5 +41,4 @@ __all__ = [
     "SspPersistence",
     "ProsperPersistence",
     "AdaptiveProsperPersistence",
-    "CombinedPersistence",
 ]

@@ -1,52 +1,6 @@
-"""Tests for repro.analysis: metrics and report rendering."""
+"""Tests for repro.analysis: report rendering."""
 
-import math
-
-import pytest
-
-from repro.analysis.metrics import (
-    geomean,
-    normalized_times,
-    speedup,
-    summarize_checkpoints,
-)
 from repro.analysis.report import format_bytes, render_series, render_table
-from repro.persistence.base import MechanismStats
-
-
-class TestMetrics:
-    def test_geomean(self):
-        assert geomean([2, 8]) == pytest.approx(4.0)
-        assert geomean([]) == 0.0
-        assert geomean([0, 4]) == 0.0
-
-    def test_speedup(self):
-        assert speedup(10.0, 5.0) == 2.0
-        with pytest.raises(ValueError):
-            speedup(10.0, 0.0)
-
-    def test_normalized_times(self):
-        out = normalized_times({"a": 10.0, "b": 20.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-        with pytest.raises(ValueError):
-            normalized_times({"a": 0.0}, "a")
-
-    def test_summarize_checkpoints(self):
-        stats = MechanismStats()
-        stats.checkpoint_bytes = [100, 300]
-        stats.checkpoint_cycles = [3000, 9000]
-        s = summarize_checkpoints(stats)
-        assert s.intervals == 2
-        assert s.mean_bytes == 200
-        assert s.total_cycles == 12000
-        # cycles at 3GHz -> ns: 12000/3 = 4000 ns over 400 bytes.
-        assert s.ns_per_byte == pytest.approx(10.0)
-
-    def test_ns_per_byte_empty_checkpoints(self):
-        stats = MechanismStats()
-        stats.checkpoint_bytes = [0]
-        stats.checkpoint_cycles = [500]
-        assert math.isinf(summarize_checkpoints(stats).ns_per_byte)
 
 
 class TestReport:

@@ -1,9 +1,8 @@
-"""Tests for repro.persistence.combined and heap+stack engine composition."""
+"""Heap+stack engine composition: one mechanism per region."""
 
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.ops import Op, OpKind
 from repro.memory.address import AddressRange
-from repro.persistence.combined import CombinedPersistence
 from repro.persistence.dirtybit import DirtyBitPersistence
 from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.ssp import SspPersistence
@@ -24,35 +23,6 @@ def run_combo(stack_mech, heap_mech, ops):
     ops = [Op(OpKind.CALL, size=STACK.size)] + list(ops)
     stats = engine.run(ops, interval_ops=len(ops))
     return engine, stats
-
-
-class TestCombinedPersistence:
-    def test_default_name_from_variants(self):
-        combo = CombinedPersistence(ProsperPersistence(), SspPersistence(10))
-        assert combo.name == "ssp-10us+prosper-8B"
-
-    def test_custom_name(self):
-        combo = CombinedPersistence(
-            ProsperPersistence(), SspPersistence(10), name="mine"
-        )
-        assert combo.name == "mine"
-
-    def test_stats_merge(self):
-        stack_mech = ProsperPersistence()
-        heap_mech = SspPersistence(1000)
-        ops = [
-            Op(OpKind.WRITE, STACK.start + 8, 8),
-            Op(OpKind.WRITE, HEAP.start + 8, 8),
-        ]
-        run_combo(stack_mech, heap_mech, ops)
-        combo = CombinedPersistence(stack_mech, heap_mech)
-        merged = combo.stats()
-        assert merged.stack_checkpoint_bytes == 8
-        assert merged.heap_checkpoint_bytes > 0
-        assert (
-            merged.total_checkpoint_bytes
-            == merged.stack_checkpoint_bytes + merged.heap_checkpoint_bytes
-        )
 
 
 class TestRegionIsolation:

@@ -7,7 +7,7 @@ cache miss or mechanism hook would silently skew results.  These tests
 run every figure's representative workload through both engines under
 every mechanism family and compare full state snapshots — engine stats,
 interval records, mechanism counters, per-level cache stats, device
-stats, TLB stats, and final register state.
+stats, and final register state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
 from repro.cpu.ops import Op, OpKind, TraceBuilder, array_to_ops, ops_to_array
 from repro.memory.address import AddressRange
-from repro.memory.tlb import TlbConfig
+from repro.persistence.base import PersistenceMechanism
 from repro.persistence.dirtybit import DirtyBitPersistence
 from repro.persistence.logging import (
     FlushPersistence,
@@ -88,7 +88,6 @@ def snapshot(engine: ExecutionEngine, stats) -> dict:
         "nvm": (
             _stats_dict(hierarchy.nvm.stats) if hierarchy.nvm is not None else None
         ),
-        "tlb": _stats_dict(engine.tlb.stats) if engine.tlb is not None else None,
     }
 
 
@@ -332,8 +331,19 @@ class TestMixedDensity:
         "interval", [{"interval_cycles": 25_000}, {"interval_ops": 1_500}],
         ids=["interval_cycles", "interval_ops"],
     )
-    @pytest.mark.parametrize("mechanism", ["none", "prosper", "dirtybit"])
-    def test_loop_hand_over(self, mechanism, interval):
+    @pytest.mark.parametrize(
+        "mechanism, heap",
+        [
+            ("none", "dirtybit"),
+            ("prosper", "dirtybit"),
+            ("dirtybit", "dirtybit"),
+            # Two Prosper trackers deferring hooks at once, as in the
+            # `repro extensions` heap study.
+            ("prosper", "prosper"),
+        ],
+        ids=["none", "prosper", "dirtybit", "prosper-on-both"],
+    )
+    def test_loop_hand_over(self, mechanism, heap, interval):
         trace = _mixed_density_trace()
         engines = []
         for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
@@ -342,7 +352,7 @@ class TestMixedDensity:
                 stack_range=trace.stack_range,
                 mechanism=MECHANISMS[mechanism](),
                 heap_range=trace.heap_range,
-                heap_mechanism=DirtyBitPersistence(),
+                heap_mechanism=MECHANISMS[heap](),
             )
             engine.run(trace, final_checkpoint=False, **interval)
             engines.append(engine)
@@ -359,23 +369,68 @@ class TestMixedDensity:
             )
 
 
+class _OverBound(PersistenceMechanism):
+    """Batches and charges one cycle per store, but bounds every store at
+    10 000 cycles: the deferred-cost bound reaches an interval boundary
+    long before the exact cycle count does, so most deliveries it forces
+    find no boundary yet."""
+
+    name = "over-bound"
+    supports_batching = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.deliveries = 0
+
+    def on_store(self, address, size, now):
+        super().on_store(address, size, now)
+        return 1
+
+    def on_store_batch(self, addresses, sizes, now):
+        super().on_store_batch(addresses, sizes, now)
+        self.deliveries += 1
+        return len(addresses)
+
+    def store_cost_bound_array(self, addresses, sizes):
+        return np.full(len(addresses), 10_000, dtype=np.int64)
+
+
+class TestOverEstimatedBound:
+    """A bound that reaches the boundary early makes the engine deliver the
+    deferred hooks, find the exact cycle count short of the boundary and
+    keep going, in both loops."""
+
+    @pytest.mark.parametrize(
+        "trace_factory",
+        [lambda: quicksort_workload(seed=7), _mixed_density_trace],
+        ids=["quicksort", "mixed_density"],
+    )
+    def test_matches_scalar(self, trace_factory):
+        trace = trace_factory()
+        engines = []
+        for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
+            engine = engine_cls(
+                config=setup_i(),
+                stack_range=trace.stack_range,
+                mechanism=_OverBound(),
+            )
+            engine.run(trace, interval_cycles=25_000)
+            engines.append(engine)
+        scalar, batched = engines
+        assert batched.vector_chunks > 0
+        # Far more deliveries than intervals: most were forced by the bound
+        # and crossed no boundary.
+        assert batched.mechanism.deliveries > 2 * len(batched.stats.intervals)
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        assert _cache_state(batched) == _cache_state(scalar)
+
+
 class TestConfigurationCorners:
     def test_setup_ii(self):
         assert_equivalent(
             ycsb_mem(OPS, seed=3),
             mechanism_factory=ProsperPersistence,
             config_factory=setup_ii,
-            interval_cycles=25_000,
-        )
-
-    def test_tlb_enabled(self):
-        def config():
-            return dataclasses.replace(setup_i(), tlb=TlbConfig())
-
-        assert_equivalent(
-            gapbs_pr(OPS, seed=3),
-            mechanism_factory=ProsperPersistence,
-            config_factory=config,
             interval_cycles=25_000,
         )
 
@@ -413,9 +468,11 @@ class TestConfigurationCorners:
         )
 
 
-def _overflowing_trace() -> Trace:
+def _overflowing_trace(compute_ops: int = 0) -> Trace:
     stack = AddressRange(0x7000_0000, 0x7000_0400)  # 1 KiB stack
     ops = TraceBuilder()
+    for _ in range(compute_ops):
+        ops.compute(1)
     for _ in range(6):
         ops.call(256)
         ops.write(stack.end - 8)
@@ -431,6 +488,21 @@ class TestFaultEquivalence:
             with pytest.raises(RuntimeError) as excinfo:
                 engine.run(trace, interval_cycles=50)
             outcomes.append((str(excinfo.value), snapshot(engine, engine.stats)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_stack_overflow_in_vector_mode(self):
+        # Leading COMPUTE ops make the chunk hit-dense, so it takes vector
+        # mode (the cold-cache trace above takes the per-op loop).
+        trace = _overflowing_trace(compute_ops=64)
+        outcomes = []
+        for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
+            engine = engine_cls(
+                stack_range=trace.stack_range, mechanism=ProsperPersistence()
+            )
+            with pytest.raises(RuntimeError) as excinfo:
+                engine.run(trace, interval_cycles=50)
+            outcomes.append((str(excinfo.value), snapshot(engine, engine.stats)))
+        assert engine.vector_chunks == 1
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("engine_cls", [ExecutionEngine, BatchedExecutionEngine])
