@@ -194,21 +194,13 @@ class ExecutionEngine:
         #: checkpoint pipelines (named crash points).
         self.fault_injector = fault_injector
 
-        nvm_regions: list[AddressRange] = []
+        nvm_regions: list[tuple[int, int]] = []
         if self.mechanism.region_in_nvm:
-            nvm_regions.append(self.stack_range)
+            nvm_regions.append((self.stack_range.start, self.stack_range.end))
         if heap_mechanism is not None and heap_mechanism.region_in_nvm:
             assert heap_range is not None
-            nvm_regions.append(heap_range)
-        if len(nvm_regions) == 1:
-            # The common case (stack or heap in NVM): one bound range test
-            # per L3 miss instead of a generator over the regions.
-            nvm_resident = nvm_regions[0].contains
-        elif nvm_regions:
-            nvm_resident = lambda addr: any(r.contains(addr) for r in nvm_regions)  # noqa: E731
-        else:
-            nvm_resident = None
-        self.hierarchy = MemoryHierarchy(self.config, nvm_resident=nvm_resident)
+            nvm_regions.append((heap_range.start, heap_range.end))
+        self.hierarchy = MemoryHierarchy(self.config, nvm_resident=nvm_regions)
 
         self.registers = RegisterFile(stack_pointer=self.stack_range.end)
         self.now = 0

@@ -150,6 +150,11 @@ class PersistOrderOracle:
         self.writes_noted += 1
         self.bytes_noted += size
 
+    def note_writes(self, count: int, size: int) -> None:
+        """Count *count* anonymous device writes of *size* bytes each."""
+        self.writes_noted += count
+        self.bytes_noted += count * size
+
     def barrier(self) -> None:
         """Retire the pending set: everything in it is now guaranteed
         durable and can no longer be dropped or torn."""

@@ -20,6 +20,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from repro.config import SystemConfig
 from repro.experiments.runner import vanilla_cycles
@@ -89,6 +90,17 @@ class ResultCache:
                 return entry["value"]
         self.misses += 1
         return None
+
+    def memo(self, key: str, build: Callable[[], object]) -> object:
+        """``build()``'s value, built once per cache and kept only in the
+        in-memory layer: for values that are inputs rather than results
+        (a built trace), so neither a hit nor a miss is counted."""
+        key = f"memo|{key}"
+        try:
+            return self._memory[key]
+        except KeyError:
+            value = self._memory[key] = build()
+            return value
 
     def put(self, key: str, value: object) -> None:
         self._memory[key] = value

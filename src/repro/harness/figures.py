@@ -198,8 +198,24 @@ APP_WORKLOADS = ("gapbs_pr", "g500_sssp", "ycsb_mem")
 _APP_BUILDERS = {"gapbs_pr": gapbs_pr, "g500_sssp": g500_sssp, "ycsb_mem": ycsb_mem}
 
 
+def _shared_trace(builder: str, ops: int, seed: int, build):
+    """Build a trace once per active result cache (every unit of a figure
+    run asks for its app's trace) and mark its array read-only, so a
+    consumer that writes to a shared trace fails loudly."""
+
+    def read_only():
+        trace = build()
+        trace.array.flags.writeable = False
+        return trace
+
+    cache = cache_mod.active_cache()
+    if cache is None:
+        return build()
+    return cache.memo(f"trace|{builder}|{ops}|{seed}", read_only)
+
+
 def _app_trace(name: str, ops: int, seed: int = 42):
-    return _APP_BUILDERS[name](ops, seed)
+    return _shared_trace(name, ops, seed, lambda: _APP_BUILDERS[name](ops, seed))
 
 
 def _overhead_workload_names() -> list[str]:
@@ -208,9 +224,14 @@ def _overhead_workload_names() -> list[str]:
 
 def _overhead_trace(name: str, ops: int, seed: int = 42):
     if name in SPEC_PROFILES:
-        return spec_workload(name, ops, seed=seed)
+        return _shared_trace(
+            name, ops, seed, lambda: spec_workload(name, ops, seed=seed)
+        )
     if name == "stream":
-        return stream_workload(array_bytes=128 * 1024, passes=2, seed=seed)
+        return _shared_trace(
+            name, ops, seed,
+            lambda: stream_workload(array_bytes=128 * 1024, passes=2, seed=seed),
+        )
     return _app_trace(name, ops, seed)
 
 

@@ -16,6 +16,7 @@ the analysis layer.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.config import CACHE_LINE_BYTES, DramConfig, NvmConfig
@@ -26,22 +27,29 @@ from repro.faults.nvm_errors import (
     NvmErrorModel,
     NvmMediaError,
 )
+from repro.memory.counters import SharedCounter, zero
 
 
-@dataclass
+#: Slots of :attr:`DeviceStats.counts` (the native walk uses the same order).
+READS, WRITES, READ_BYTES, WRITE_BYTES = range(4)
+
+
+@dataclass(init=False)
 class DeviceStats:
-    """Counters accumulated by a memory device."""
+    """Counters accumulated by a memory device, held in ``counts``."""
 
-    reads: int = 0
-    writes: int = 0
-    read_bytes: int = 0
-    write_bytes: int = 0
+    reads: int = SharedCounter(READS)
+    writes: int = SharedCounter(WRITES)
+    read_bytes: int = SharedCounter(READ_BYTES)
+    write_bytes: int = SharedCounter(WRITE_BYTES)
+
+    def __init__(
+        self, reads: int = 0, writes: int = 0, read_bytes: int = 0, write_bytes: int = 0
+    ) -> None:
+        self.counts = array("q", (reads, writes, read_bytes, write_bytes))
 
     def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
+        zero(self.counts)
 
 
 @dataclass(frozen=True)
@@ -89,14 +97,16 @@ class MemoryDevice:
 
     def read(self, size: int = CACHE_LINE_BYTES) -> int:
         """Latency in cycles of a demand read of *size* bytes."""
-        self.stats.reads += 1
-        self.stats.read_bytes += size
+        counts = self.stats.counts
+        counts[READS] += 1
+        counts[READ_BYTES] += size
         return self.read_latency_cycles
 
     def write(self, size: int = CACHE_LINE_BYTES) -> int:
         """Latency in cycles of a demand write of *size* bytes."""
-        self.stats.writes += 1
-        self.stats.write_bytes += size
+        counts = self.stats.counts
+        counts[WRITES] += 1
+        counts[WRITE_BYTES] += size
         return self.write_latency_cycles
 
     def stream_cycles(self, size: int) -> int:
@@ -145,7 +155,11 @@ class DramDevice(MemoryDevice):
         self.config = config
 
 
-@dataclass
+#: Slots of :attr:`_WriteBuffer.counts` (the native walk uses the same order).
+OCCUPANCY, NEXT_DRAIN_AT, STALL_CYCLES_TOTAL = range(3)
+
+
+@dataclass(init=False)
 class _WriteBuffer:
     """Drain-rate model of the NVM write buffer.
 
@@ -153,32 +167,44 @@ class _WriteBuffer:
     one entry per write latency.  When the buffer is full an incoming write
     stalls until an entry drains, which is how bursty persist traffic (e.g.
     per-store clwb in the flush baseline) sees far worse latency than the
-    nominal device write time.
+    nominal device write time.  The mutable state lives in ``counts``, which
+    the native walk updates for dirty lines it evicts into NVM, while
+    persistence hooks write through :meth:`push` between native stretches.
     """
 
     entries: int
     drain_cycles: int
-    occupancy: int = 0
-    next_drain_at: int = 0
-    stall_cycles_total: int = 0
+    occupancy: int = SharedCounter(OCCUPANCY)
+    next_drain_at: int = SharedCounter(NEXT_DRAIN_AT)
+    stall_cycles_total: int = SharedCounter(STALL_CYCLES_TOTAL)
+
+    def __init__(self, entries: int, drain_cycles: int) -> None:
+        self.entries = entries
+        self.drain_cycles = drain_cycles
+        self.counts = array("q", (0, 0, 0))
 
     def push(self, now: int) -> int:
         """Admit one write at cycle *now*; return the stall cycles incurred."""
+        state = self.counts
+        occupancy = state[OCCUPANCY]
+        next_drain_at = state[NEXT_DRAIN_AT]
+        drain = self.drain_cycles
         # Drain completed entries since we last looked.
-        if self.occupancy and now >= self.next_drain_at:
-            drained = 1 + (now - self.next_drain_at) // self.drain_cycles
-            self.occupancy = max(0, self.occupancy - drained)
-            self.next_drain_at = now + self.drain_cycles
+        if occupancy and now >= next_drain_at:
+            drained = 1 + (now - next_drain_at) // drain
+            occupancy = max(0, occupancy - drained)
+            next_drain_at = now + drain
         stall = 0
-        if self.occupancy >= self.entries:
+        if occupancy >= self.entries:
             # Wait for the oldest entry to drain.
-            stall = max(0, self.next_drain_at - now)
-            self.occupancy -= 1
-            self.next_drain_at += self.drain_cycles
-        if self.occupancy == 0:
-            self.next_drain_at = now + stall + self.drain_cycles
-        self.occupancy += 1
-        self.stall_cycles_total += stall
+            stall = max(0, next_drain_at - now)
+            occupancy -= 1
+            next_drain_at += drain
+        if occupancy == 0:
+            next_drain_at = now + stall + drain
+        state[OCCUPANCY] = occupancy + 1
+        state[NEXT_DRAIN_AT] = next_drain_at
+        state[STALL_CYCLES_TOTAL] += stall
         return stall
 
 
@@ -225,8 +251,9 @@ class NvmDevice(MemoryDevice):
         global time may leave it at 0, degrading gracefully to a
         buffer-occupancy-only model.
         """
-        self.stats.writes += 1
-        self.stats.write_bytes += size
+        counts = self.stats.counts
+        counts[WRITES] += 1
+        counts[WRITE_BYTES] += size
         if self.order_oracle is not None:
             self.order_oracle.note_write(size)
         stall = self._write_buffer.push(now)

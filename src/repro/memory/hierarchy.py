@@ -1,10 +1,12 @@
 """The full memory hierarchy: L1D → L2 → L3 → {DRAM, NVM}.
 
-The hierarchy decides which device backs an address via a caller-supplied
-predicate (the kernel's address-space layout knows which regions live in
-NVM).  Demand accesses walk the cache levels and return a latency; persist
-operations (``clwb``) force a line out to the NVM write path, which is how
-the flush/undo/redo and SSP baselines pay their per-store costs.  Bulk
+The hierarchy decides which device backs an address from caller-supplied
+``(start, end)`` ranges (the kernel's address-space layout knows which
+regions live in NVM); the native walk of :mod:`repro.memory.native` reads
+the same ranges.  Demand accesses walk the cache levels and return a
+latency; persist operations (``clwb``) force a line out to the NVM write
+path, which is how the flush/undo/redo and SSP baselines pay their
+per-store costs.  Bulk
 copies into NVM — checkpoint staging and apply, SSP consolidation, the
 redo-log apply — all take one path, :meth:`MemoryHierarchy.reliable_copy_to_nvm`,
 whose reliable write sees the NVM device's media-error model.  Checkpoint
@@ -14,7 +16,7 @@ redo log keep no checksum and ignore it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.config import CACHE_LINE_BYTES, SystemConfig
 from repro.memory.address import span_lines
@@ -46,16 +48,16 @@ class MemoryHierarchy:
     config:
         Machine configuration (cache geometry, device timings).
     nvm_resident:
-        Predicate over a *virtual* address that returns True when the
-        address is backed by NVM rather than DRAM.  Defaults to "nothing in
-        NVM" — the vanilla configuration where all application state is in
-        DRAM and only explicit checkpoint traffic touches NVM.
+        Half-open ``(start, end)`` ranges of *virtual* addresses backed by
+        NVM rather than DRAM.  Defaults to "nothing in NVM" — the vanilla
+        configuration where all application state is in DRAM and only
+        explicit checkpoint traffic touches NVM.
     """
 
     def __init__(
         self,
         config: SystemConfig,
-        nvm_resident: Callable[[int], bool] | None = None,
+        nvm_resident: Iterable[tuple[int, int]] = (),
     ) -> None:
         self.config = config
         self.l1 = Cache(config.l1d, "L1D")
@@ -63,7 +65,10 @@ class MemoryHierarchy:
         self.l3 = Cache(config.l3, "L3")
         self.dram = DramDevice(config.dram, config.freq_hz)
         self.nvm = NvmDevice(config.nvm, config.freq_hz) if config.nvm else None
-        self._nvm_resident = nvm_resident or (lambda _address: False)
+        #: NVM-resident ``(start, end)`` ranges (ignored without an NVM device).
+        self.nvm_ranges: tuple[tuple[int, int], ...] = tuple(
+            (int(start), int(end)) for start, end in nvm_resident
+        )
         # Results of demand hits, per level (latencies are cumulative).
         l1_latency = config.l1d.latency_cycles
         l2_latency = l1_latency + config.l2.latency_cycles
@@ -77,8 +82,10 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
 
     def _device_for(self, address: int):
-        if self.nvm is not None and self._nvm_resident(address):
-            return self.nvm
+        if self.nvm is not None:
+            for start, end in self.nvm_ranges:
+                if start <= address < end:
+                    return self.nvm
         return self.dram
 
     def access(self, address: int, size: int, is_write: bool) -> AccessResult:

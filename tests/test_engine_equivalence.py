@@ -22,7 +22,11 @@ from hypothesis import strategies as st
 from repro.config import TrackerConfig, setup_i, setup_ii
 from repro.core.policies import AllocationPolicy
 from repro.cpu.engine import ExecutionEngine
-from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
+from repro.cpu.engine_fast import (
+    CHUNK_OPS,
+    VECTOR_OPS_PER_MISS,
+    BatchedExecutionEngine,
+)
 from repro.cpu.ops import Op, OpKind, TraceBuilder, array_to_ops, ops_to_array
 from repro.memory.address import AddressRange
 from repro.persistence.base import PersistenceMechanism
@@ -317,7 +321,7 @@ def _cache_state(engine) -> list:
     """Tags, dirty bits, last-use ticks and clock of every cache level."""
     hierarchy = engine.hierarchy
     return [
-        (list(c._tags), bytes(c._dirty), list(c._age), c._tick)
+        (list(c._tags), bytes(c._dirty), list(c._age), c._clock[0])
         for c in (hierarchy.l1, hierarchy.l2, hierarchy.l3)
     ]
 
@@ -492,8 +496,9 @@ class TestFaultEquivalence:
 
     def test_stack_overflow_in_vector_mode(self):
         # Leading COMPUTE ops make the chunk hit-dense, so it takes vector
-        # mode (the cold-cache trace above takes the per-op loop).
-        trace = _overflowing_trace(compute_ops=64)
+        # mode (the cold-cache trace above takes the per-op loop): its four
+        # writes before the overflow are predicted misses.
+        trace = _overflowing_trace(compute_ops=4 * VECTOR_OPS_PER_MISS)
         outcomes = []
         for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
             engine = engine_cls(

@@ -199,6 +199,31 @@ class TestResultCache:
         f3 = cache_mod.trace_fingerprint(gapbs_pr(2000, 7))
         assert len({f1, f2, f3}) == 3
 
+    def test_app_traces_built_once_per_active_cache(self, tmp_path):
+        from repro.harness.figures import _app_trace, _overhead_trace
+
+        cache = cache_mod.ResultCache(tmp_path)
+        cache_mod.activate(cache)
+        try:
+            first = _app_trace("gapbs_pr", 2000, 42)
+            assert _app_trace("gapbs_pr", 2000, 42) is first
+            assert _overhead_trace("gapbs_pr", 2000, 42) is first
+            assert _app_trace("gapbs_pr", 2000, 7) is not first
+            stream = _overhead_trace("stream", 2000, 42)
+            assert _overhead_trace("stream", 2000, 42) is stream
+        finally:
+            cache_mod.activate(None)
+        # Inputs, not results: no hit or miss counted, nothing on disk.
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert list(tmp_path.iterdir()) == []
+        # A shared trace is read-only: a consumer that writes fails loudly.
+        with pytest.raises(ValueError):
+            first.array["size"][0] = 1
+        # With no active cache each call builds its own, writable trace.
+        fresh = _app_trace("gapbs_pr", 2000, 42)
+        assert fresh is not first and fresh.array.flags.writeable
+        assert fresh.array.tobytes() == first.array.tobytes()
+
 
 def _gapbs_fig8_units() -> list[RunUnit]:
     return [

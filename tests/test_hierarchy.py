@@ -7,7 +7,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 
 
 def hybrid(nvm_start: int = 0x8000_0000) -> MemoryHierarchy:
-    return MemoryHierarchy(setup_i(), nvm_resident=lambda a: a >= nvm_start)
+    return MemoryHierarchy(setup_i(), nvm_resident=[(nvm_start, 1 << 48)])
 
 
 class TestDemandPath:
@@ -60,9 +60,9 @@ class TestDemandPath:
         )
 
     def test_multi_line_access_leaving_nvm_reads_dram_tail(self):
-        # Predicate true below the split: first line NVM, second DRAM.
+        # NVM below the split: first line NVM, second DRAM.
         split = 0x4000
-        h = MemoryHierarchy(setup_i(), nvm_resident=lambda a: a < split)
+        h = MemoryHierarchy(setup_i(), nvm_resident=[(0, split)])
         h.access(split - 4, 8, is_write=False)
         assert h.nvm.stats.reads == 1
         assert h.dram.stats.reads == 1
