@@ -17,7 +17,7 @@ plus the speedup ratios:
 
 A second, smaller matrix runs an L1-thrashing app trace (gapbs_pr, one of
 the paper's Figure 8 workloads) under vanilla and Prosper.  Its chunks are
-miss-dense, so the batched engine runs them in its per-op loop; the gate
+miss-dense, so the batched engine's walk leaves C on most ops; the gate
 there is only that batched is no slower than scalar (``MIN_APP_SPEEDUP``),
 guarding against the engine losing to its own reference on the apps.
 

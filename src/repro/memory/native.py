@@ -30,15 +30,19 @@ NVM write-backs into an attached persist-order oracle before returning.
 The C source (``walk.c``, next to this file) is compiled on first use
 with the system C compiler into a per-user cache directory (mode 0700),
 named by the SHA-256 of the source and the compile command and published
-by atomic rename, so concurrent worker processes are safe.  Without a
-compiler, or if the build or load fails, :func:`walker` returns the
-Python implementation of the same contract, which runs the reference
+by atomic rename, so concurrent worker processes are safe.  Each load
+refreshes its library's mtime and deletes sibling builds untouched for
+``PRUNE_AFTER_SECONDS``; a library pruned between the existence check and
+the load is built again.  Without a compiler, or if the build or load
+fails, :func:`walker` returns the Python implementation of the same
+contract, which runs the reference
 :class:`~repro.memory.hierarchy.MemoryHierarchy` methods.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from array import array
 from pathlib import Path
 
@@ -68,6 +72,9 @@ UNBOUNDED = (1 << 63) - 1
 
 SOURCE = Path(__file__).with_name("walk.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
+#: A build no load has touched for this long is deleted when a sibling
+#: loads: superseded by an edit of ``walk.c`` or a compiler change.
+PRUNE_AFTER_SECONDS = 30 * 24 * 3600
 
 #: ``OpKind.WRITE`` and ``OpKind.COMPUTE`` (the memory layer does not import cpu).
 _WRITE, _COMPUTE = 1, 4
@@ -105,6 +112,42 @@ def _private_dir(path: Path) -> bool:
     return info.st_mode & 0o077 == 0
 
 
+def _compile(command: list, directory: Path, target: Path) -> bool:
+    """Compile ``walk.c`` into *target*, published by atomic rename."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, "-o", tmp, str(SOURCE)],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError):
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True
+
+
+def _prune(directory: Path, keep: Path) -> None:
+    """Delete the builds beside *keep* that no load has touched for
+    ``PRUNE_AFTER_SECONDS``: each load refreshes its library's mtime."""
+    cutoff = time.time() - PRUNE_AFTER_SECONDS
+    for path in directory.glob("walk-*.so"):
+        try:
+            if path != keep and path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:  # pruned concurrently, or not ours to remove
+            pass
+
+
 def _build():
     # Imported here, not at module level: a run pays for them once, at
     # its first chunk, rather than in every import of the engine.
@@ -112,8 +155,6 @@ def _build():
     import hashlib
     import platform
     import shutil
-    import subprocess
-    import tempfile
 
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
@@ -127,27 +168,24 @@ def _build():
         if not _private_dir(directory):
             continue
         target = directory / f"walk-{key}.so"
-        if not target.exists():
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so")
-            os.close(fd)
-            try:
-                subprocess.run(
-                    [*command, "-o", tmp, str(SOURCE)],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                os.replace(tmp, target)
-            except (OSError, subprocess.SubprocessError):
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        # A second attempt only follows a target deleted (pruned by
+        # another process) between the existence check and the load.
+        for _ in range(2):
+            if not target.exists() and not _compile(command, directory, target):
                 return None
-        try:
-            lib = ctypes.CDLL(str(target))
-        except OSError:
+            try:
+                lib = ctypes.CDLL(str(target))
+                break
+            except OSError:
+                if target.exists():  # present but unloadable
+                    return None
+        else:
             return None
+        try:
+            os.utime(target)
+        except OSError:
+            pass
+        _prune(directory, target)
         lib.walk_ops.argtypes = [ctypes.c_void_p]
         lib.walk_ops.restype = None
         return lib
@@ -295,8 +333,9 @@ class PythonWalk:
         single = (sizes > 0) & (addrs % CACHE_LINE_BYTES + sizes <= CACHE_LINE_BYTES)
         sets = lines & l1._set_mask if l1._power_of_two_sets else lines % l1._num_sets
         # Everything step() reads, unpacked there in one go.  The op
-        # columns are memoryviews, which index to Python ints without a
-        # per-chunk list conversion (vector mode walks only a few ops).
+        # columns are memoryviews, which index to Python ints: on whole
+        # chunks of quicksort ops they run as fast as per-chunk tolist()
+        # lists, without building the lists.
         self._state = (
             memoryview(kinds),
             memoryview(addrs),

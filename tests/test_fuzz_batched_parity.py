@@ -8,7 +8,7 @@ oracle sit in the checkpoint code both engines share.  So crash points,
 cycle counts and recovery outcomes match the scalar reference because both
 engines poll the same deadline the same way, on every mechanism and at
 every deadline position — including chunk edges and checkpoint work — and
-an attached but unarmed injector or oracle leaves vector mode on.
+an attached but unarmed injector or oracle leaves batched hook delivery on.
 """
 
 import dataclasses
@@ -91,11 +91,24 @@ class TestEngineParity:
         assert crashes["ExecutionEngine"] == crashes["BatchedExecutionEngine"]
 
 
-class TestUnarmedFaultMachineryStaysVectorized:
-    def test_hit_dense_run_with_injector_and_oracle(self):
+class _CountingProsper(ProsperPersistence):
+    """Prosper that counts its batched store deliveries."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store_batches = 0
+
+    def on_store_batch(self, addresses, sizes, now):
+        self.store_batches += 1
+        return super().on_store_batch(addresses, sizes, now)
+
+
+class TestUnarmedFaultsKeepBatching:
+    def test_with_injector_and_oracle(self):
         # Attached but unarmed, neither the injector nor the order oracle
-        # changes a chunk's loop: the hit-dense quicksort still takes
-        # vectorized runs, and still matches the scalar reference.
+        # turns off batched hook delivery: the batched engine still hands
+        # Prosper its stores in batches, and still matches the scalar
+        # reference.
         trace = quicksort_workload(elements=1024, repeats=2, seed=7)
         results = {}
         for cls in (ExecutionEngine, BatchedExecutionEngine):
@@ -103,7 +116,7 @@ class TestUnarmedFaultMachineryStaysVectorized:
             engine = cls(
                 config=setup_i(),
                 stack_range=trace.stack_range,
-                mechanism=ProsperPersistence(),
+                mechanism=_CountingProsper(),
                 heap_range=trace.heap_range,
                 fault_injector=injector,
             )
@@ -116,7 +129,7 @@ class TestUnarmedFaultMachineryStaysVectorized:
                 list(injector.fired),
             )
             if cls is BatchedExecutionEngine:
-                assert engine.vector_chunks > 0
+                assert engine.mechanism.store_batches > 0
         scalar = results[ExecutionEngine]
         assert results[BatchedExecutionEngine] == scalar
         assert len(scalar[1]["intervals"]) > 1 and scalar[3]

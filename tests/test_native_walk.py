@@ -11,8 +11,12 @@ machines must agree on every cache column, tick, ``CacheStats`` and
 ``DeviceStats`` field and the write-buffer state.
 """
 
+import ctypes
 import dataclasses
+import os
 import random
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -284,3 +288,76 @@ def test_columns_are_checked_before_pointers_are_taken(lib):
            "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
            "deadline": native.UNBOUNDED}
     assert run_walk(walk, ctl)["i"] == 4
+
+
+@pytest.fixture
+def build_dir(tmp_path, monkeypatch):
+    """An empty per-user build directory under a fresh ``HOME``."""
+    if not (shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")):
+        pytest.skip("no C compiler: nothing is built")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    return tmp_path / ".cache" / "repro-native"
+
+
+def _touch(path, age_s: float) -> None:
+    path.write_bytes(b"")
+    stamp = time.time() - age_s
+    os.utime(path, (stamp, stamp))
+
+
+def test_a_load_refreshes_its_build_and_prunes_stale_siblings(build_dir):
+    build_dir.mkdir(mode=0o700, parents=True)
+    stale = build_dir / "walk-stale.so"
+    recent = build_dir / "walk-recent.so"
+    unrelated = build_dir / "notes.txt"
+    old = native.PRUNE_AFTER_SECONDS + 3600
+    _touch(stale, old)
+    _touch(recent, 24 * 3600)
+    _touch(unrelated, old)
+    assert native._build() is not None
+    assert not stale.exists()
+    assert recent.exists() and unrelated.exists()
+    (target,) = set(build_dir.glob("walk-*.so")) - {recent}
+    # An old build that loads is refreshed, not pruned.
+    stamp = time.time() - old
+    os.utime(target, (stamp, stamp))
+    assert native._build() is not None
+    assert target.stat().st_mtime > time.time() - 3600
+
+
+def test_a_build_pruned_before_its_load_is_rebuilt(build_dir, monkeypatch):
+    compiles = []
+    compile_ = native._compile
+    monkeypatch.setattr(
+        native, "_compile", lambda *args: compiles.append(args) or compile_(*args)
+    )
+    assert native._build() is not None
+    assert len(compiles) == 1
+    (target,) = build_dir.glob("walk-*.so")
+    real_cdll = ctypes.CDLL
+    loads = []
+
+    def pruned_on_first_load(path, *args, **kwargs):
+        loads.append(path)
+        if len(loads) == 1:  # another process prunes it after the check
+            os.unlink(path)
+            raise OSError(f"{path}: cannot open shared object file")
+        return real_cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", pruned_on_first_load)
+    assert native._build() is not None
+    assert len(compiles) == 2 and len(loads) == 2
+    assert target.exists()
+
+
+def test_an_unloadable_build_falls_back_without_rebuilding(build_dir, monkeypatch):
+    assert native._build() is not None
+    compiles = []
+    monkeypatch.setattr(native, "_compile", lambda *args: compiles.append(args))
+
+    def unloadable(path, *args, **kwargs):
+        raise OSError(f"{path}: invalid ELF header")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert native._build() is None
+    assert compiles == []

@@ -27,7 +27,7 @@ from tests.test_fuzz_batched_parity import (  # noqa: F401
     TestRecorderBatching,  # noqa: F401
     TestScheduleParity,  # noqa: F401
     TestTraceFormParity,  # noqa: F401
-    TestUnarmedFaultMachineryStaysVectorized,  # noqa: F401
+    TestUnarmedFaultsKeepBatching,  # noqa: F401
 )
 from tests.test_kernel_equivalence import (  # noqa: F401
     test_call_below_stack_raises,  # noqa: F401
