@@ -14,27 +14,23 @@ loop:
   (:func:`repro.memory.native.walker`: native C, or its Python
   fallback), which runs the cache hierarchy, device write-buffer timing
   and op costs and returns at the next op whose tail needs Python — a
-  per-op mechanism hook, the deadline poll, or a boundary candidate;
+  per-op mechanism hook or a stop candidate;
 * mechanism store/load hooks for stack (and heap) traffic are delivered
   in batches through :meth:`PersistenceMechanism.on_store_batch` /
   ``on_load_batch`` when the mechanism declares ``supports_batching``;
   mechanisms whose per-op costs feed back into the current cycle (SSP,
   the logging family) fall back to exact per-op delivery;
-* an interval ends through one boundary step.  The walk stops at an op
-  that may reach the boundary (the op count in ops mode; in cycles mode
-  the cycle count plus the deferred-cost bound, which can only
-  over-estimate); in cycles mode ``due`` then delivers the deferred hooks
-  and tests the exact cycle count, and ``cross`` flushes the chunk's
-  aggregates, ends the interval, re-arms the next boundary and starts the
-  next interval.  Deferred hooks are delivered by one routine over a list
-  of ``(region mask, mechanism)`` pairs, stack first;
-* a fault injector's cycle deadline (``FaultInjector.arm_cycle``) is read
-  once per chunk; with one armed, hooks are delivered per op and the
-  deadline is polled after every op, before the interval-boundary test,
-  exactly as the scalar loop does.  Named crash points and the
-  persist-order oracle live in the checkpoint code both engines share,
-  so an unarmed injector or an attached oracle leaves batched delivery
-  on;
+* one stop rule serves interval boundaries and crashes.  The walk stops
+  at an op that may reach the interval's op count, or where the cycle
+  count plus the deferred-cost bound (which can only over-estimate) may
+  reach the next boundary or an armed fault deadline
+  (``FaultInjector.arm_cycle``, read once per chunk).  ``due`` then
+  delivers the deferred hooks and tests the exact cycle count, deadline
+  first as in the scalar loop, and ``cross`` ends the interval.  Deferred
+  hooks are delivered by one routine over ``(region mask, mechanism)``
+  pairs, stack first.  Named crash points and the persist-order oracle
+  live in the checkpoint code both engines share, so no injector or
+  oracle turns batched delivery off;
 * aggregate statistics (op counts, stack/other read/write counters, the
   interval write log, the interval-minimum SP) are accumulated as numpy
   reductions over chunk slices instead of per-op updates.
@@ -170,8 +166,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         heap_store = heap_mech.on_store if heap_mech is not None else None
         ops_mode = interval_ops is not None
         cycles_mode = next_boundary is not None
-        # An armed cycle deadline is polled after every op, as the scalar
-        # loop does, so the chunk delivers its hooks per op.
+        # An armed cycle deadline is one more cycle stop (see due()).
         injector = self.fault_injector
         deadline = injector.armed_cycle if injector is not None else None
 
@@ -187,8 +182,7 @@ class BatchedExecutionEngine(ExecutionEngine):
             or (heap_mech is not None and heap_mech.region_in_nvm)
         )
         batch_env = (
-            deadline is None
-            and no_nvm
+            no_nvm
             and (mech_trivial or mechanism.supports_batching)
             and (heap_mech is None or heap_trivial or heap_mech.supports_batching)
         )
@@ -302,18 +296,19 @@ class BatchedExecutionEngine(ExecutionEngine):
             hierarchy.now = now
 
         # ------------------------------------------------------------------
-        # The boundary step.  The walk stops at an op that may reach the
-        # boundary (the op count in ops mode; in cycles mode the cycle count
-        # plus the deferred-cost bound, which can only over-estimate); the
-        # loop then asks due() in cycles mode and ends the interval through
-        # cross().
+        # The stop step.  The walk stops at an op that may reach the
+        # interval's op count, or where the cycle count plus the
+        # deferred-cost bound, which can only over-estimate, may reach a
+        # cycle stop: the armed deadline or the next boundary.  The loop
+        # then asks due() about each cycle stop, deadline first, and ends
+        # the interval through cross().
         # ------------------------------------------------------------------
-        def due(end: int) -> bool:
+        def due(end: int, limit: int) -> bool:
             """Deliver the deferred hooks for ops [mseg, end), then test the
-            exact cycle count against the boundary, as the scalar loop does."""
+            exact cycle count against *limit*, as the scalar loop does."""
             if pending_bound:
                 mech_flush(end)
-            return now >= next_boundary
+            return now >= limit
 
         def cross(end: int) -> None:
             """End the interval after op ``end - 1`` and start the next."""
@@ -322,14 +317,14 @@ class BatchedExecutionEngine(ExecutionEngine):
             self._end_interval()
             if cycles_mode:
                 next_boundary = self.now + interval_cycles
+                ctl[native.C_NEXT] = min(next_boundary, stop)
             ops_in_interval = 0
             self._start_interval()
             now = self.now
 
         loop_end = overflow_at if overflow_at >= 0 else n
         # The walk runs stretches of ops natively and returns at each op
-        # whose tail needs Python: a per-op hook, the deadline poll, or a
-        # boundary candidate.
+        # whose tail needs Python: a per-op hook or a stop candidate.
         walk = native.walker(
             hierarchy, kinds_np, addrs_np, sizes_np, flags_np, bounds_np
         )
@@ -349,8 +344,11 @@ class BatchedExecutionEngine(ExecutionEngine):
         ctl[native.C_END] = loop_end
         if ops_mode:
             ctl[native.C_OPS_LIMIT] = interval_ops
-        if deadline is not None:
-            ctl[native.C_DEADLINE] = deadline
+        # The walk's one cycle stop, re-armed by cross(): the earlier of the
+        # next boundary and the armed deadline (one past the int64 range
+        # never fires).
+        stop = native.UNBOUNDED if deadline is None else min(deadline, native.UNBOUNDED)
+        ctl[native.C_NEXT] = min(next_boundary, stop) if cycles_mode else stop
 
         i = 0
         while i < loop_end:
@@ -358,8 +356,6 @@ class BatchedExecutionEngine(ExecutionEngine):
             ctl[native.C_NOW] = now
             ctl[native.C_PENDING] = pending_bound
             ctl[native.C_OPS] = ops_in_interval
-            if cycles_mode:
-                ctl[native.C_NEXT] = next_boundary
             step()
             i = ctl[native.C_I]
             now = ctl[native.C_NOW]
@@ -390,7 +386,11 @@ class BatchedExecutionEngine(ExecutionEngine):
                     now += extra
                     inline += extra
 
-            if deadline is not None and now >= deadline:
+            if (
+                deadline is not None
+                and now + pending_bound >= deadline
+                and due(i + 1, deadline)
+            ):
                 flush(i + 1)
                 injector.check_cycle(now)
             # The count still matters in cycles mode: a trailing partial
@@ -402,7 +402,7 @@ class BatchedExecutionEngine(ExecutionEngine):
                 if ops_mode
                 else cycles_mode
                 and now + pending_bound >= next_boundary
-                and due(i + 1)
+                and due(i + 1, next_boundary)
             ):
                 cross(i + 1)
             i += 1

@@ -47,10 +47,10 @@ Engine targets cover two kinds of mechanism:
 
 Both engines are covered, each running its own loop: the batched engine
 (:class:`~repro.cpu.engine_fast.BatchedExecutionEngine`, the one every
-figure runs) polls an armed cycle deadline after every op exactly where
-the scalar reference does, and named points fire in the checkpoint code
-both share, so a batched schedule matches its scalar twin outcome for
-outcome (asserted by the tier-1 tests).
+figure runs) stops at an armed cycle deadline as at an interval boundary,
+with batched hooks, and crashes at the op where the scalar reference
+does; named points fire in the checkpoint code both share, so a batched
+schedule matches its scalar twin outcome for outcome.
 
 An engine-target schedule does not replay the trace from op 0: it forks
 from the probe's golden run (:class:`GoldenRun`) at the latest interval

@@ -145,11 +145,12 @@ class FaultInjector:
         """Crash at the first op boundary where the clock reaches *cycle*.
 
         Unlike :meth:`arm`, this models power dropping at an arbitrary
-        moment mid-interval rather than at a named protocol step.  The
-        execution engine polls :meth:`check_cycle` after every op; a
-        deadline landing inside interval-boundary checkpoint work fires at
-        the first op after it (the named points cover intra-checkpoint
-        crashes).
+        moment mid-interval rather than at a named protocol step.  Both
+        engines call :meth:`check_cycle` at the first op after which the
+        clock has reached *cycle* (the batched one stops there as at an
+        interval boundary); a deadline landing inside interval-boundary
+        checkpoint work fires at the first op after it (the named points
+        cover intra-checkpoint crashes).
         """
         if cycle < 0:
             raise ValueError("cycle must be non-negative")

@@ -10,17 +10,17 @@ write buffer, COMPUTE/CALL/RET costs and the deferred-cost bound — and
 returns at the first op Python has to finish:
 
 * an op flagged ``F_HOOK`` (a per-op mechanism hook), after its access;
-* an op whose end-of-op test fires: ``now >= ctl[C_DEADLINE]`` (an armed
-  fault deadline), ``ops + 1 >= ctl[C_OPS_LIMIT]`` (the interval op
-  count) or ``now + pending >= ctl[C_NEXT]`` (a cycle boundary, the
-  deferred-cost bound included).
+* an op whose end-of-op test fires: ``ops + 1 >= ctl[C_OPS_LIMIT]`` (the
+  interval op count) or ``now + pending >= ctl[C_NEXT]`` (the cycle stop,
+  the deferred-cost bound included: the engine sets it to the earlier of
+  the next cycle boundary and an armed fault deadline).
 
-``ctl[C_I]`` is then that op (whose tail — hook, deadline poll, op count,
-boundary step — the engine runs), or ``ctl[C_END]``.  ``ctl[C_NOW]``,
+``ctl[C_I]`` is then that op (whose tail — hook, deadline and boundary
+tests — the engine runs), or ``ctl[C_END]``.  ``ctl[C_NOW]``,
 ``ctl[C_PENDING]`` and ``ctl[C_OPS]`` are updated in place;
 ``ctl[C_APP]`` holds the call's application cycles.  An op flagged
 ``F_BOUND`` adds its ``bounds`` entry to the pending bound.  A new walk's
-three limits are ``UNBOUNDED``.
+two limits are ``UNBOUNDED``.
 
 Both implementations mutate the hierarchy's own buffers (cache columns and
 clocks, stats counters, the write buffer), so every cache and device
@@ -52,6 +52,7 @@ from repro.config import CACHE_LINE_BYTES
 from repro.memory.cache import HITS
 
 #: Control-block slots (walk.c's enum has the same order).
+CTL_SLOTS = 9
 (
     C_I,
     C_END,
@@ -61,9 +62,8 @@ from repro.memory.cache import HITS
     C_OPS,
     C_OPS_LIMIT,
     C_NEXT,
-    C_DEADLINE,
     C_NVM_WRITES,
-) = range(10)
+) = range(CTL_SLOTS)
 #: Per-op flags: add the op's deferred-cost bound; stop for a Python hook.
 F_BOUND = 1
 F_HOOK = 2
@@ -245,8 +245,8 @@ def _checked_length(kinds, addrs, sizes, flags, bounds) -> int:
 
 
 def _new_ctl() -> array:
-    ctl = array("q", bytes(8 * 10))
-    ctl[C_OPS_LIMIT] = ctl[C_NEXT] = ctl[C_DEADLINE] = UNBOUNDED
+    ctl = array("q", bytes(8 * CTL_SLOTS))
+    ctl[C_OPS_LIMIT] = ctl[C_NEXT] = UNBOUNDED
     return ctl
 
 
@@ -367,7 +367,6 @@ class PythonWalk:
         ops = ctl[C_OPS]
         limit = ctl[C_OPS_LIMIT]
         next_boundary = ctl[C_NEXT]
-        deadline = ctl[C_DEADLINE]
         (
             kinds, addrs, sizes, flags, bounds, lines, bases, hierarchy, access,
             access_line, assoc, tags, ages, dirty, clock, l1_counts, l1_latency, found,
@@ -416,7 +415,7 @@ class PythonWalk:
             else:
                 now += 1
                 app += 1
-            if now >= deadline or ops + 1 >= limit or now + pending >= next_boundary:
+            if ops + 1 >= limit or now + pending >= next_boundary:
                 break
             ops += 1
             i += 1

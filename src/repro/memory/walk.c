@@ -23,8 +23,7 @@ enum { READS, WRITES, READ_BYTES, WRITE_BYTES };
 enum { OCCUPANCY, NEXT_DRAIN_AT, STALL_CYCLES_TOTAL };
 /* Control block: keep in step with the C_* constants in native.py. */
 enum {
-    C_I, C_END, C_NOW, C_APP, C_PENDING, C_OPS, C_OPS_LIMIT, C_NEXT,
-    C_DEADLINE, C_NVM_WRITES
+    C_I, C_END, C_NOW, C_APP, C_PENDING, C_OPS, C_OPS_LIMIT, C_NEXT, C_NVM_WRITES
 };
 /* Per-op flags */
 enum { F_BOUND = 1, F_HOOK = 2 };
@@ -204,8 +203,9 @@ static int64_t demand_access(const walk_t *w, int64_t address, int64_t size,
 /*
  * Run ops from ctl[C_I] until ctl[C_END] or the first op Python must
  * finish: a hook op (stopped after its access, before its hook) or an op
- * whose end-of-op tests fire (deadline, interval op count, or the cycle
- * boundary with the deferred-cost bound); Python runs that op's tail.
+ * whose end-of-op tests fire (the interval op count, or the cycle stop --
+ * the next boundary or an armed crash deadline -- with the deferred-cost
+ * bound); Python runs that op's tail.
  * ctl[C_I] is left at that op, or at ctl[C_END].
  */
 void walk_ops(walk_t *w)
@@ -216,7 +216,6 @@ void walk_ops(walk_t *w)
     int64_t now = ctl[C_NOW];
     int64_t pending = ctl[C_PENDING], ops = ctl[C_OPS], app = 0;
     const int64_t limit = ctl[C_OPS_LIMIT], next = ctl[C_NEXT];
-    const int64_t deadline = ctl[C_DEADLINE];
     for (; i < end; i++) {
         int kind = w->kinds[i];
         if (kind <= K_WRITE) {
@@ -236,7 +235,7 @@ void walk_ops(walk_t *w)
             now += 1;
             app += 1;
         }
-        if (now >= deadline || ops + 1 >= limit || now + pending >= next)
+        if (ops + 1 >= limit || now + pending >= next)
             break;
         ops++;
     }

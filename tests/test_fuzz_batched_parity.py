@@ -1,18 +1,21 @@
 """Cross-engine parity under fault machinery.
 
-The batched engine runs crash schedules on its own loop: it reads an armed
-cycle deadline once per chunk and then polls it after every op, before the
-interval-boundary test, exactly where the scalar loop calls
-``FaultInjector.check_cycle``.  Named crash points and the persist-order
-oracle sit in the checkpoint code both engines share.  So crash points,
-cycle counts and recovery outcomes match the scalar reference because both
-engines poll the same deadline the same way, on every mechanism and at
-every deadline position — including chunk edges and checkpoint work — and
-an attached but unarmed injector or oracle leaves batched hook delivery on.
+The batched engine runs crash schedules on its own loop, and an armed
+cycle deadline goes through the same stop step as an interval boundary:
+the walk stops where the cycle count plus the deferred-cost bound may
+reach the deadline, the deferred hooks are delivered, and the exact cycle
+count is tested before the interval-boundary test, exactly where the
+scalar loop calls ``FaultInjector.check_cycle``.  Named crash points and
+the persist-order oracle sit in the checkpoint code both engines share.
+So crash points, cycle counts and recovery outcomes match the scalar
+reference on every mechanism and at every deadline position — including
+chunk edges and checkpoint work — and an attached injector, armed or not,
+or an oracle leaves batched hook delivery on.
 """
 
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -103,36 +106,78 @@ class _CountingProsper(ProsperPersistence):
         return super().on_store_batch(addresses, sizes, now)
 
 
-class TestUnarmedFaultsKeepBatching:
-    def test_with_injector_and_oracle(self):
-        # Attached but unarmed, neither the injector nor the order oracle
-        # turns off batched hook delivery: the batched engine still hands
-        # Prosper its stores in batches, and still matches the scalar
-        # reference.
+class TestFaultsKeepBatching:
+    """Attached injectors, armed or not, and the order oracle leave batched
+    hook delivery on, and the batched engine still matches the scalar
+    reference."""
+
+    #: Inside the second 20k-cycle interval of both armed inputs.
+    DEADLINE = 40_000
+
+    @pytest.mark.parametrize(
+        "armed", [None, "prosper", "dirtybit"],
+        ids=["unarmed", "armed-prosper", "armed-dirtybit"],
+    )
+    def test_with_injector_and_oracle(self, armed):
+        run = self._unarmed if armed is None else partial(self._armed, armed)
+        scalar, _ = run(ExecutionEngine)
+        batched, batches = run(BatchedExecutionEngine)
+        assert batches > 0
+        assert batched == scalar
+
+    def _unarmed(self, cls):
         trace = quicksort_workload(elements=1024, repeats=2, seed=7)
-        results = {}
-        for cls in (ExecutionEngine, BatchedExecutionEngine):
-            injector = FaultInjector()
-            engine = cls(
-                config=setup_i(),
-                stack_range=trace.stack_range,
-                mechanism=_CountingProsper(),
-                heap_range=trace.heap_range,
-                fault_injector=injector,
-            )
-            engine.hierarchy.nvm.order_oracle = PersistOrderOracle()
-            stats = engine.run(trace, interval_cycles=60_000)
-            results[cls] = (
-                engine.now,
-                dataclasses.asdict(stats),
-                dataclasses.asdict(engine.mechanism.stats),
-                list(injector.fired),
-            )
-            if cls is BatchedExecutionEngine:
-                assert engine.mechanism.store_batches > 0
-        scalar = results[ExecutionEngine]
-        assert results[BatchedExecutionEngine] == scalar
-        assert len(scalar[1]["intervals"]) > 1 and scalar[3]
+        injector = FaultInjector()
+        engine = cls(
+            config=setup_i(),
+            stack_range=trace.stack_range,
+            mechanism=_CountingProsper(),
+            heap_range=trace.heap_range,
+            fault_injector=injector,
+        )
+        engine.hierarchy.nvm.order_oracle = PersistOrderOracle()
+        stats = engine.run(trace, interval_cycles=60_000)
+        assert len(stats.intervals) > 1 and injector.fired
+        result = (
+            engine.now,
+            dataclasses.asdict(stats),
+            dataclasses.asdict(engine.mechanism.stats),
+            list(injector.fired),
+        )
+        return result, engine.mechanism.store_batches
+
+    def _armed(self, mechanism, cls):
+        # A crash schedule's fuzz target with a cycle deadline armed: the
+        # interval the crash lands in batches its stores too, and the
+        # crash, the golden images and the snapshots match the scalar twin.
+        engine_name = "scalar" if cls is ExecutionEngine else "batched"
+        target = build_setup(mechanism, engine_name, trace=build_trace(0, 1200))
+        batches = []
+        inner_hook = target.inner.on_store_batch
+
+        def counting_hook(addresses, sizes, now):
+            batches.append(len(addresses))
+            return inner_hook(addresses, sizes, now)
+
+        target.inner.on_store_batch = counting_hook
+        target.injector.arm_cycle(self.DEADLINE)
+        with pytest.raises(CrashInjected) as exc:
+            target.engine.run(target.trace, interval_cycles=20_000)
+        stats = target.engine.stats
+        assert exc.value.point == cycle_point(self.DEADLINE)
+        assert len(stats.intervals) == 1
+        if batches:
+            assert sum(batches) == stats.stack_writes
+        result = (
+            exc.value.point,
+            target.cycles,
+            dataclasses.asdict(stats),
+            list(target.injector.fired),
+            dict(target.dram.iter_words()),
+            dict(target.durable.iter_words()),
+            [(dict(s.image.iter_words()), s.final_sp) for s in target.snapshots],
+        )
+        return result, len(batches)
 
 
 class TestRecorderBatching:
@@ -256,15 +301,16 @@ class TestCycleDeadlinePositions:
 
     def test_past_the_end_never_fires(self, clock):
         after_op, reference = clock
-        deadline = reference["now"] + 1
-        scalar = self._run(ExecutionEngine, deadline)
-        batched = self._run(BatchedExecutionEngine, deadline)
-        assert batched == scalar
-        assert scalar["point"] is None
-        assert scalar["stats"]["ops_executed"] == len(self.TRACE)
-        assert {k: v for k, v in scalar.items() if k != "point"} == {
-            k: v for k, v in reference.items() if k != "point"
-        }
+        # Also a deadline past the int64 range the walk's control block holds.
+        for deadline in (reference["now"] + 1, 1 << 63):
+            scalar = self._run(ExecutionEngine, deadline)
+            batched = self._run(BatchedExecutionEngine, deadline)
+            assert batched == scalar
+            assert scalar["point"] is None
+            assert scalar["stats"]["ops_executed"] == len(self.TRACE)
+            assert {k: v for k, v in scalar.items() if k != "point"} == {
+                k: v for k, v in reference.items() if k != "point"
+            }
 
 
 class TestScheduleParity:

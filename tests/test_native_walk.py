@@ -15,6 +15,7 @@ import ctypes
 import dataclasses
 import os
 import random
+import re
 import shutil
 import time
 
@@ -109,7 +110,7 @@ def reference_stretch(h, kinds, addrs, sizes, flags, bounds, ctl):
         else:
             now += 1
             app += 1
-        if now >= ctl["deadline"] or ops + 1 >= ctl["limit"] or now + pending >= ctl["next"]:
+        if ops + 1 >= ctl["limit"] or now + pending >= ctl["next"]:
             break
         ops += 1
         i += 1
@@ -125,7 +126,6 @@ def run_walk(walk, ctl: dict) -> dict:
     c[native.C_OPS] = ctl["ops"]
     c[native.C_OPS_LIMIT] = ctl["limit"]
     c[native.C_NEXT] = ctl["next"]
-    c[native.C_DEADLINE] = ctl["deadline"]
     walk.step()
     return {
         "i": c[native.C_I], "now": c[native.C_NOW], "app": c[native.C_APP],
@@ -161,14 +161,12 @@ def test_native_python_and_reference_agree(lib, seed):
         native.PythonWalk(machines[1], kinds, addrs, sizes, flags, bounds),
     ]
     ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
-           "deadline": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
     stretches = 0
     while ctl["i"] < n:
         # Vary the end-of-op limits so every stop reason fires.
         ctl["limit"] = ctl["ops"] + rng.randrange(1, 400) if rng.random() < 0.3 else native.UNBOUNDED
         ctl["next"] = ctl["now"] + rng.randrange(1, 20000) if rng.random() < 0.3 else native.UNBOUNDED
-        ctl["deadline"] = ctl["now"] + rng.randrange(1, 20000) if rng.random() < 0.2 else native.UNBOUNDED
         ctl["end"] = min(n, ctl["i"] + rng.randrange(1, 800))
         got = [run_walk(w, ctl) for w in walks]
         want = reference_stretch(machines[2], kinds, addrs, sizes, flags, bounds, ctl)
@@ -215,8 +213,7 @@ def test_walks_reread_lines_moved_between_stretches(seed):
         walks.append(native.NativeWalk(lib, machines[1], kinds, addrs, sizes, flags, None))
     reference = machines[-1]
     ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
-           "deadline": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
     lines = SPAN // CACHE_LINE_BYTES
     while ctl["i"] < n:
         ctl["end"] = min(n, ctl["i"] + rng.randrange(1, 200))
@@ -247,8 +244,7 @@ def test_walk_without_nvm_reads_dram(lib):
     machines = [MemoryHierarchy(config, [(NVM_START, NVM_END)]) for _ in range(2)]
     walk = native.NativeWalk(lib, machines[0], kinds, addrs, sizes, flags, None)
     ctl = {"i": 0, "end": ops, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
-           "deadline": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
     got = run_walk(walk, ctl)
     want = reference_stretch(machines[1], kinds, addrs, sizes, flags, None, ctl)
     assert got == want
@@ -285,9 +281,26 @@ def test_columns_are_checked_before_pointers_are_taken(lib):
     # C_END past the columns stops at their end.
     walk = native.NativeWalk(lib, machine(), flags, words, words, flags, None)
     ctl = {"i": 0, "end": 100, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
-           "deadline": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
     assert run_walk(walk, ctl)["i"] == 4
+
+
+def test_control_block_slots_match_walk_c():
+    """walk.c's control-block enum and native.py's ``C_*`` constants name
+    the same slots in the same order: a slot added or removed on one side
+    only would shift every later one."""
+    enum = re.search(
+        r"/\* Control block.*?\*/\s*enum\s*\{(.*?)\}", native.SOURCE.read_text(), re.S
+    )
+    c_names = [name.strip() for name in enum.group(1).split(",")]
+    py_names = sorted(
+        (name for name, value in vars(native).items()
+         if name.startswith("C_") and isinstance(value, int)),
+        key=lambda name: getattr(native, name),
+    )
+    assert c_names == py_names
+    assert [getattr(native, name) for name in py_names] == list(range(native.CTL_SLOTS))
+    assert len(native._new_ctl()) == native.CTL_SLOTS
 
 
 @pytest.fixture

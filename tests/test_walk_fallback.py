@@ -24,10 +24,10 @@ from tests.test_engine_equivalence import (  # noqa: F401
 from tests.test_fuzz_batched_parity import (  # noqa: F401
     TestCycleDeadlinePositions,  # noqa: F401
     TestEngineParity,  # noqa: F401
+    TestFaultsKeepBatching,  # noqa: F401
     TestRecorderBatching,  # noqa: F401
     TestScheduleParity,  # noqa: F401
     TestTraceFormParity,  # noqa: F401
-    TestUnarmedFaultsKeepBatching,  # noqa: F401
 )
 from tests.test_kernel_equivalence import (  # noqa: F401
     test_call_below_stack_raises,  # noqa: F401
