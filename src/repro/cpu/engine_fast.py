@@ -14,12 +14,17 @@ loop:
   (:func:`repro.memory.native.walker`: native C, or its Python
   fallback), which runs the cache hierarchy, device write-buffer timing
   and op costs and returns at the next op whose tail needs Python — a
-  per-op mechanism hook or a stop candidate;
+  due per-op mechanism hook or a stop candidate;
 * mechanism store/load hooks for stack (and heap) traffic are delivered
   in batches through :meth:`PersistenceMechanism.on_store_batch` /
   ``on_load_batch`` when the mechanism declares ``supports_batching``;
   mechanisms whose per-op costs feed back into the current cycle (SSP,
-  the logging family) fall back to exact per-op delivery;
+  the logging family) fall back to exact per-op delivery.  A per-op hook
+  is due once the cycle count reaches the mechanism's ``hook_deadline``
+  (always, for the logging family): SSP's hooks before its next
+  consolidation charge nothing, so the walk runs past them, recording
+  their cycle counts, and ``replay`` runs them in op order, each at its
+  own cycle count, before the next due hook, interval end or crash check;
 * one stop rule serves interval boundaries and crashes.  The walk stops
   at an op that may reach the interval's op count, or where the cycle
   count plus the deferred-cost bound (which can only over-estimate) may
@@ -197,7 +202,8 @@ class BatchedExecutionEngine(ExecutionEngine):
             batched.append((heap_np, heap_mech))
         bounds_np = None
         # Per-op walk flags: a deferred op adds its cost bound, a per-op
-        # hook op stops the walk so the hook runs in Python.
+        # hook op stops the walk once its hook is due, so the hook runs in
+        # Python.
         flags_np = np.zeros(n, dtype=np.uint8)
         if batched:
             # Per-op upper bounds on deferred store costs: the loop may keep
@@ -211,12 +217,22 @@ class BatchedExecutionEngine(ExecutionEngine):
                     bounds_np[w] = mech.store_cost_bound_array(
                         addrs_np[w], sizes_np[w]
                     )
-        stack_hooks = not (mech_trivial or stack_batched)
-        heap_hooks = heap_np is not None and not (heap_trivial or heap_batched)
-        if stack_hooks:
+        # Mechanisms taking per-op hooks.  While the earliest of their
+        # ``hook_deadline``s lies ahead, the walk stops only at a due hook
+        # and records the earlier hooked ops for replay(); a chunk that
+        # starts with every hook due keeps none of that bookkeeping.
+        per_op = []
+        if not (mech_trivial or stack_batched):
             flags_np[stack_np] = native.F_HOOK
-        if heap_hooks:
+            per_op.append(mechanism)
+        if heap_np is not None and not (heap_trivial or heap_batched):
             flags_np[heap_np] = native.F_HOOK
+            per_op.append(heap_mech)
+        gated = bool(per_op) and min(m.hook_deadline for m in per_op) > 0
+        # A deferred cost bound would move the cycle counts the walk records.
+        assert not (gated and batched)
+        hook_at = 0
+        hk = 0  # first hooked op not yet delivered, as an index into hook_ops
 
         now = self.now
         app = 0
@@ -246,10 +262,35 @@ class BatchedExecutionEngine(ExecutionEngine):
             mseg = end
             pending_bound = 0
 
+        def replay(end: int) -> None:
+            """Run the hooks the walk recorded before op *end*, each at its
+            op's cycle count, where it charges nothing."""
+            nonlocal hk
+            j = hook_ops[hk]
+            while j < end:
+                if stack_flags[j]:
+                    hook = mech_store if kinds[j] == _WRITE else mech_load
+                else:
+                    hook = heap_store if kinds[j] == _WRITE else heap_load
+                extra = hook(addrs[j], sizes[j], times[j])
+                assert not extra, "a hook before its deadline charged cycles"
+                hk += 1
+                j = hook_ops[hk]
+
+        def arm_hooks() -> None:
+            """Re-read the per-op mechanisms' earliest hook deadline."""
+            nonlocal hook_at
+            hook_at = first.hook_deadline
+            if second is not None:
+                hook_at = min(hook_at, second.hook_deadline)
+            ctl[native.C_HOOK_AT] = hook_at
+
         def flush(end: int) -> None:
             """Commit aggregates for ops [seg, end) and sync engine state."""
             nonlocal app, inline, seg
             mech_flush(end)
+            if gated and hook_ops[hk] < end:
+                replay(end)
             stats = self.stats
             if end > seg:
                 seg_slice = slice(seg, end)
@@ -321,19 +362,22 @@ class BatchedExecutionEngine(ExecutionEngine):
             ops_in_interval = 0
             self._start_interval()
             now = self.now
+            if gated:
+                arm_hooks()
 
         loop_end = overflow_at if overflow_at >= 0 else n
         # The walk runs stretches of ops natively and returns at each op
-        # whose tail needs Python: a per-op hook or a stop candidate.
+        # whose tail needs Python: a due per-op hook or a stop candidate.
+        times_np = np.empty(n, dtype=np.int64) if gated else None
         walk = native.walker(
-            hierarchy, kinds_np, addrs_np, sizes_np, flags_np, bounds_np
+            hierarchy, kinds_np, addrs_np, sizes_np, flags_np, bounds_np, times_np
         )
         step = walk.step
         ctl = walk.ctl
 
         # Python ints for the hook ops' arguments; a chunk without
         # per-op hooks never reads them.
-        if stack_hooks or heap_hooks:
+        if per_op:
             kinds = kinds_np.tolist()
             addrs = addrs_np.tolist()
             sizes = sizes_np.tolist()
@@ -341,6 +385,13 @@ class BatchedExecutionEngine(ExecutionEngine):
             stack_flags = stack_np.tolist()
         else:
             hooks = None
+        if gated:
+            first, second = (per_op + [None])[:2]
+            # The hooked ops in order, then a sentinel past every op.
+            hook_ops = np.flatnonzero(flags_np & native.F_HOOK).tolist()
+            hook_ops.append(n)
+            times = memoryview(times_np)
+            arm_hooks()
         ctl[native.C_END] = loop_end
         if ops_mode:
             ctl[native.C_OPS_LIMIT] = interval_ops
@@ -365,7 +416,11 @@ class BatchedExecutionEngine(ExecutionEngine):
             if i == loop_end:
                 break
 
-            if hooks is not None and hooks[i]:
+            if hooks is not None and hooks[i] and now >= hook_at:
+                if gated:  # the recorded hooks run first
+                    if hook_ops[hk] < i:
+                        replay(i)
+                    hk += 1
                 address = addrs[i]
                 size = sizes[i]
                 is_write = kinds[i] == _WRITE
@@ -385,6 +440,8 @@ class BatchedExecutionEngine(ExecutionEngine):
                 if extra:
                     now += extra
                     inline += extra
+                if gated:
+                    arm_hooks()
 
             if (
                 deadline is not None

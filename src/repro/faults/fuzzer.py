@@ -187,7 +187,7 @@ class RecordingMechanism(PersistenceMechanism):
     in between).  The recorder batches exactly when its inner mechanism
     does: a batch of stores takes its counter values in store order, so
     the batched engine's batched hooks are checked with the same golden
-    image as per-op delivery.
+    image as per-op delivery, and it forwards the inner hook deadline.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -208,6 +208,10 @@ class RecordingMechanism(PersistenceMechanism):
     def attach(self, engine, region: AddressRange) -> None:
         super().attach(engine, region)
         self.inner.attach(engine, region)
+
+    @property
+    def hook_deadline(self) -> int:
+        return self.inner.hook_deadline
 
     def on_load(self, address: int, size: int, now: int) -> int:
         return self.inner.on_load(address, size, now)

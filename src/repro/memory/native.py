@@ -9,7 +9,9 @@ accesses, the dirty write-back cascade, DRAM/NVM reads and writes, the NVM
 write buffer, COMPUTE/CALL/RET costs and the deferred-cost bound — and
 returns at the first op Python has to finish:
 
-* an op flagged ``F_HOOK`` (a per-op mechanism hook), after its access;
+* an op flagged ``F_HOOK`` (a per-op mechanism hook), after its access,
+  once its hook is due: ``now >= ctl[C_HOOK_AT]``, or always without a
+  ``times`` column (an earlier hook's ``now`` goes into ``times[i]``);
 * an op whose end-of-op test fires: ``ops + 1 >= ctl[C_OPS_LIMIT]`` (the
   interval op count) or ``now + pending >= ctl[C_NEXT]`` (the cycle stop,
   the deferred-cost bound included: the engine sets it to the earlier of
@@ -20,7 +22,7 @@ tests — the engine runs), or ``ctl[C_END]``.  ``ctl[C_NOW]``,
 ``ctl[C_PENDING]`` and ``ctl[C_OPS]`` are updated in place;
 ``ctl[C_APP]`` holds the call's application cycles.  An op flagged
 ``F_BOUND`` adds its ``bounds`` entry to the pending bound.  A new walk's
-two limits are ``UNBOUNDED``.
+two limits are ``UNBOUNDED`` and its ``ctl[C_HOOK_AT]`` is 0.
 
 Both implementations mutate the hierarchy's own buffers (cache columns and
 clocks, stats counters, the write buffer), so every cache and device
@@ -52,7 +54,7 @@ from repro.config import CACHE_LINE_BYTES
 from repro.memory.cache import HITS
 
 #: Control-block slots (walk.c's enum has the same order).
-CTL_SLOTS = 9
+CTL_SLOTS = 10
 (
     C_I,
     C_END,
@@ -62,6 +64,7 @@ CTL_SLOTS = 9
     C_OPS,
     C_OPS_LIMIT,
     C_NEXT,
+    C_HOOK_AT,
     C_NVM_WRITES,
 ) = range(CTL_SLOTS)
 #: Per-op flags: add the op's deferred-cost bound; stop for a Python hook.
@@ -230,12 +233,13 @@ def _cache_fields(cache, keep: list) -> list[int]:
     ]
 
 
-def _checked_length(kinds, addrs, sizes, flags, bounds) -> int:
+def _checked_length(kinds, addrs, sizes, flags, bounds, times) -> int:
     """The op count, after checking what walk.c assumes of the columns."""
     n = len(kinds)
     for column, dtype in (
         (kinds, np.uint8), (flags, np.uint8), (addrs, np.int64), (sizes, np.int64),
         *(((bounds, np.int64),) if bounds is not None else ()),
+        *(((times, np.int64),) if times is not None else ()),
     ):
         if column.dtype != dtype or not column.flags.c_contiguous or len(column) != n:
             raise ValueError(f"walk columns must be {n} contiguous {np.dtype(dtype)}")
@@ -253,16 +257,18 @@ def _new_ctl() -> array:
 class NativeWalk:
     """The walk contract, run by ``walk.c``."""
 
-    def __init__(self, lib, hierarchy, kinds, addrs, sizes, flags, bounds) -> None:
+    def __init__(
+        self, lib, hierarchy, kinds, addrs, sizes, flags, bounds, times=None
+    ) -> None:
         import ctypes
 
-        n = _checked_length(kinds, addrs, sizes, flags, bounds)
+        n = _checked_length(kinds, addrs, sizes, flags, bounds, times)
         self.ctl = _new_ctl()
         nvm = hierarchy.nvm
         ranges = array("q", [b for r in hierarchy.nvm_ranges for b in r] or [0])
         dram_stats = hierarchy.dram.stats.counts
         # Every buffer the block points into stays alive with the walk.
-        keep = [kinds, addrs, sizes, flags, bounds, ranges, dram_stats, self.ctl]
+        keep = [kinds, addrs, sizes, flags, bounds, times, ranges, dram_stats, self.ctl]
         if nvm is None:
             nvm_stats = wbuf = wb_entries = wb_drain = nvm_read = 0
         else:
@@ -296,6 +302,7 @@ class NativeWalk:
             _address(addrs),
             _address(sizes),
             _address(bounds) if bounds is not None else 0,
+            _address(times) if times is not None else 0,
             _address(self.ctl),
         ]
         self._block = array("q", fields)
@@ -326,7 +333,10 @@ class PythonWalk:
     between, and only a stale or missing guess scans the set.
     """
 
-    def __init__(self, hierarchy, kinds, addrs, sizes, flags, bounds) -> None:
+    def __init__(
+        self, hierarchy, kinds, addrs, sizes, flags, bounds, times=None
+    ) -> None:
+        _checked_length(kinds, addrs, sizes, flags, bounds, times)
         self.ctl = _new_ctl()
         l1 = hierarchy.l1
         lines = addrs // CACHE_LINE_BYTES
@@ -342,6 +352,7 @@ class PythonWalk:
             memoryview(sizes),
             memoryview(flags),
             memoryview(bounds) if bounds is not None else None,
+            memoryview(times) if times is not None else None,
             memoryview(lines),
             # First L1 slot of a single-line access's set; -1 otherwise.
             memoryview(np.where(single, sets * l1._assoc, -1)),
@@ -367,9 +378,11 @@ class PythonWalk:
         ops = ctl[C_OPS]
         limit = ctl[C_OPS_LIMIT]
         next_boundary = ctl[C_NEXT]
+        hook_at = ctl[C_HOOK_AT]
         (
-            kinds, addrs, sizes, flags, bounds, lines, bases, hierarchy, access,
-            access_line, assoc, tags, ages, dirty, clock, l1_counts, l1_latency, found,
+            kinds, addrs, sizes, flags, bounds, times, lines, bases, hierarchy,
+            access, access_line, assoc, tags, ages, dirty, clock, l1_counts,
+            l1_latency, found,
         ) = self._state
         app = 0
         while i < end:
@@ -408,7 +421,9 @@ class PythonWalk:
                 if flag & F_BOUND:
                     pending += bounds[i]
                 if flag & F_HOOK:
-                    break
+                    if times is None or now >= hook_at:
+                        break
+                    times[i] = now
             elif kind == _COMPUTE:
                 now += sizes[i]
                 app += sizes[i]
@@ -426,12 +441,12 @@ class PythonWalk:
         ctl[C_OPS] = ops
 
 
-def walker(hierarchy, kinds, addrs, sizes, flags, bounds=None):
+def walker(hierarchy, kinds, addrs, sizes, flags, bounds=None, times=None):
     """A walk over one chunk: *kinds*/*flags* contiguous uint8 arrays,
-    *addrs*/*sizes*/*bounds* contiguous int64 arrays (*bounds* may be None
-    when no op is flagged ``F_BOUND``)."""
+    *addrs*/*sizes*/*bounds*/*times* contiguous int64 arrays (*bounds* may
+    be None when no op is flagged ``F_BOUND``, *times* when no hook waits)."""
     lib = library()
     if lib is None:
-        return PythonWalk(hierarchy, kinds, addrs, sizes, flags, bounds)
-    return NativeWalk(lib, hierarchy, kinds, addrs, sizes, flags, bounds)
+        return PythonWalk(hierarchy, kinds, addrs, sizes, flags, bounds, times)
+    return NativeWalk(lib, hierarchy, kinds, addrs, sizes, flags, bounds, times)
 

@@ -23,7 +23,8 @@ enum { READS, WRITES, READ_BYTES, WRITE_BYTES };
 enum { OCCUPANCY, NEXT_DRAIN_AT, STALL_CYCLES_TOTAL };
 /* Control block: keep in step with the C_* constants in native.py. */
 enum {
-    C_I, C_END, C_NOW, C_APP, C_PENDING, C_OPS, C_OPS_LIMIT, C_NEXT, C_NVM_WRITES
+    C_I, C_END, C_NOW, C_APP, C_PENDING, C_OPS, C_OPS_LIMIT, C_NEXT, C_HOOK_AT,
+    C_NVM_WRITES
 };
 /* Per-op flags */
 enum { F_BOUND = 1, F_HOOK = 2 };
@@ -46,12 +47,13 @@ typedef struct {
     int64_t n_ops;                        /* length of every op column */
     const uint8_t *kinds, *flags;
     const int64_t *addrs, *sizes, *bounds;
+    int64_t *times;                       /* deferred hooks' cycle counts, or NULL */
     int64_t *ctl;
 } walk_t;
 
 /* native.py passes walk_t as a flat int64 array: one slot per field. */
 _Static_assert(sizeof(cache_t) == 8 * 8, "cache_t is 8 int64 slots");
-_Static_assert(sizeof(walk_t) == 43 * 8, "walk_t is 43 int64 slots");
+_Static_assert(sizeof(walk_t) == 44 * 8, "walk_t is 44 int64 slots");
 
 /* Cache.access: returns the dirty victim line to write back, or -1. */
 static int64_t cache_access(const cache_t *c, int64_t line, int is_write, int *hit)
@@ -202,10 +204,12 @@ static int64_t demand_access(const walk_t *w, int64_t address, int64_t size,
 
 /*
  * Run ops from ctl[C_I] until ctl[C_END] or the first op Python must
- * finish: a hook op (stopped after its access, before its hook) or an op
- * whose end-of-op tests fire (the interval op count, or the cycle stop --
- * the next boundary or an armed crash deadline -- with the deferred-cost
- * bound); Python runs that op's tail.
+ * finish: a hook op whose hook is due (stopped after its access, before
+ * its hook) or an op whose end-of-op tests fire (the interval op count,
+ * or the cycle stop -- the next boundary or an armed crash deadline --
+ * with the deferred-cost bound); Python runs that op's tail.  A hook is
+ * due at now >= ctl[C_HOOK_AT], or always without times; an earlier one
+ * leaves its now in times[i] for Python to replay.
  * ctl[C_I] is left at that op, or at ctl[C_END].
  */
 void walk_ops(walk_t *w)
@@ -216,6 +220,8 @@ void walk_ops(walk_t *w)
     int64_t now = ctl[C_NOW];
     int64_t pending = ctl[C_PENDING], ops = ctl[C_OPS], app = 0;
     const int64_t limit = ctl[C_OPS_LIMIT], next = ctl[C_NEXT];
+    const int64_t hook_at = ctl[C_HOOK_AT];
+    int64_t *const times = w->times;
     for (; i < end; i++) {
         int kind = w->kinds[i];
         if (kind <= K_WRITE) {
@@ -226,8 +232,11 @@ void walk_ops(walk_t *w)
             uint8_t flags = w->flags[i];
             if (flags & F_BOUND)
                 pending += w->bounds[i];
-            if (flags & F_HOOK)
-                break;
+            if (flags & F_HOOK) {
+                if (!times || now >= hook_at)
+                    break;
+                times[i] = now;
+            }
         } else if (kind == K_COMPUTE) {
             now += w->sizes[i];
             app += w->sizes[i];

@@ -181,6 +181,14 @@ class PersistenceMechanism:
     # Hooks
     # ------------------------------------------------------------------ #
 
+    @property
+    def hook_deadline(self) -> int:
+        """Cycle count below which :meth:`on_load` / :meth:`on_store`
+        return 0, read no clock but ``now`` and leave this value alone, so
+        the batched engine may run them late, in op order, at their ops'
+        cycle counts.  The default, 0, makes every hook due."""
+        return 0
+
     def on_load(self, address: int, size: int, now: int) -> int:
         """Demand load inside the region; returns extra critical-path cycles."""
         self.stats.loads_seen += 1

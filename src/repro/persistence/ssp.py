@@ -23,6 +23,8 @@ cycles are charged as interference.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.config import CACHE_LINE_BYTES, PAGE_BYTES
 from repro.memory.address import page_index, span_lines
 from repro.persistence.base import (
@@ -71,9 +73,9 @@ class SspPersistence(PersistenceMechanism):
         allows_stack_in_dram=False,
     )
     region_in_nvm = True
-    # Not batchable: every access probes consolidation deadlines against the
-    # current cycle count (``_run_due_consolidations(now)``), so the inline
-    # cost is now-dependent and deferred delivery would change timing.
+    # Not batchable: the first access past the next consolidation deadline
+    # runs the pass and charges it, so batched delivery would change timing.
+    # Earlier accesses charge nothing, and ``hook_deadline`` says so.
     supports_batching = False
 
     def __init__(self, consolidation_interval_us: float = 10.0) -> None:
@@ -83,8 +85,10 @@ class SspPersistence(PersistenceMechanism):
         self.consolidation_interval_us = consolidation_interval_us
         self._consolidation_cycles = 0  # set at attach from engine freq
         self._next_consolidation = 0
-        self._last_consolidation = 0
         self._pages: dict[int, _PageState] = {}
+        #: The pages with unconsolidated lines, least recently written
+        #: first: a consolidation pass merges a prefix of this queue.
+        self._merge_queue: OrderedDict[int, _PageState] = OrderedDict()
         self.consolidation_invocations = 0
         self.consolidated_lines_total = 0
         self.interference_cycles_total = 0
@@ -112,6 +116,11 @@ class SspPersistence(PersistenceMechanism):
         )
         self._next_consolidation = self._consolidation_cycles
 
+    @property
+    def hook_deadline(self) -> int:
+        """A hook before the next consolidation deadline charges nothing."""
+        return self._next_consolidation
+
     # ------------------------------------------------------------------ #
     # Store path + background thread
     # ------------------------------------------------------------------ #
@@ -122,10 +131,17 @@ class SspPersistence(PersistenceMechanism):
         state = self._pages.get(page)
         if state is None:
             state = self._pages[page] = _PageState()
+        unmerged = state.unconsolidated_lines
+        queued = bool(unmerged)
         for line in span_lines(address, size):
             state.dirty_lines.add(line)
-            state.unconsolidated_lines.add(line)
+            unmerged.add(line)
         state.last_write_now = now
+        # ``now`` never decreases: the queue stays ordered by last write.
+        if queued:
+            self._merge_queue.move_to_end(page)
+        elif unmerged:
+            self._merge_queue[page] = state
         # The line remap itself is hardware and free; the visible cost here
         # is any consolidation pass whose deadline we have crossed.
         return self._run_due_consolidations(now)
@@ -155,25 +171,27 @@ class SspPersistence(PersistenceMechanism):
         scale = self.fixed_scale
         cycles = round(CONSOLIDATION_WAKEUP_CYCLES * scale)
         cycles += round(len(self._pages) * SCAN_CYCLES_PER_PAGE * scale)
-        merged_bytes = 0
         inactive_before = invocation_now - self._consolidation_cycles
-        for state in self._pages.values():
-            if not state.unconsolidated_lines:
-                continue
+        # Only pages not written within the last period merge (merging an
+        # active page would just split it again), and those are a prefix
+        # of the queue.
+        queue = self._merge_queue
+        merged = pages = 0
+        for state in queue.values():
             if state.last_write_now >= inactive_before:
-                # Page written within the last period — still active: skip,
-                # merging it would just split again.
-                continue
-            merged = len(state.unconsolidated_lines)
-            merged_bytes += merged * CACHE_LINE_BYTES
-            self.consolidated_lines_total += merged
+                break
+            merged += len(state.unconsolidated_lines)
             state.unconsolidated_lines.clear()
+            pages += 1
+        for _ in range(pages):
+            queue.popitem(last=False)
+        merged_bytes = merged * CACHE_LINE_BYTES
+        self.consolidated_lines_total += merged
         if merged_bytes:
             hierarchy = self.hierarchy
             cycles += hierarchy.reliable_copy_to_nvm(
                 hierarchy.nvm, merged_bytes, scale
             ).cycles
-        self._last_consolidation = invocation_now
         return cycles
 
     # ------------------------------------------------------------------ #

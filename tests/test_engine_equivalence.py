@@ -24,6 +24,12 @@ from repro.core.policies import AllocationPolicy
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
 from repro.cpu.ops import Op, OpKind, TraceBuilder, array_to_ops, ops_to_array
+from repro.experiments.runner import (
+    fixed_cost_scale_for,
+    scaled_interval_cycles,
+    vanilla_cycles,
+)
+from repro.memory import native
 from repro.memory.address import AddressRange
 from repro.persistence.base import PersistenceMechanism
 from repro.persistence.dirtybit import DirtyBitPersistence
@@ -418,6 +424,129 @@ class TestOverEstimatedBound:
         assert batched.mechanism.deliveries > 2 * len(batched.stats.intervals)
         assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
         assert _cache_state(batched) == _cache_state(scalar)
+
+
+def _fig_run(trace, engine_cls, stack_factory, heap_factory=None, **run_kwargs):
+    """*trace* on one engine the way the figures run it: fixed costs scaled
+    to the trace clock, 10 paper-ms intervals unless *run_kwargs* say
+    otherwise."""
+    base = vanilla_cycles(trace)
+    engine = engine_cls(
+        config=setup_i(),
+        stack_range=trace.stack_range,
+        mechanism=stack_factory(),
+        heap_range=trace.heap_range,
+        heap_mechanism=heap_factory() if heap_factory is not None else None,
+        fixed_cost_scale=fixed_cost_scale_for(base),
+    )
+    run_kwargs.setdefault("interval_cycles", scaled_interval_cycles(base, 10.0))
+    engine.run(trace, **run_kwargs)
+    return engine
+
+
+def _ssp(us: float):
+    return lambda: SspPersistence(consolidation_interval_us=us)
+
+
+class _HookReturns:
+    """Wraps ``native.walker`` and counts the walk's returns for a hook: at
+    an ``F_HOOK`` op whose hook is due, ``ctl[C_NOW] >= ctl[C_HOOK_AT]``."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.count = 0
+        walker = native.walker
+
+        def counting(hierarchy, kinds, addrs, sizes, flags, *rest):
+            walk = walker(hierarchy, kinds, addrs, sizes, flags, *rest)
+            step = walk.step
+            ctl = walk.ctl
+
+            def counted_step():
+                step()
+                i = ctl[native.C_I]
+                if (
+                    i < ctl[native.C_END]
+                    and flags[i] & native.F_HOOK
+                    and ctl[native.C_NOW] >= ctl[native.C_HOOK_AT]
+                ):
+                    self.count += 1
+
+            walk.step = counted_step
+            return walk
+
+        monkeypatch.setattr(native, "walker", counting)
+
+
+class TestDeferredHooks:
+    """SSP's hooks before its next consolidation deadline charge nothing, so
+    the walk records them and the engine replays them later, in op order
+    and at their own cycle counts.  Runs at figure scale, where the
+    consolidation thread fires inside the trace."""
+
+    @pytest.mark.parametrize(
+        "stack, heap",
+        [
+            (_ssp(1000.0), None),
+            (_ssp(10.0), None),
+            # Figure 9's pairs: both regions in SSP, each with its own
+            # deadline, and Prosper next to a heap SSP (every hook due).
+            (_ssp(10.0), _ssp(10.0)),
+            (_ssp(100.0), _ssp(100.0)),
+            (ProsperPersistence, _ssp(10.0)),
+        ],
+        ids=["ssp-1ms", "ssp-10us", "fig9-ssp-10us", "fig9-ssp-100us", "fig9-prosper"],
+    )
+    @pytest.mark.parametrize("workload", ["gapbs_pr", "ycsb_mem"])
+    def test_matches_scalar(self, workload, stack, heap):
+        trace = WORKLOADS[workload]()
+        scalar, batched = (
+            _fig_run(trace, cls, stack, heap)
+            for cls in (ExecutionEngine, BatchedExecutionEngine)
+        )
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        assert _cache_state(batched) == _cache_state(scalar)
+        for attr in ("mechanism", "heap_mechanism"):
+            mechs = getattr(scalar, attr), getattr(batched, attr)
+            if isinstance(mechs[0], SspPersistence):
+                assert mechs[0].consolidation_invocations > 0
+                assert [_ssp_state(m) for m in mechs[1:]] == [_ssp_state(mechs[0])]
+
+    def test_run_ending_mid_interval(self):
+        # No final checkpoint: the hooks recorded after the last interval
+        # end are replayed at the end of their chunk.
+        trace = WORKLOADS["gapbs_pr"]()
+        scalar, batched = (
+            _fig_run(trace, cls, _ssp(100.0), final_checkpoint=False)
+            for cls in (ExecutionEngine, BatchedExecutionEngine)
+        )
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        assert _ssp_state(batched.mechanism) == _ssp_state(scalar.mechanism)
+
+    def test_walk_returns_only_for_due_hooks(self, monkeypatch):
+        trace = WORKLOADS["gapbs_pr"]()
+        returns = _HookReturns(monkeypatch)
+        batched = _fig_run(trace, BatchedExecutionEngine, _ssp(1000.0))
+        mechanism = batched.mechanism
+        assert 0 < returns.count <= mechanism.consolidation_invocations
+        # Far fewer than the SSP accesses, every one of which the mechanism saw.
+        seen = mechanism.stats.stores_seen + mechanism.stats.loads_seen
+        assert seen == batched.stats.stack_writes + batched.stats.stack_reads
+        assert 20 * returns.count < seen
+
+
+def _ssp_state(mechanism) -> dict:
+    """SSP's consolidation counters and per-page shadow state."""
+    return {
+        "invocations": mechanism.consolidation_invocations,
+        "merged": mechanism.consolidated_lines_total,
+        "interference": mechanism.interference_cycles_total,
+        "next": mechanism.hook_deadline,
+        "pages": {
+            page: (sorted(s.dirty_lines), sorted(s.unconsolidated_lines), s.last_write_now)
+            for page, s in mechanism._pages.items()
+        },
+        "queue": list(mechanism._merge_queue),
+    }
 
 
 class TestConfigurationCorners:

@@ -43,6 +43,7 @@ from repro.faults.order import PersistOrderOracle
 from repro.persistence.prosper import ProsperPersistence
 from repro.workloads.callstack import quicksort_workload
 from repro.workloads.trace import Trace
+from tests.test_engine_equivalence import _HookReturns
 
 OPS = 600
 INTERVAL_OPS = 200
@@ -108,21 +109,24 @@ class _CountingProsper(ProsperPersistence):
 
 class TestFaultsKeepBatching:
     """Attached injectors, armed or not, and the order oracle leave batched
-    hook delivery on, and the batched engine still matches the scalar
-    reference."""
+    hook delivery on, and deferred SSP hooks too, and the batched engine
+    still matches the scalar reference."""
 
-    #: Inside the second 20k-cycle interval of both armed inputs.
+    #: Inside the second 20k-cycle interval of every armed input.
     DEADLINE = 40_000
 
     @pytest.mark.parametrize(
-        "armed", [None, "prosper", "dirtybit"],
-        ids=["unarmed", "armed-prosper", "armed-dirtybit"],
+        "armed", [None, "prosper", "dirtybit", "ssp"],
+        ids=["unarmed", "armed-prosper", "armed-dirtybit", "armed-ssp"],
     )
-    def test_with_injector_and_oracle(self, armed):
-        run = self._unarmed if armed is None else partial(self._armed, armed)
+    def test_with_injector_and_oracle(self, armed, monkeypatch):
+        run = (
+            self._unarmed if armed is None
+            else partial(self._armed, armed, monkeypatch)
+        )
         scalar, _ = run(ExecutionEngine)
-        batched, batches = run(BatchedExecutionEngine)
-        assert batches > 0
+        batched, deferred = run(BatchedExecutionEngine)
+        assert deferred > 0
         assert batched == scalar
 
     def _unarmed(self, cls):
@@ -146,9 +150,10 @@ class TestFaultsKeepBatching:
         )
         return result, engine.mechanism.store_batches
 
-    def _armed(self, mechanism, cls):
+    def _armed(self, mechanism, monkeypatch, cls):
         # A crash schedule's fuzz target with a cycle deadline armed: the
-        # interval the crash lands in batches its stores too, and the
+        # interval the crash lands in batches its stores too (or, on SSP,
+        # defers the hooks before its consolidation deadline), and the
         # crash, the golden images and the snapshots match the scalar twin.
         engine_name = "scalar" if cls is ExecutionEngine else "batched"
         target = build_setup(mechanism, engine_name, trace=build_trace(0, 1200))
@@ -160,6 +165,7 @@ class TestFaultsKeepBatching:
             return inner_hook(addresses, sizes, now)
 
         target.inner.on_store_batch = counting_hook
+        hook_returns = _HookReturns(monkeypatch)
         target.injector.arm_cycle(self.DEADLINE)
         with pytest.raises(CrashInjected) as exc:
             target.engine.run(target.trace, interval_cycles=20_000)
@@ -172,12 +178,19 @@ class TestFaultsKeepBatching:
             exc.value.point,
             target.cycles,
             dataclasses.asdict(stats),
+            dataclasses.asdict(target.inner.stats),
             list(target.injector.fired),
             dict(target.dram.iter_words()),
-            dict(target.durable.iter_words()),
+            target.durable and dict(target.durable.iter_words()),
             [(dict(s.image.iter_words()), s.final_sp) for s in target.snapshots],
         )
-        return result, len(batches)
+        if mechanism != "ssp":
+            return result, len(batches)
+        # Every hook ran before the crash check, but the walk returned for
+        # few of them: the rest were replayed.
+        seen = target.inner.stats.stores_seen + target.inner.stats.loads_seen
+        assert seen == stats.stack_writes + stats.stack_reads
+        return result + (target.inner.consolidation_invocations,), seen - hook_returns.count
 
 
 class TestRecorderBatching:

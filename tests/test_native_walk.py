@@ -8,7 +8,8 @@ powers of two, multi-line and size-0 accesses, an NVM range whose boundary
 splits multi-line accesses, dirty cascades from L1 down to memory and a
 two-entry NVM write buffer that stalls.  After every stretch the three
 machines must agree on every cache column, tick, ``CacheStats`` and
-``DeviceStats`` field and the write-buffer state.
+``DeviceStats`` field and the write-buffer state, and the walks on the
+cycle counts they record for hooks that are not yet due.
 """
 
 import ctypes
@@ -89,7 +90,7 @@ def state(h: MemoryHierarchy) -> dict:
     }
 
 
-def reference_stretch(h, kinds, addrs, sizes, flags, bounds, ctl):
+def reference_stretch(h, kinds, addrs, sizes, flags, bounds, ctl, times=None):
     """The walk contract, one op at a time over ``MemoryHierarchy.access``."""
     i, now, pending, ops = ctl["i"], ctl["now"], ctl["pending"], ctl["ops"]
     app = 0
@@ -103,7 +104,9 @@ def reference_stretch(h, kinds, addrs, sizes, flags, bounds, ctl):
             if flags[i] & native.F_BOUND:
                 pending += int(bounds[i])
             if flags[i] & native.F_HOOK:
-                break
+                if times is None or now >= ctl["hook_at"]:
+                    break
+                times[i] = now
         elif kind == _COMPUTE:
             now += int(sizes[i])
             app += int(sizes[i])
@@ -126,6 +129,7 @@ def run_walk(walk, ctl: dict) -> dict:
     c[native.C_OPS] = ctl["ops"]
     c[native.C_OPS_LIMIT] = ctl["limit"]
     c[native.C_NEXT] = ctl["next"]
+    c[native.C_HOOK_AT] = ctl["hook_at"]
     walk.step()
     return {
         "i": c[native.C_I], "now": c[native.C_NOW], "app": c[native.C_APP],
@@ -156,21 +160,32 @@ def test_native_python_and_reference_agree(lib, seed):
     oracles = [PersistOrderOracle() for _ in machines]
     for h, oracle in zip(machines, oracles):
         h.nvm.order_oracle = oracle
+    times = [np.full(n, -1, dtype=np.int64) for _ in machines]
     walks = [
-        native.NativeWalk(lib, machines[0], kinds, addrs, sizes, flags, bounds),
-        native.PythonWalk(machines[1], kinds, addrs, sizes, flags, bounds),
+        native.NativeWalk(lib, machines[0], kinds, addrs, sizes, flags, bounds, times[0]),
+        native.PythonWalk(machines[1], kinds, addrs, sizes, flags, bounds, times[1]),
     ]
     ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
-    stretches = 0
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED, "hook_at": 0}
+    stretches = hook_stops = 0
     while ctl["i"] < n:
-        # Vary the end-of-op limits so every stop reason fires.
+        # Vary the end-of-op limits so every stop reason fires, and the
+        # hook deadline so hooks are due at once, mid-stretch or never.
         ctl["limit"] = ctl["ops"] + rng.randrange(1, 400) if rng.random() < 0.3 else native.UNBOUNDED
         ctl["next"] = ctl["now"] + rng.randrange(1, 20000) if rng.random() < 0.3 else native.UNBOUNDED
+        ctl["hook_at"] = rng.choice(
+            (0, 0, ctl["now"] + rng.randrange(1, 20000), native.UNBOUNDED)
+        )
         ctl["end"] = min(n, ctl["i"] + rng.randrange(1, 800))
         got = [run_walk(w, ctl) for w in walks]
-        want = reference_stretch(machines[2], kinds, addrs, sizes, flags, bounds, ctl)
+        want = reference_stretch(
+            machines[2], kinds, addrs, sizes, flags, bounds, ctl, times[2]
+        )
         assert got == [want, want], (seed, stretches)
+        assert times[0].tolist() == times[2].tolist(), (seed, stretches)
+        assert times[1].tolist() == times[2].tolist(), (seed, stretches)
+        if want["i"] < ctl["end"] and flags[want["i"]] & native.F_HOOK:
+            hook_stops += want["now"] >= ctl["hook_at"]
         snapshots = [state(h) for h in machines]
         assert snapshots[0] == snapshots[2], (seed, stretches)
         assert snapshots[1] == snapshots[2], (seed, stretches)
@@ -187,6 +202,9 @@ def test_native_python_and_reference_agree(lib, seed):
             ctl["i"] += 1
         stretches += 1
     assert stretches > 20
+    # Hooks both stopped the walk and were recorded for later.
+    assert hook_stops > 5
+    assert np.count_nonzero(times[2] >= 0) > 5
     final = machines[2]
     # The stream reached every path the walk implements.
     assert final.nvm.stats.reads and final.nvm.stats.writes
@@ -213,7 +231,7 @@ def test_walks_reread_lines_moved_between_stretches(seed):
         walks.append(native.NativeWalk(lib, machines[1], kinds, addrs, sizes, flags, None))
     reference = machines[-1]
     ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED, "hook_at": 0}
     lines = SPAN // CACHE_LINE_BYTES
     while ctl["i"] < n:
         ctl["end"] = min(n, ctl["i"] + rng.randrange(1, 200))
@@ -235,6 +253,40 @@ def test_walks_reread_lines_moved_between_stretches(seed):
         assert all(snap == snapshots[-1] for snap in snapshots)
 
 
+@pytest.mark.parametrize("kind", ["native", "python"])
+def test_a_walk_without_times_stops_at_every_hook(kind):
+    """Only a walk that can record a hook's cycle count may run past it: one
+    built without ``times`` stops at every ``F_HOOK`` op, whatever
+    ``ctl[C_HOOK_AT]`` says."""
+    lib = native.library()
+    if kind == "native" and lib is None:
+        pytest.skip("no C compiler: the native walk is unavailable")
+    rng = random.Random(5)
+    n = 1500
+    kinds, addrs, sizes = random_ops(rng, n)
+    flags = np.zeros(n, dtype=np.uint8)
+    hooked = (kinds <= _WRITE) & (np.array([rng.random() for _ in range(n)]) < 0.1)
+    flags[hooked] = native.F_HOOK
+    h = machine()
+    walk = (
+        native.NativeWalk(lib, h, kinds, addrs, sizes, flags, None)
+        if kind == "native"
+        else native.PythonWalk(h, kinds, addrs, sizes, flags, None)
+    )
+    ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
+           "hook_at": native.UNBOUNDED}
+    stops = []
+    while True:
+        ctl = dict(ctl, **run_walk(walk, ctl))
+        if ctl["i"] == n:
+            break
+        stops.append(ctl["i"])
+        ctl["i"] += 1
+        ctl["ops"] += 1
+    assert stops == np.flatnonzero(hooked).tolist()
+
+
 def test_walk_without_nvm_reads_dram(lib):
     config = dataclasses.replace(small_config(), nvm=None)
     ops = 500
@@ -244,7 +296,7 @@ def test_walk_without_nvm_reads_dram(lib):
     machines = [MemoryHierarchy(config, [(NVM_START, NVM_END)]) for _ in range(2)]
     walk = native.NativeWalk(lib, machines[0], kinds, addrs, sizes, flags, None)
     ctl = {"i": 0, "end": ops, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED, "hook_at": 0}
     got = run_walk(walk, ctl)
     want = reference_stretch(machines[1], kinds, addrs, sizes, flags, None, ctl)
     assert got == want
@@ -278,10 +330,13 @@ def test_columns_are_checked_before_pointers_are_taken(lib):
         native.NativeWalk(lib, machine(), flags, words[:3], words, flags, None)
     with pytest.raises(ValueError):  # F_BOUND without bounds
         native.NativeWalk(lib, machine(), flags, words, words, flags + native.F_BOUND, None)
+    for times in (words.astype(np.int32), words[:3], np.zeros(8, dtype=np.int64)[::2]):
+        with pytest.raises(ValueError):  # times: wrong dtype, length, stride
+            native.NativeWalk(lib, machine(), flags, words, words, flags, None, times)
     # C_END past the columns stops at their end.
     walk = native.NativeWalk(lib, machine(), flags, words, words, flags, None)
     ctl = {"i": 0, "end": 100, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED, "hook_at": 0}
     assert run_walk(walk, ctl)["i"] == 4
 
 
@@ -299,6 +354,7 @@ def test_control_block_slots_match_walk_c():
         key=lambda name: getattr(native, name),
     )
     assert c_names == py_names
+    assert "C_HOOK_AT" in c_names
     assert [getattr(native, name) for name in py_names] == list(range(native.CTL_SLOTS))
     assert len(native._new_ctl()) == native.CTL_SLOTS
 

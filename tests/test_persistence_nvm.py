@@ -1,7 +1,10 @@
 """Tests for the NVM-resident mechanisms: flush/undo/redo, Romulus, SSP."""
 
+import random
+
 import pytest
 
+from repro.config import CACHE_LINE_BYTES, PAGE_BYTES
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.ops import Op, OpKind
 from repro.memory.address import AddressRange
@@ -11,7 +14,11 @@ from repro.persistence.logging import (
     UndoLogPersistence,
 )
 from repro.persistence.romulus import RomulusPersistence
-from repro.persistence.ssp import SspPersistence
+from repro.persistence.ssp import (
+    CONSOLIDATION_WAKEUP_CYCLES,
+    SCAN_CYCLES_PER_PAGE,
+    SspPersistence,
+)
 
 STACK = AddressRange(0x7000_0000, 0x7010_0000)
 
@@ -165,6 +172,102 @@ class TestSsp:
         ]
         run(mech, ops)
         assert mech.consolidated_lines_total >= 1
+
+
+class _FullScanSsp(SspPersistence):
+    """SSP with the consolidation pass as a scan of every tracked page: the
+    reference for the merge queue."""
+
+    def _consolidate(self, invocation_now: int) -> int:
+        self.consolidation_invocations += 1
+        scale = self.fixed_scale
+        cycles = round(CONSOLIDATION_WAKEUP_CYCLES * scale)
+        cycles += round(len(self._pages) * SCAN_CYCLES_PER_PAGE * scale)
+        merged_bytes = 0
+        inactive_before = invocation_now - self._consolidation_cycles
+        for state in self._pages.values():
+            if not state.unconsolidated_lines:
+                continue
+            if state.last_write_now >= inactive_before:
+                continue
+            merged = len(state.unconsolidated_lines)
+            merged_bytes += merged * CACHE_LINE_BYTES
+            self.consolidated_lines_total += merged
+            state.unconsolidated_lines.clear()
+        if merged_bytes:
+            hierarchy = self.hierarchy
+            cycles += hierarchy.reliable_copy_to_nvm(
+                hierarchy.nvm, merged_bytes, scale
+            ).cycles
+        return cycles
+
+
+class TestSspMergeQueue:
+    """The consolidation pass merges a prefix of the pages queued by last
+    write; it must merge exactly what a scan of every page merges."""
+
+    @staticmethod
+    def _pair(interval_us: float = 1.0, scale: float = 1.0):
+        mechs = []
+        for cls in (_FullScanSsp, SspPersistence):
+            mech = cls(interval_us)
+            # Attaches the mechanism, with fixed costs and the period
+            # scaled by *scale*.
+            ExecutionEngine(stack_range=STACK, mechanism=mech, fixed_cost_scale=scale)
+            mechs.append(mech)
+        return mechs
+
+    @staticmethod
+    def _totals(mech) -> tuple:
+        return (
+            mech.consolidation_invocations,
+            mech.consolidated_lines_total,
+            mech.interference_cycles_total,
+            {p: sorted(s.unconsolidated_lines) for p, s in mech._pages.items()},
+        )
+
+    def test_rewritten_page_moves_to_the_back(self):
+        reference, queued = self._pair()
+        period = queued._consolidation_cycles
+        page = STACK.start
+        for mech in (reference, queued):
+            assert mech.on_store(page, 8, 1) == 0
+            assert mech.on_store(page + PAGE_BYTES, 8, 2) == 0
+        # Page 0 is written again after it entered the queue, at the first
+        # deadline: the pass finds it active and page 1 inactive behind it.
+        costs = [m.on_store(page + 64, 8, period + 100) for m in (reference, queued)]
+        assert costs[0] > 0 and costs == costs[::-1]
+        assert reference.consolidated_lines_total == 1
+        assert self._totals(queued) == self._totals(reference)
+        assert list(queued._merge_queue) == [page // PAGE_BYTES]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_accesses_match_a_full_scan(self, seed):
+        rng = random.Random(seed)
+        # A compressed clock: a period of 600 to 3000 cycles.
+        reference, queued = self._pair(rng.choice((10.0, 20.0, 50.0)), scale=0.02)
+        period = queued._consolidation_cycles
+        now = 0
+        for _ in range(4000):
+            # Mostly short steps, so pages stay active across passes, and
+            # now and then a quiet spell that lets every page merge.
+            if rng.random() < 0.02:
+                now += rng.randrange(period, 3 * period)
+            else:
+                now += rng.randrange(0, period // 8)
+            # The first lines of 24 pages, with accesses spanning lines.
+            address = STACK.start + rng.randrange(24) * PAGE_BYTES + rng.randrange(256)
+            size = rng.choice((0, 1, 8, 8, 64, 200))
+            for mech in (reference, queued):  # as the engine does
+                mech.hierarchy.now = now
+            if rng.random() < 0.7:
+                costs = [m.on_store(address, size, now) for m in (reference, queued)]
+            else:
+                costs = [m.on_load(address, size, now) for m in (reference, queued)]
+            assert costs[0] == costs[1]
+        assert self._totals(queued) == self._totals(reference)
+        assert reference.consolidation_invocations > 100
+        assert reference.consolidated_lines_total > 100
 
 
 class TestCapabilityMatrix:

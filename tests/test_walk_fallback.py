@@ -15,6 +15,7 @@ from repro.memory import native
 from tests.test_engine_equivalence import (  # noqa: F401
     TestBatchedHookDeepState,  # noqa: F401
     TestConfigurationCorners,  # noqa: F401
+    TestDeferredHooks,  # noqa: F401
     TestFaultEquivalence,  # noqa: F401
     TestMechanismCoverage,  # noqa: F401
     TestMixedDensity,  # noqa: F401
