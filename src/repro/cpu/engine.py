@@ -306,36 +306,33 @@ class ExecutionEngine:
         result = self.hierarchy.access(address, size, is_write)
         self._advance(result.latency_cycles)
 
-        in_stack = self.stack_range.contains(address)
-        if in_stack:
+        stats = self.stats
+        if self.stack_range.contains(address):
+            mechanism = self.mechanism
             if is_write:
-                self.stats.stack_writes += 1
+                stats.stack_writes += 1
                 self._interval_writes.append(address)
             else:
-                self.stats.stack_reads += 1
-            extra = (
-                self.mechanism.on_store(address, size, self.now)
-                if is_write
-                else self.mechanism.on_load(address, size, self.now)
-            )
-            self._charge_inline(extra)
-        elif self.heap_range is not None and self.heap_range.contains(address):
-            if is_write:
-                self.stats.other_writes += 1
-            else:
-                self.stats.other_reads += 1
-            if self.heap_mechanism is not None:
-                extra = (
-                    self.heap_mechanism.on_store(address, size, self.now)
-                    if is_write
-                    else self.heap_mechanism.on_load(address, size, self.now)
-                )
-                self._charge_inline(extra)
+                stats.stack_reads += 1
         else:
+            heap = self.heap_range
+            in_heap = heap is not None and heap.contains(address)
+            mechanism = self.heap_mechanism if in_heap else None
             if is_write:
-                self.stats.other_writes += 1
+                stats.other_writes += 1
             else:
-                self.stats.other_reads += 1
+                stats.other_reads += 1
+        if mechanism is None:
+            return
+        # The engine counts each access in its region mechanism's stats;
+        # the hook only acts on it.
+        if is_write:
+            mechanism.stats.stores_seen += 1
+            extra = mechanism.on_store(address, size, self.now)
+        else:
+            mechanism.stats.loads_seen += 1
+            extra = mechanism.on_load(address, size, self.now)
+        self._charge_inline(extra)
 
     def _advance(self, cycles: int) -> None:
         self.now += cycles

@@ -15,27 +15,31 @@ loop:
   fallback), which runs the cache hierarchy, device write-buffer timing
   and op costs and returns at the next op whose tail needs Python — a
   due per-op mechanism hook or a stop candidate;
-* mechanism store/load hooks for stack (and heap) traffic are delivered
-  in batches through :meth:`PersistenceMechanism.on_store_batch` /
-  ``on_load_batch`` when the mechanism declares ``supports_batching``;
-  mechanisms whose per-op costs feed back into the current cycle (SSP,
-  the logging family) fall back to exact per-op delivery.  A per-op hook
-  is due once the cycle count reaches the mechanism's ``hook_deadline``
-  (always, for the logging family): SSP's hooks before its next
-  consolidation charge nothing, so the walk runs past them, recording
-  their cycle counts, and ``replay`` runs them in op order, each at its
-  own cycle count, before the next due hook, interval end or crash check;
+* a hook reaches a stack (or heap) mechanism only for the kinds of
+  access its class defines (:meth:`PersistenceMechanism.defines`), and
+  the engine counts every region access in the mechanism's ``stats``
+  from the op columns.  Store hooks are delivered in batches through
+  :meth:`PersistenceMechanism.on_store_batch` when no region is in NVM
+  and every hooked mechanism declares ``supports_batching`` and takes no
+  loads; otherwise every hook is delivered per op (SSP, the logging
+  family).  A per-op hook is due once the cycle count reaches the
+  mechanism's ``hook_deadline`` (always, at the default 0): SSP's hooks
+  before its next consolidation charge nothing, so the walk runs past
+  them, recording their cycle counts, and ``replay`` runs them in op
+  order, each at its own cycle count, before the next due hook, interval
+  end or crash check;
 * one stop rule serves interval boundaries and crashes.  The walk stops
   at an op that may reach the interval's op count, or where the cycle
   count plus the deferred-cost bound (which can only over-estimate) may
   reach the next boundary or an armed fault deadline
-  (``FaultInjector.arm_cycle``, read once per chunk).  ``due`` then
-  delivers the deferred hooks and tests the exact cycle count, deadline
-  first as in the scalar loop, and ``cross`` ends the interval.  Deferred
-  hooks are delivered by one routine over ``(region mask, mechanism)``
-  pairs, stack first.  Named crash points and the persist-order oracle
-  live in the checkpoint code both engines share, so no injector or
-  oracle turns batched delivery off;
+  (``FaultInjector.arm_cycle``, read once per chunk); without either
+  cycle stop no bound is built.  ``due`` then delivers the deferred
+  hooks and tests the exact cycle count, deadline first as in the
+  scalar loop, and ``cross`` ends the interval.  Hooks are routed over
+  one list of ``(region mask, mechanism)`` pairs, stack first.  Named
+  crash points and the persist-order oracle live in the checkpoint code
+  both engines share, so no injector or oracle turns batched delivery
+  off;
 * aggregate statistics (op counts, stack/other read/write counters, the
   interval write log, the interval-minimum SP) are accumulated as numpy
   reductions over chunk slices instead of per-op updates.
@@ -56,7 +60,6 @@ import numpy as np
 from repro.cpu.engine import EngineStats, ExecutionEngine, trace_array
 from repro.cpu.ops import OpKind
 from repro.memory import native
-from repro.persistence.none import NoPersistence
 
 _WRITE = int(OpKind.WRITE)
 _CALL = int(OpKind.CALL)
@@ -163,74 +166,70 @@ class BatchedExecutionEngine(ExecutionEngine):
         # Hot-loop locals.
         hierarchy = self.hierarchy
         mechanism = self.mechanism
-        mech_trivial = type(mechanism) is NoPersistence
-        mech_load = mechanism.on_load
-        mech_store = mechanism.on_store
-        heap_trivial = heap_mech is None or type(heap_mech) is NoPersistence
-        heap_load = heap_mech.on_load if heap_mech is not None else None
-        heap_store = heap_mech.on_store if heap_mech is not None else None
         ops_mode = interval_ops is not None
         cycles_mode = next_boundary is not None
         # An armed cycle deadline is one more cycle stop (see due()).
         injector = self.fault_injector
         deadline = injector.armed_cycle if injector is not None else None
 
+        # (region mask, mechanism), stack first: the order hooks are
+        # delivered in.  A hook reaches a mechanism only for the kinds of
+        # access its class defines; flush() counts every access.
+        regions = [(stack_np, mechanism)]
+        if heap_mech is not None:
+            regions.append((heap_np, heap_mech))
+        hooked = [
+            (mask, mech)
+            for mask, mech in regions
+            if mech.defines("on_store") or mech.defines("on_load")
+        ]
         # Batched hook delivery (see PersistenceMechanism.supports_batching).
-        # Deferring hooks is exact only when (a) no region is NVM-resident,
-        # so every demand latency inside a deferred window is independent of
-        # the cycle count the deferred inline costs would have advanced, and
-        # (b) every non-trivial mechanism in play batches, so no per-op hook
-        # can observe a cycle count that is missing another mechanism's
-        # deferred costs.
-        no_nvm = not (
-            mechanism.region_in_nvm
-            or (heap_mech is not None and heap_mech.region_in_nvm)
+        # Deferring store hooks is exact only when (a) no region is
+        # NVM-resident, so every demand latency inside a deferred window is
+        # independent of the cycle count the deferred inline costs would
+        # have advanced, and (b) every hooked mechanism batches and takes no
+        # loads, so no per-op hook can observe a cycle count that is
+        # missing another mechanism's deferred costs.
+        batch_env = not any(mech.region_in_nvm for _, mech in regions) and all(
+            mech.supports_batching and not mech.defines("on_load")
+            for _, mech in hooked
         )
-        batch_env = (
-            no_nvm
-            and (mech_trivial or mechanism.supports_batching)
-            and (heap_mech is None or heap_trivial or heap_mech.supports_batching)
-        )
-        stack_batched = batch_env and not mech_trivial
-        heap_batched = batch_env and not heap_trivial
-        # (region mask, mechanism) for every deferring mechanism, stack
-        # first: the order hooks are delivered in.
-        batched = []
-        if stack_batched:
-            batched.append((stack_np, mechanism))
-        if heap_batched:
-            batched.append((heap_np, heap_mech))
-        bounds_np = None
-        # Per-op walk flags: a deferred op adds its cost bound, a per-op
+        # Per-op walk flags: a deferred store adds its cost bound, a per-op
         # hook op stops the walk once its hook is due, so the hook runs in
         # Python.
         flags_np = np.zeros(n, dtype=np.uint8)
-        if batched:
-            # Per-op upper bounds on deferred store costs: the loop may keep
+        bounds_np = None
+        # (region store mask, mechanism) for every deferring mechanism.
+        batched = []
+        # With per-op hooks, ``calls[hook_np[i]]`` is op i's hook (0: none).
+        calls = [None]
+        hook_np = None
+        if batch_env:
+            batched = [(mask & is_write_np, mech) for mask, mech in hooked]
+            # Per-store upper bounds on deferred costs: the loop may keep
             # deferring only while the accumulated bound cannot reach the
-            # next interval boundary.
-            bounds_np = np.zeros(n, dtype=np.int64)
-            for mask, mech in batched:
-                flags_np[mask] = native.F_BOUND
-                w = mask & is_write_np
-                if w.any():
-                    bounds_np[w] = mech.store_cost_bound_array(
-                        addrs_np[w], sizes_np[w]
-                    )
-        # Mechanisms taking per-op hooks.  While the earliest of their
-        # ``hook_deadline``s lies ahead, the walk stops only at a due hook
-        # and records the earlier hooked ops for replay(); a chunk that
-        # starts with every hook due keeps none of that bookkeeping.
-        per_op = []
-        if not (mech_trivial or stack_batched):
-            flags_np[stack_np] = native.F_HOOK
-            per_op.append(mechanism)
-        if heap_np is not None and not (heap_trivial or heap_batched):
-            flags_np[heap_np] = native.F_HOOK
-            per_op.append(heap_mech)
-        gated = bool(per_op) and min(m.hook_deadline for m in per_op) > 0
-        # A deferred cost bound would move the cycle counts the walk records.
-        assert not (gated and batched)
+            # next cycle stop.  Without one, nothing reads them: the op
+            # count and cross() deliver the hooks.
+            if batched and (cycles_mode or deadline is not None):
+                bounds_np = np.zeros(n, dtype=np.int64)
+                for w, mech in batched:
+                    if w.any():
+                        flags_np[w] = native.F_BOUND
+                        bounds_np[w] = mech.store_cost_bound_array(
+                            addrs_np[w], sizes_np[w]
+                        )
+        elif hooked:
+            hook_np = np.zeros(n, dtype=np.uint8)
+            for mask, mech in hooked:
+                for name, write in (("on_load", False), ("on_store", True)):
+                    if mech.defines(name):
+                        hook_np[mask & (is_write_np == write)] = len(calls)
+                        calls.append(getattr(mech, name))
+            flags_np[hook_np > 0] = native.F_HOOK
+        # While the earliest of the per-op mechanisms' ``hook_deadline``s
+        # lies ahead, the walk stops only at a due hook and records the
+        # earlier hooked ops' cycle counts for replay(); a deadline of 0
+        # makes every hook due.
         hook_at = 0
         hk = 0  # first hooked op not yet delivered, as an index into hook_ops
 
@@ -242,23 +241,20 @@ class BatchedExecutionEngine(ExecutionEngine):
         pending_bound = 0  # upper bound on the window's deferred cycles
 
         def mech_flush(end: int) -> None:
-            """Deliver deferred mechanism hooks for ops [mseg, end)."""
+            """Deliver deferred store hooks for ops [mseg, end)."""
             nonlocal now, inline, mseg, pending_bound
             if end <= mseg:
                 return
             win = slice(mseg, end)
-            for mask, mech in batched:
-                region = mask[win]
-                writes = is_write_np[win]
-                for sel, deliver in (
-                    (region & writes, mech.on_store_batch),
-                    (region & ~writes, mech.on_load_batch),
-                ):
-                    if sel.any():
-                        extra = deliver(addrs_np[win][sel], sizes_np[win][sel], now)
-                        if extra:
-                            now += extra
-                            inline += extra
+            for stores, mech in batched:
+                sel = stores[win]
+                if sel.any():
+                    extra = mech.on_store_batch(
+                        addrs_np[win][sel], sizes_np[win][sel], now
+                    )
+                    if extra:
+                        now += extra
+                        inline += extra
             mseg = end
             pending_bound = 0
 
@@ -268,11 +264,7 @@ class BatchedExecutionEngine(ExecutionEngine):
             nonlocal hk
             j = hook_ops[hk]
             while j < end:
-                if stack_flags[j]:
-                    hook = mech_store if kinds[j] == _WRITE else mech_load
-                else:
-                    hook = heap_store if kinds[j] == _WRITE else heap_load
-                extra = hook(addrs[j], sizes[j], times[j])
+                extra = calls[hooks[j]](addrs[j], sizes[j], times[j])
                 assert not extra, "a hook before its deadline charged cycles"
                 hk += 1
                 j = hook_ops[hk]
@@ -289,7 +281,7 @@ class BatchedExecutionEngine(ExecutionEngine):
             """Commit aggregates for ops [seg, end) and sync engine state."""
             nonlocal app, inline, seg
             mech_flush(end)
-            if gated and hook_ops[hk] < end:
+            if hook_ops[hk] < end:
                 replay(end)
             stats = self.stats
             if end > seg:
@@ -315,10 +307,10 @@ class BatchedExecutionEngine(ExecutionEngine):
                 seg_min = int(sp_np[seg_slice].min())
                 if seg_min < self._interval_min_sp:
                     self._interval_min_sp = seg_min
-                if mech_trivial:
-                    mechanism.stats.stores_seen += stack_writes
-                    mechanism.stats.loads_seen += stack_reads
-                if heap_mech is not None and heap_trivial and heap_np is not None:
+                # Every region access counts, hooked or not.
+                mechanism.stats.stores_seen += stack_writes
+                mechanism.stats.loads_seen += stack_reads
+                if heap_mech is not None:
                     seg_heap = heap_np[seg_slice]
                     hw = int(np.count_nonzero(seg_heap & seg_write))
                     heap_mech.stats.stores_seen += hw
@@ -362,36 +354,33 @@ class BatchedExecutionEngine(ExecutionEngine):
             ops_in_interval = 0
             self._start_interval()
             now = self.now
-            if gated:
+            if hook_at:
                 arm_hooks()
 
         loop_end = overflow_at if overflow_at >= 0 else n
         # The walk runs stretches of ops natively and returns at each op
         # whose tail needs Python: a due per-op hook or a stop candidate.
-        times_np = np.empty(n, dtype=np.int64) if gated else None
+        times_np = None if hook_np is None else np.empty(n, dtype=np.int64)
         walk = native.walker(
             hierarchy, kinds_np, addrs_np, sizes_np, flags_np, bounds_np, times_np
         )
         step = walk.step
         ctl = walk.ctl
 
-        # Python ints for the hook ops' arguments; a chunk without
-        # per-op hooks never reads them.
-        if per_op:
-            kinds = kinds_np.tolist()
+        if hook_np is not None:
+            # Python ints for the hook ops' arguments, the hooked ops in
+            # order, then a sentinel past every op.
             addrs = addrs_np.tolist()
             sizes = sizes_np.tolist()
-            hooks = (flags_np & native.F_HOOK).tolist()
-            stack_flags = stack_np.tolist()
-        else:
-            hooks = None
-        if gated:
-            first, second = (per_op + [None])[:2]
-            # The hooked ops in order, then a sentinel past every op.
-            hook_ops = np.flatnonzero(flags_np & native.F_HOOK).tolist()
+            hooks = hook_np.tolist()
+            hook_ops = np.flatnonzero(hook_np).tolist()
             hook_ops.append(n)
             times = memoryview(times_np)
+            first, second = ([mech for _, mech in hooked] + [None])[:2]
             arm_hooks()
+        else:
+            hooks = None
+            hook_ops = [n]
         ctl[native.C_END] = loop_end
         if ops_mode:
             ctl[native.C_OPS_LIMIT] = interval_ops
@@ -417,30 +406,15 @@ class BatchedExecutionEngine(ExecutionEngine):
                 break
 
             if hooks is not None and hooks[i] and now >= hook_at:
-                if gated:  # the recorded hooks run first
-                    if hook_ops[hk] < i:
-                        replay(i)
-                    hk += 1
-                address = addrs[i]
-                size = sizes[i]
-                is_write = kinds[i] == _WRITE
+                if hook_ops[hk] < i:  # the recorded hooks run first
+                    replay(i)
+                hk += 1
                 hierarchy.now = now
-                if stack_flags[i]:
-                    extra = (
-                        mech_store(address, size, now)
-                        if is_write
-                        else mech_load(address, size, now)
-                    )
-                else:
-                    extra = (
-                        heap_store(address, size, now)
-                        if is_write
-                        else heap_load(address, size, now)
-                    )
+                extra = calls[hooks[i]](addrs[i], sizes[i], now)
                 if extra:
                     now += extra
                     inline += extra
-                if gated:
+                if hook_at:
                     arm_hooks()
 
             if (

@@ -187,7 +187,9 @@ class RecordingMechanism(PersistenceMechanism):
     in between).  The recorder batches exactly when its inner mechanism
     does: a batch of stores takes its counter values in store order, so
     the batched engine's batched hooks are checked with the same golden
-    image as per-op delivery, and it forwards the inner hook deadline.
+    image as per-op delivery.  It forwards the inner hook deadline, takes
+    loads exactly when the inner mechanism does, and shares the inner
+    ``stats``, which the engine counts into.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -201,6 +203,7 @@ class RecordingMechanism(PersistenceMechanism):
         self.name = inner.name
         self.region_in_nvm = inner.region_in_nvm
         self.supports_batching = inner.supports_batching
+        self.stats = inner.stats
         self.snapshots: list[IntervalSnapshot] = []
         self._counter = 0
         self.golden: GoldenRun | None = None
@@ -208,6 +211,10 @@ class RecordingMechanism(PersistenceMechanism):
     def attach(self, engine, region: AddressRange) -> None:
         super().attach(engine, region)
         self.inner.attach(engine, region)
+
+    def defines(self, hook: str) -> bool:
+        """Stores always: each one takes the next golden-image value."""
+        return hook == "on_store" or self.inner.defines(hook)
 
     @property
     def hook_deadline(self) -> int:
@@ -220,9 +227,6 @@ class RecordingMechanism(PersistenceMechanism):
         self._counter += 1
         self.dram.write(address, self._counter)
         return self.inner.on_store(address, size, now)
-
-    def on_load_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        return self.inner.on_load_batch(addresses, sizes, now)
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
         first = self._counter + 1

@@ -10,8 +10,9 @@ write buffer, COMPUTE/CALL/RET costs and the deferred-cost bound — and
 returns at the first op Python has to finish:
 
 * an op flagged ``F_HOOK`` (a per-op mechanism hook), after its access,
-  once its hook is due: ``now >= ctl[C_HOOK_AT]``, or always without a
-  ``times`` column (an earlier hook's ``now`` goes into ``times[i]``);
+  once its hook is due: ``now >= ctl[C_HOOK_AT]``, always at 0 (an earlier
+  hook's ``now`` goes into ``times[i]``, for the engine to replay).  A
+  walk with ``F_HOOK`` ops needs a ``times`` column;
 * an op whose end-of-op test fires: ``ops + 1 >= ctl[C_OPS_LIMIT]`` (the
   interval op count) or ``now + pending >= ctl[C_NEXT]`` (the cycle stop,
   the deferred-cost bound included: the engine sets it to the earlier of
@@ -245,6 +246,8 @@ def _checked_length(kinds, addrs, sizes, flags, bounds, times) -> int:
             raise ValueError(f"walk columns must be {n} contiguous {np.dtype(dtype)}")
     if bounds is None and np.any(flags & F_BOUND):
         raise ValueError("ops flagged F_BOUND need bounds")
+    if times is None and np.any(flags & F_HOOK):
+        raise ValueError("ops flagged F_HOOK need times")
     return n
 
 
@@ -421,7 +424,7 @@ class PythonWalk:
                 if flag & F_BOUND:
                     pending += bounds[i]
                 if flag & F_HOOK:
-                    if times is None or now >= hook_at:
+                    if now >= hook_at:
                         break
                     times[i] = now
             elif kind == _COMPUTE:
@@ -444,7 +447,8 @@ class PythonWalk:
 def walker(hierarchy, kinds, addrs, sizes, flags, bounds=None, times=None):
     """A walk over one chunk: *kinds*/*flags* contiguous uint8 arrays,
     *addrs*/*sizes*/*bounds*/*times* contiguous int64 arrays (*bounds* may
-    be None when no op is flagged ``F_BOUND``, *times* when no hook waits)."""
+    be None when no op is flagged ``F_BOUND``, *times* when none is flagged
+    ``F_HOOK``)."""
     lib = library()
     if lib is None:
         return PythonWalk(hierarchy, kinds, addrs, sizes, flags, bounds, times)

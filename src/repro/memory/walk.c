@@ -47,7 +47,7 @@ typedef struct {
     int64_t n_ops;                        /* length of every op column */
     const uint8_t *kinds, *flags;
     const int64_t *addrs, *sizes, *bounds;
-    int64_t *times;                       /* deferred hooks' cycle counts, or NULL */
+    int64_t *times;                       /* recorded hooks' cycle counts; NULL without F_HOOK */
     int64_t *ctl;
 } walk_t;
 
@@ -208,8 +208,9 @@ static int64_t demand_access(const walk_t *w, int64_t address, int64_t size,
  * its hook) or an op whose end-of-op tests fire (the interval op count,
  * or the cycle stop -- the next boundary or an armed crash deadline --
  * with the deferred-cost bound); Python runs that op's tail.  A hook is
- * due at now >= ctl[C_HOOK_AT], or always without times; an earlier one
- * leaves its now in times[i] for Python to replay.
+ * due at now >= ctl[C_HOOK_AT] (always at 0); an earlier one leaves its
+ * now in times[i] for Python to replay.  times is required when any op
+ * is flagged F_HOOK (native.py checks it).
  * ctl[C_I] is left at that op, or at ctl[C_END].
  */
 void walk_ops(walk_t *w)
@@ -233,7 +234,7 @@ void walk_ops(walk_t *w)
             if (flags & F_BOUND)
                 pending += w->bounds[i];
             if (flags & F_HOOK) {
-                if (!times || now >= hook_at)
+                if (now >= hook_at)
                     break;
                 times[i] = now;
             }

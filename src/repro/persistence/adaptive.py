@@ -115,7 +115,6 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         self._stores_this_interval += 1
         self.pages.mark_dirty(address, size)
         if self.in_page_fallback or self.tracker is None:

@@ -3,9 +3,13 @@
 The execution engine drives a mechanism through four hooks:
 
 * :meth:`PersistenceMechanism.on_load` / :meth:`~PersistenceMechanism.on_store`
-  — called for every demand access to the region the mechanism covers;
-  returns extra cycles charged to the application (critical-path cost such
-  as a clwb, a log append, or tracker interference).
+  — called for a demand access to the region the mechanism covers, but only
+  for the kinds of access the mechanism's class defines a hook for
+  (:meth:`~PersistenceMechanism.defines`); returns extra cycles charged to
+  the application (critical-path cost such as a clwb, a log append, or
+  tracker interference).  The engines count every access in the
+  mechanism's ``stats`` (``stores_seen``/``loads_seen``) themselves, so a
+  hook body only acts.
 * :meth:`~PersistenceMechanism.on_interval_start` /
   :meth:`~PersistenceMechanism.on_interval_end` — called at consistency /
   checkpoint interval boundaries with an :class:`IntervalContext`; returns
@@ -70,6 +74,8 @@ class IntervalContext:
 class MechanismStats:
     """Counters shared by all mechanisms; subclasses may extend."""
 
+    #: Demand stores and loads inside the region, counted by the engine
+    #: whether or not a hook ran for them.
     stores_seen: int = 0
     loads_seen: int = 0
     intervals: int = 0
@@ -106,7 +112,7 @@ class MechanismStats:
 
 
 class PersistenceMechanism:
-    """Base class: a no-op mechanism that only counts events.
+    """Base class: a no-op mechanism whose hooks do nothing.
 
     Subclasses override the hooks they need and must set :attr:`name` and
     :attr:`capabilities`.
@@ -122,16 +128,16 @@ class PersistenceMechanism:
     #: True when the protected region must be allocated in NVM.
     region_in_nvm = False
     #: True when the mechanism supports the batched hook protocol below:
-    #: the engine may then deliver whole runs of consecutive demand accesses
-    #: through :meth:`on_store_batch` / :meth:`on_load_batch` instead of one
-    #: hook call per access.  A mechanism may only opt in when its hooks are
-    #: *now-independent* — the inline cost of each access must not depend on
-    #: the cycle count at which the hook is invoked (no deadlines, no NVM
-    #: write-buffer drains keyed on ``now``) — so that deferring the hook to
-    #: the end of a run charges exactly the same cycles.  Order within a
-    #: batch is preserved, and the engine never reorders stores relative to
-    #: each other; loads are delivered as aggregate counts and must not
-    #: influence store-side behavior.
+    #: the engine may then deliver whole runs of consecutive demand stores
+    #: through :meth:`on_store_batch` instead of one hook call per store.
+    #: A mechanism may only opt in when its store hook is *now-independent*
+    #: — the inline cost of each store must not depend on the cycle count
+    #: at which the hook is invoked (no deadlines, no NVM write-buffer
+    #: drains keyed on ``now``) — so that deferring the hook to the end of
+    #: a run charges exactly the same cycles.  Order within a batch is
+    #: preserved, and the engine never reorders stores relative to each
+    #: other.  A batching mechanism takes no load hook: the engine delivers
+    #: per op to a mechanism that defines :meth:`on_load`.
     supports_batching = False
 
     def __init__(self) -> None:
@@ -181,6 +187,12 @@ class PersistenceMechanism:
     # Hooks
     # ------------------------------------------------------------------ #
 
+    def defines(self, hook: str) -> bool:
+        """True when this mechanism's class overrides the base *hook*
+        (``"on_load"`` or ``"on_store"``): the engines deliver only the
+        accesses of the kinds a mechanism defines a hook for."""
+        return getattr(type(self), hook) is not getattr(PersistenceMechanism, hook)
+
     @property
     def hook_deadline(self) -> int:
         """Cycle count below which :meth:`on_load` / :meth:`on_store`
@@ -191,31 +203,20 @@ class PersistenceMechanism:
 
     def on_load(self, address: int, size: int, now: int) -> int:
         """Demand load inside the region; returns extra critical-path cycles."""
-        self.stats.loads_seen += 1
         return 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
         """Demand store inside the region; returns extra critical-path cycles."""
-        self.stats.stores_seen += 1
-        return 0
-
-    def on_load_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        """Batched form of :meth:`on_load` for a run of consecutive loads.
-
-        Must behave exactly like calling ``on_load`` once per (address,
-        size) pair in order, with *now* being the cycle count at delivery
-        (the end of the run).  Only invoked when :attr:`supports_batching`
-        is True.  Returns the summed extra critical-path cycles.
-        """
-        self.stats.loads_seen += len(addresses)
         return 0
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
         """Batched form of :meth:`on_store` for a run of consecutive stores.
 
-        Same contract as :meth:`on_load_batch`, for stores.
+        Must behave exactly like calling ``on_store`` once per (address,
+        size) pair in order, with *now* being the cycle count at delivery
+        (the end of the run).  Only invoked when :attr:`supports_batching`
+        is True.  Returns the summed extra critical-path cycles.
         """
-        self.stats.stores_seen += len(addresses)
         return 0
 
     def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -90,7 +90,6 @@ class DirtyBitPersistence(PersistenceMechanism):
         )
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         for page in span_pages(address, size, self.page_bytes):
             self._dirty_pages.add(page)
             self._mapped_pages.add(page)
@@ -103,7 +102,6 @@ class DirtyBitPersistence(PersistenceMechanism):
         self._dirty_pages.update(span_pages(address, size, self.page_bytes))
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        self.stats.stores_seen += len(addresses)
         if len(addresses) == 0:
             return 0
         pb = self.page_bytes

@@ -84,7 +84,6 @@ class FlushPersistence(_SpAwareMixin, PersistenceMechanism):
         self.skipped = 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         if self._skip_store(address):
             self.skipped += 1
             return 0
@@ -129,7 +128,6 @@ class UndoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self._logged_this_interval: set[int] = set()
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         if self._skip_store(address):
             self.skipped += 1
             return 0
@@ -192,14 +190,12 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self._pending: set[int] = set()
 
     def on_load(self, address: int, size: int, now: int) -> int:
-        self.stats.loads_seen += 1
         # Loads must consult the redo log for not-yet-applied data.
         cost = REDO_LOOKUP_CYCLES
         self.stats.inline_overhead_cycles += cost
         return cost
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         if self._skip_store(address):
             self.skipped += 1
             return 0

@@ -11,7 +11,7 @@ from repro.persistence.base import Capabilities, PersistenceMechanism
 
 
 class NoPersistence(PersistenceMechanism):
-    """Counts accesses, does nothing else."""
+    """Defines no hook: the engine only counts its accesses."""
 
     name = "vanilla"
     capabilities = Capabilities(

@@ -91,14 +91,12 @@ class ProsperPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         cost = self.tracker.observe_store(address, size)
         if cost:
             self.stats.inline_overhead_cycles += cost
         return cost
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        self.stats.stores_seen += len(addresses)
         cost = self.tracker.observe_store_batch(addresses, sizes)
         if cost:
             self.stats.inline_overhead_cycles += cost

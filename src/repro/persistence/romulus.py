@@ -50,7 +50,6 @@ class RomulusPersistence(PersistenceMechanism):
         self.copied_bytes_total = 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         self._log.append((address, size))
         self.log_records_total += 1
         # Hardware appends the record to the NVM-resident log.  The append

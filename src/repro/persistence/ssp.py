@@ -126,7 +126,6 @@ class SspPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         page = page_index(address)
         state = self._pages.get(page)
         if state is None:
@@ -147,7 +146,6 @@ class SspPersistence(PersistenceMechanism):
         return self._run_due_consolidations(now)
 
     def on_load(self, address: int, size: int, now: int) -> int:
-        self.stats.loads_seen += 1
         return self._run_due_consolidations(now)
 
     def _run_due_consolidations(self, now: int) -> int:

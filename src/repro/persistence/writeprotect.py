@@ -41,7 +41,6 @@ class WriteProtectPersistence(DirtyBitPersistence):
         self.faults = 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self.stats.stores_seen += 1
         cost = 0
         for page in span_pages(address, size, self.page_bytes):
             self._mapped_pages.add(page)

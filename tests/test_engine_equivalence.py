@@ -29,6 +29,7 @@ from repro.experiments.runner import (
     scaled_interval_cycles,
     vanilla_cycles,
 )
+from repro.faults.injector import FaultInjector
 from repro.memory import native
 from repro.memory.address import AddressRange
 from repro.persistence.base import PersistenceMechanism
@@ -40,6 +41,7 @@ from repro.persistence.logging import (
 )
 from repro.persistence.none import NoPersistence
 from repro.persistence.prosper import ProsperPersistence
+from repro.persistence.romulus import RomulusPersistence
 from repro.persistence.ssp import SspPersistence
 from repro.workloads.apps import (
     APP_STACK,
@@ -525,13 +527,189 @@ class TestDeferredHooks:
     def test_walk_returns_only_for_due_hooks(self, monkeypatch):
         trace = WORKLOADS["gapbs_pr"]()
         returns = _HookReturns(monkeypatch)
-        batched = _fig_run(trace, BatchedExecutionEngine, _ssp(1000.0))
+        batched = _fig_run(
+            trace, BatchedExecutionEngine, lambda: CallCountingSsp(1000.0)
+        )
         mechanism = batched.mechanism
         assert 0 < returns.count <= mechanism.consolidation_invocations
-        # Far fewer than the SSP accesses, every one of which the mechanism saw.
-        seen = mechanism.stats.stores_seen + mechanism.stats.loads_seen
-        assert seen == batched.stats.stack_writes + batched.stats.stack_reads
-        assert 20 * returns.count < seen
+        # Far fewer than the SSP accesses, every one of which ran its hook,
+        # at the walk's return or replayed.
+        calls = mechanism.calls
+        assert calls == batched.stats.stack_writes + batched.stats.stack_reads
+        assert 20 * returns.count < calls
+
+
+class CallCountingSsp(SspPersistence):
+    """SSP that counts its hook calls: at the walk's return or replayed."""
+
+    def __init__(self, consolidation_interval_us: float = 10.0) -> None:
+        super().__init__(consolidation_interval_us)
+        self.calls = 0
+
+    def on_store(self, address, size, now):
+        self.calls += 1
+        return super().on_store(address, size, now)
+
+    def on_load(self, address, size, now):
+        self.calls += 1
+        return super().on_load(address, size, now)
+
+
+class _LoadProbe(PersistenceMechanism):
+    """Defines only ``on_load``, which charges 3 cycles.  It declares
+    batching, which a mechanism that takes loads cannot use."""
+
+    name = "load-probe"
+    supports_batching = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.loads: list[tuple[int, int]] = []
+
+    def on_load(self, address, size, now):
+        self.loads.append((address, now))
+        return 3
+
+
+def _recording_walker(monkeypatch) -> list[tuple]:
+    """Wraps ``native.walker``; returns the list of the (kinds, flags,
+    bounds) each built walk got."""
+    built = []
+    walker = native.walker
+
+    def recording(hierarchy, kinds, addrs, sizes, flags, bounds=None, times=None):
+        built.append((kinds.copy(), flags.copy(), bounds))
+        return walker(hierarchy, kinds, addrs, sizes, flags, bounds, times)
+
+    monkeypatch.setattr(native, "walker", recording)
+    return built
+
+
+class TestHookRouting:
+    """A hook reaches a mechanism only for the kinds of access its class
+    defines, and both engines count every region access in its stats."""
+
+    def test_romulus_walk_returns_only_at_stores(self, monkeypatch):
+        # Romulus logs stores and defines no load hook: the walk runs past
+        # its loads, which the engine only counts.
+        trace = WORKLOADS["gapbs_pr"]()
+        returns = _HookReturns(monkeypatch)
+        batched = _fig_run(trace, BatchedExecutionEngine, RomulusPersistence)
+        stats = batched.stats
+        assert stats.stack_reads > 0
+        assert returns.count == stats.stack_writes > 0
+        assert batched.mechanism.stats.loads_seen == stats.stack_reads
+
+    @pytest.mark.parametrize(
+        "stack, heap",
+        [
+            (NoPersistence, None),
+            (RomulusPersistence, None),
+            (DirtyBitPersistence, None),
+            (ProsperPersistence, None),
+            (_ssp(10.0), None),
+            (_ssp(100.0), None),
+            (_ssp(1000.0), None),
+            (_ssp(10.0), _ssp(10.0)),
+            (DirtyBitPersistence, _ssp(10.0)),
+            (ProsperPersistence, _ssp(10.0)),
+            (NoPersistence, NoPersistence),
+            (ProsperPersistence, DirtyBitPersistence),
+        ],
+        ids=[
+            "vanilla", "romulus", "dirtybit", "prosper", "ssp-10us",
+            "ssp-100us", "ssp-1ms", "fig9-ssp", "fig9-dirtybit",
+            "fig9-prosper", "vanilla-heap", "prosper-dirtybit-heap",
+        ],
+    )
+    def test_mechanism_stats_match_scalar(self, stack, heap):
+        trace = WORKLOADS["ycsb_mem"]()
+        scalar, batched = (
+            _fig_run(trace, cls, stack, heap)
+            for cls in (ExecutionEngine, BatchedExecutionEngine)
+        )
+        for attr in ("mechanism", "heap_mechanism"):
+            mechs = getattr(scalar, attr), getattr(batched, attr)
+            if mechs[0] is None:
+                continue
+            assert dataclasses.asdict(mechs[1].stats) == dataclasses.asdict(
+                mechs[0].stats
+            )
+            assert mechs[0].stats.loads_seen > 0
+        stats = batched.stats
+        assert batched.mechanism.stats.stores_seen == stats.stack_writes
+        assert batched.mechanism.stats.loads_seen == stats.stack_reads
+        if heap is not None:
+            ops = trace.array
+            address = ops["address"]
+            in_heap = (
+                (ops["kind"] <= OpKind.WRITE)
+                & (address >= trace.heap_range.start)
+                & (address < trace.heap_range.end)
+            )
+            writes = ops["kind"] == OpKind.WRITE
+            heap_stats = batched.heap_mechanism.stats
+            assert heap_stats.stores_seen == np.count_nonzero(in_heap & writes)
+            assert heap_stats.loads_seen == np.count_nonzero(in_heap & ~writes)
+
+    def test_a_load_only_mechanism_gets_per_op_loads(self, monkeypatch):
+        trace = WORKLOADS["gapbs_pr"]()
+        built = _recording_walker(monkeypatch)
+        scalar, batched = (
+            _fig_run(trace, cls, _LoadProbe)
+            for cls in (ExecutionEngine, BatchedExecutionEngine)
+        )
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        # Every load ran its hook at its own cycle count.
+        assert batched.mechanism.loads == scalar.mechanism.loads
+        assert len(batched.mechanism.loads) == batched.stats.stack_reads > 0
+        assert batched.stats.inline_cycles == 3 * batched.stats.stack_reads
+        # The walk stops at loads only: no store is flagged, for a hook or
+        # a deferred bound.
+        kinds = np.concatenate([k for k, _, _ in built])
+        flags = np.concatenate([f for _, f, _ in built])
+        assert np.any(flags == native.F_HOOK)
+        assert not np.any(flags[kinds == OpKind.WRITE])
+
+    def test_no_bounds_without_a_cycle_stop(self, monkeypatch):
+        # Only a cycle stop reads the deferred-cost bound: a run with no
+        # interval or with op-count intervals, and no armed deadline, builds
+        # its walks without one, and matches the scalar engine.
+        trace = WORKLOADS["quicksort"]()
+        built = _recording_walker(monkeypatch)
+        for run_kwargs, bounded in (
+            ({}, False),
+            ({"interval_ops": 997}, False),
+            ({"interval_cycles": 25_000}, True),
+        ):
+            built.clear()
+            engines = []
+            for cls in (ExecutionEngine, BatchedExecutionEngine):
+                engine = cls(
+                    config=setup_i(),
+                    stack_range=trace.stack_range,
+                    mechanism=ProsperPersistence(),
+                )
+                engine.run(trace, **run_kwargs)
+                engines.append(engine)
+            scalar, batched = engines
+            assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+            assert built
+            assert all((b is not None) == bounded for _, _, b in built), run_kwargs
+
+    def test_an_armed_deadline_builds_bounds(self, monkeypatch):
+        trace = WORKLOADS["quicksort"]()
+        built = _recording_walker(monkeypatch)
+        injector = FaultInjector()
+        injector.arm_cycle(10**15)
+        engine = BatchedExecutionEngine(
+            config=setup_i(),
+            stack_range=trace.stack_range,
+            mechanism=ProsperPersistence(),
+            fault_injector=injector,
+        )
+        engine.run(trace)
+        assert built and all(b is not None for _, _, b in built)
 
 
 def _ssp_state(mechanism) -> dict:

@@ -104,7 +104,7 @@ def reference_stretch(h, kinds, addrs, sizes, flags, bounds, ctl, times=None):
             if flags[i] & native.F_BOUND:
                 pending += int(bounds[i])
             if flags[i] & native.F_HOOK:
-                if times is None or now >= ctl["hook_at"]:
+                if now >= ctl["hook_at"]:
                     break
                 times[i] = now
         elif kind == _COMPUTE:
@@ -254,10 +254,10 @@ def test_walks_reread_lines_moved_between_stretches(seed):
 
 
 @pytest.mark.parametrize("kind", ["native", "python"])
-def test_a_walk_without_times_stops_at_every_hook(kind):
-    """Only a walk that can record a hook's cycle count may run past it: one
-    built without ``times`` stops at every ``F_HOOK`` op, whatever
-    ``ctl[C_HOOK_AT]`` says."""
+def test_f_hook_without_times_raises(kind):
+    """A walk records a hook's cycle count whenever it runs past the hook,
+    so one with ``F_HOOK`` ops and no ``times`` column is refused; with
+    ``ctl[C_HOOK_AT]`` at 0 it stops at every hook."""
     lib = native.library()
     if kind == "native" and lib is None:
         pytest.skip("no C compiler: the native walk is unavailable")
@@ -267,15 +267,19 @@ def test_a_walk_without_times_stops_at_every_hook(kind):
     flags = np.zeros(n, dtype=np.uint8)
     hooked = (kinds <= _WRITE) & (np.array([rng.random() for _ in range(n)]) < 0.1)
     flags[hooked] = native.F_HOOK
-    h = machine()
-    walk = (
-        native.NativeWalk(lib, h, kinds, addrs, sizes, flags, None)
-        if kind == "native"
-        else native.PythonWalk(h, kinds, addrs, sizes, flags, None)
-    )
+
+    def build(times):
+        h = machine()
+        if kind == "native":
+            return native.NativeWalk(lib, h, kinds, addrs, sizes, flags, None, times)
+        return native.PythonWalk(h, kinds, addrs, sizes, flags, None, times)
+
+    with pytest.raises(ValueError, match="F_HOOK"):
+        build(None)
+    times = np.full(n, -1, dtype=np.int64)
+    walk = build(times)
     ctl = {"i": 0, "end": n, "now": 0, "pending": 0, "ops": 0,
-           "limit": native.UNBOUNDED, "next": native.UNBOUNDED,
-           "hook_at": native.UNBOUNDED}
+           "limit": native.UNBOUNDED, "next": native.UNBOUNDED, "hook_at": 0}
     stops = []
     while True:
         ctl = dict(ctl, **run_walk(walk, ctl))
@@ -285,6 +289,7 @@ def test_a_walk_without_times_stops_at_every_hook(kind):
         ctl["i"] += 1
         ctl["ops"] += 1
     assert stops == np.flatnonzero(hooked).tolist()
+    assert not np.any(times >= 0)
 
 
 def test_walk_without_nvm_reads_dram(lib):

@@ -17,6 +17,7 @@ from tests.test_engine_equivalence import (  # noqa: F401
     TestConfigurationCorners,  # noqa: F401
     TestDeferredHooks,  # noqa: F401
     TestFaultEquivalence,  # noqa: F401
+    TestHookRouting,  # noqa: F401
     TestMechanismCoverage,  # noqa: F401
     TestMixedDensity,  # noqa: F401
     TestOverEstimatedBound,  # noqa: F401
