@@ -251,11 +251,22 @@ class ExecutionEngine:
         if periodic:
             self._start_interval()
 
+        # Each region's ledger and the hooks its mechanism's class defines
+        # (None: the engine only counts that kind of access), stack first.
+        routes = [
+            (
+                ctx.region,
+                mech.stats,
+                mech.on_load if mech.defines("on_load") else None,
+                mech.on_store if mech.defines("on_store") else None,
+            )
+            for mech, ctx in self._regions()
+        ]
         injector = self.fault_injector
         for kind, address, size in zip(
             arr["kind"].tolist(), arr["address"].tolist(), arr["size"].tolist()
         ):
-            self._execute(kind, address, size)
+            self._execute(kind, address, size, routes)
             if injector is not None:
                 injector.check_cycle(self.now)
             ops_in_interval += 1
@@ -277,7 +288,7 @@ class ExecutionEngine:
             self._end_interval()
         return self.stats
 
-    def _execute(self, kind: int, address: int, size: int) -> None:
+    def _execute(self, kind: int, address: int, size: int, routes: list) -> None:
         self.stats.ops_executed += 1
         self.registers.op_index += 1
 
@@ -308,31 +319,33 @@ class ExecutionEngine:
 
         stats = self.stats
         if self.stack_range.contains(address):
-            mechanism = self.mechanism
             if is_write:
                 stats.stack_writes += 1
                 self._interval_writes.append(address)
             else:
                 stats.stack_reads += 1
+        elif is_write:
+            stats.other_writes += 1
         else:
-            heap = self.heap_range
-            in_heap = heap is not None and heap.contains(address)
-            mechanism = self.heap_mechanism if in_heap else None
-            if is_write:
-                stats.other_writes += 1
-            else:
-                stats.other_reads += 1
-        if mechanism is None:
+            stats.other_reads += 1
+        for region, ledger, load, store in routes:
+            if region.contains(address):
+                break
+        else:
             return
-        # The engine counts each access in its region mechanism's stats;
-        # the hook only acts on it.
+        # The engine counts the access and books the hook's cost in the
+        # region mechanism's ledger; the hook only acts.
         if is_write:
-            mechanism.stats.stores_seen += 1
-            extra = mechanism.on_store(address, size, self.now)
+            ledger.stores_seen += 1
+            hook = store
         else:
-            mechanism.stats.loads_seen += 1
-            extra = mechanism.on_load(address, size, self.now)
-        self._charge_inline(extra)
+            ledger.loads_seen += 1
+            hook = load
+        if hook is not None:
+            extra = hook(address, size, self.now)
+            if extra:
+                ledger.inline_overhead_cycles += extra
+                self._charge_inline(extra)
 
     def _advance(self, cycles: int) -> None:
         self.now += cycles
@@ -340,51 +353,53 @@ class ExecutionEngine:
         self.hierarchy.now = self.now
 
     def _charge_inline(self, cycles: int) -> None:
-        if cycles:
-            self.now += cycles
-            self.stats.inline_cycles += cycles
-            self.hierarchy.now = self.now
+        self.now += cycles
+        self.stats.inline_cycles += cycles
+        self.hierarchy.now = self.now
 
     # ------------------------------------------------------------------ #
     # Interval boundaries
     # ------------------------------------------------------------------ #
 
-    def _context(self) -> IntervalContext:
-        return IntervalContext(
-            interval_index=self._interval_index,
-            now=self.now,
-            final_sp=self.registers.stack_pointer,
-            min_sp=self._interval_min_sp,
-            region=self.stack_range,
-        )
+    def _regions(self) -> list[tuple[PersistenceMechanism, IntervalContext]]:
+        """Each protected region's mechanism with its interval context as
+        of now, stack first: the order hooks and interval ends reach them.
 
-    def _heap_context(self) -> IntervalContext:
-        """Interval context for the heap region.
-
-        The heap has no stack pointer: ``final_sp``/``min_sp`` are pinned
-        to the region base so SP-aware trimming keeps everything live.
+        Built anew for each run and interval boundary, since a kernel
+        rebinds ``stack_range`` and ``registers`` for every slice.  The heap
+        has no stack pointer: its ``final_sp``/``min_sp`` are pinned to the
+        region base so SP-aware trimming keeps everything live.
         """
-        assert self.heap_range is not None
-        return IntervalContext(
-            interval_index=self._interval_index,
-            now=self.now,
-            final_sp=self.heap_range.start,
-            min_sp=self.heap_range.start,
-            region=self.heap_range,
-        )
+        index, now = self._interval_index, self.now
+        regions = [(self.mechanism, IntervalContext(
+            index, now, self.registers.stack_pointer, self._interval_min_sp,
+            self.stack_range,
+        ))]
+        heap = self.heap_range
+        if self.heap_mechanism is not None:
+            regions.append((self.heap_mechanism, IntervalContext(
+                index, now, heap.start, heap.start, heap
+            )))
+        return regions
 
     def _start_interval(self) -> None:
-        spent = self.mechanism.on_interval_start(self._context())
-        if self.heap_mechanism is not None:
-            spent += self.heap_mechanism.on_interval_start(self._heap_context())
+        spent = 0
+        for mech, ctx in self._regions():
+            spent += mech.on_interval_start(ctx)
         self._charge_interval(spent)
         self._interval_min_sp = self.registers.stack_pointer
         self._interval_writes.clear()
 
     def _end_interval(self) -> None:
-        spent = self.mechanism.on_interval_end(self._context())
-        if self.heap_mechanism is not None:
-            spent += self.heap_mechanism.on_interval_end(self._heap_context())
+        spent = 0
+        for mech, ctx in self._regions():
+            # Counted before the checkpoint runs, so a crash inside it
+            # still counts the interval.
+            ledger = mech.stats
+            ledger.intervals += 1
+            cycles = mech.on_interval_end(ctx)
+            ledger.checkpoint_cycles.append(cycles)
+            spent += cycles
         self._charge_interval(spent)
 
         final_sp = self.registers.stack_pointer

@@ -16,9 +16,10 @@ loop:
   and op costs and returns at the next op whose tail needs Python — a
   due per-op mechanism hook or a stop candidate;
 * a hook reaches a stack (or heap) mechanism only for the kinds of
-  access its class defines (:meth:`PersistenceMechanism.defines`), and
-  the engine counts every region access in the mechanism's ``stats``
-  from the op columns.  Store hooks are delivered in batches through
+  access its class defines (:meth:`PersistenceMechanism.defines`).  The
+  engine keeps each mechanism's ledger (``stats``): it counts every
+  region access from the op columns and books each hook's returned
+  cycles where it charges them.  Store hooks are delivered in batches through
   :meth:`PersistenceMechanism.on_store_batch` when no region is in NVM
   and every hooked mechanism declares ``supports_batching`` and takes no
   loads; otherwise every hook is delivered per op (SSP, the logging
@@ -36,7 +37,8 @@ loop:
   cycle stop no bound is built.  ``due`` then delivers the deferred
   hooks and tests the exact cycle count, deadline first as in the
   scalar loop, and ``cross`` ends the interval.  Hooks are routed over
-  one list of ``(region mask, mechanism)`` pairs, stack first.  Named
+  one list of ``(region mask, mechanism)`` pairs, built per chunk from
+  the regions the scalar engine's ``_regions`` lists, stack first.  Named
   crash points and the persist-order oracle live in the checkpoint code
   both engines share, so no injector or oracle turns batched delivery
   off;
@@ -127,25 +129,21 @@ class BatchedExecutionEngine(ExecutionEngine):
         addrs_np = chunk["address"].astype(np.int64)
         sizes_np = chunk["size"].astype(np.int64)
 
-        stack_start = self.stack_range.start
-        stack_end = self.stack_range.end
-
         # Vectorized classification.  READ/WRITE are the two lowest kinds,
         # so one comparison yields the memory-op mask.
         is_write_np = kinds_np == _WRITE
         mem_np = kinds_np <= _WRITE
-        stack_np = mem_np & (addrs_np >= stack_start) & (addrs_np < stack_end)
-
-        heap_mech = self.heap_mechanism
-        heap_np = None
-        if heap_mech is not None:
-            heap_range = self.heap_range
-            heap_np = (
-                mem_np
-                & ~stack_np
-                & (addrs_np >= heap_range.start)
-                & (addrs_np < heap_range.end)
-            )
+        # (region mask, mechanism), stack first: the order hooks are
+        # delivered in.  An access belongs to the first region holding it.
+        regions = []
+        outside = mem_np
+        for mech, ctx in self._regions():
+            region = ctx.region
+            mask = outside & (addrs_np >= region.start) & (addrs_np < region.end)
+            outside = outside & ~mask
+            regions.append((mask, mech))
+        stack_np = regions[0][0]
+        stack_start = self.stack_range.start
 
         # SP trajectory: value of the stack pointer after each op.
         delta_np = np.where(
@@ -165,19 +163,14 @@ class BatchedExecutionEngine(ExecutionEngine):
 
         # Hot-loop locals.
         hierarchy = self.hierarchy
-        mechanism = self.mechanism
         ops_mode = interval_ops is not None
         cycles_mode = next_boundary is not None
         # An armed cycle deadline is one more cycle stop (see due()).
         injector = self.fault_injector
         deadline = injector.armed_cycle if injector is not None else None
 
-        # (region mask, mechanism), stack first: the order hooks are
-        # delivered in.  A hook reaches a mechanism only for the kinds of
-        # access its class defines; flush() counts every access.
-        regions = [(stack_np, mechanism)]
-        if heap_mech is not None:
-            regions.append((heap_np, heap_mech))
+        # A hook reaches a mechanism only for the kinds of access its class
+        # defines; flush() counts every access.
         hooked = [
             (mask, mech)
             for mask, mech in regions
@@ -201,8 +194,10 @@ class BatchedExecutionEngine(ExecutionEngine):
         bounds_np = None
         # (region store mask, mechanism) for every deferring mechanism.
         batched = []
-        # With per-op hooks, ``calls[hook_np[i]]`` is op i's hook (0: none).
+        # With per-op hooks, ``calls[hook_np[i]]`` is op i's hook (0: none)
+        # and ``ledgers[hook_np[i]]`` its mechanism's stats.
         calls = [None]
+        ledgers = [None]
         hook_np = None
         if batch_env:
             batched = [(mask & is_write_np, mech) for mask, mech in hooked]
@@ -225,6 +220,7 @@ class BatchedExecutionEngine(ExecutionEngine):
                     if mech.defines(name):
                         hook_np[mask & (is_write_np == write)] = len(calls)
                         calls.append(getattr(mech, name))
+                        ledgers.append(mech.stats)
             flags_np[hook_np > 0] = native.F_HOOK
         # While the earliest of the per-op mechanisms' ``hook_deadline``s
         # lies ahead, the walk stops only at a due hook and records the
@@ -255,6 +251,7 @@ class BatchedExecutionEngine(ExecutionEngine):
                     if extra:
                         now += extra
                         inline += extra
+                        mech.stats.inline_overhead_cycles += extra
             mseg = end
             pending_bound = 0
 
@@ -308,14 +305,15 @@ class BatchedExecutionEngine(ExecutionEngine):
                 if seg_min < self._interval_min_sp:
                     self._interval_min_sp = seg_min
                 # Every region access counts, hooked or not.
-                mechanism.stats.stores_seen += stack_writes
-                mechanism.stats.loads_seen += stack_reads
-                if heap_mech is not None:
-                    seg_heap = heap_np[seg_slice]
-                    hw = int(np.count_nonzero(seg_heap & seg_write))
-                    heap_mech.stats.stores_seen += hw
-                    heap_mech.stats.loads_seen += (
-                        int(np.count_nonzero(seg_heap)) - hw
+                ledger = regions[0][1].stats
+                ledger.stores_seen += stack_writes
+                ledger.loads_seen += stack_reads
+                for mask, mech in regions[1:]:
+                    seg_region = mask[seg_slice]
+                    region_writes = int(np.count_nonzero(seg_region & seg_write))
+                    mech.stats.stores_seen += region_writes
+                    mech.stats.loads_seen += (
+                        int(np.count_nonzero(seg_region)) - region_writes
                     )
                 stats.ops_executed += end - seg
                 self.registers.op_index += end - seg
@@ -410,10 +408,12 @@ class BatchedExecutionEngine(ExecutionEngine):
                     replay(i)
                 hk += 1
                 hierarchy.now = now
-                extra = calls[hooks[i]](addrs[i], sizes[i], now)
+                hook = hooks[i]
+                extra = calls[hook](addrs[i], sizes[i], now)
                 if extra:
                     now += extra
                     inline += extra
+                    ledgers[hook].inline_overhead_cycles += extra
                 if hook_at:
                     arm_hooks()
 

@@ -189,7 +189,7 @@ class RecordingMechanism(PersistenceMechanism):
     the batched engine's batched hooks are checked with the same golden
     image as per-op delivery.  It forwards the inner hook deadline, takes
     loads exactly when the inner mechanism does, and shares the inner
-    ``stats``, which the engine counts into.
+    ``stats``, the ledger the engine keeps.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the

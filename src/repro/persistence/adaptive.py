@@ -119,13 +119,9 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         self.pages.mark_dirty(address, size)
         if self.in_page_fallback or self.tracker is None:
             return 0
-        cost = self.tracker.observe_store(address, size)
-        if cost:
-            self.stats.inline_overhead_cycles += cost
-        return cost
+        return self.tracker.observe_store(address, size)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         if self.in_page_fallback:
             cycles, copied, live_pages = self.pages.checkpoint(ctx)
             runs = live_pages  # each live page is copied as one run
@@ -141,7 +137,6 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
             cycles, copied, runs = result.cycles, result.copied_bytes, result.runs
 
         self.stats.checkpoint_bytes.append(copied)
-        self.stats.checkpoint_cycles.append(cycles)
 
         # Adaptation step: feed the controllers, re-program on change.
         previous = self.controller.granularity

@@ -7,13 +7,17 @@ The execution engine drives a mechanism through four hooks:
   for the kinds of access the mechanism's class defines a hook for
   (:meth:`~PersistenceMechanism.defines`); returns extra cycles charged to
   the application (critical-path cost such as a clwb, a log append, or
-  tracker interference).  The engines count every access in the
-  mechanism's ``stats`` (``stores_seen``/``loads_seen``) themselves, so a
-  hook body only acts.
+  tracker interference).
 * :meth:`~PersistenceMechanism.on_interval_start` /
   :meth:`~PersistenceMechanism.on_interval_end` — called at consistency /
   checkpoint interval boundaries with an :class:`IntervalContext`; returns
   cycles spent (dirty-metadata preparation and the checkpoint itself).
+
+Hooks act and return cycles; the engines keep the ledger.  They count
+every region access, book each hook's returned cycles and count each
+interval end in the mechanism's :class:`MechanismStats`.  The one field a
+mechanism writes itself is ``checkpoint_bytes``: only it knows how many
+bytes an interval end copied.
 
 Mechanisms also declare whether the region they protect must live in NVM
 (``region_in_nvm``): Romulus, SSP and the logging primitives keep the
@@ -72,18 +76,24 @@ class IntervalContext:
 
 @dataclass
 class MechanismStats:
-    """Counters shared by all mechanisms; subclasses may extend."""
+    """A mechanism's ledger.  The engines write every field but
+    ``checkpoint_bytes``, which the mechanism appends at each interval end."""
 
     #: Demand stores and loads inside the region, counted by the engine
     #: whether or not a hook ran for them.
     stores_seen: int = 0
     loads_seen: int = 0
+    #: Interval ends, counted by the engine before ``on_interval_end``
+    #: runs, so an interval whose checkpoint crashes still counts.
     intervals: int = 0
-    #: Bytes copied to NVM at checkpoints (checkpoint "size").
+    #: Bytes copied to NVM at checkpoints (checkpoint "size"), appended by
+    #: the mechanism's ``on_interval_end``.
     checkpoint_bytes: list[int] = field(default_factory=list)
-    #: Cycles spent inside on_interval_end (checkpoint "time").
+    #: What each ``on_interval_end`` returned (checkpoint "time"), appended
+    #: by the engine: one entry per uncrashed interval end, 0 included.
     checkpoint_cycles: list[int] = field(default_factory=list)
-    #: Cycles added on the critical path by on_load/on_store.
+    #: What on_load/on_store/on_store_batch returned, summed by the engine:
+    #: the cycles the mechanism added on the critical path.
     inline_overhead_cycles: int = 0
 
     @property
@@ -202,11 +212,13 @@ class PersistenceMechanism:
         return 0
 
     def on_load(self, address: int, size: int, now: int) -> int:
-        """Demand load inside the region; returns extra critical-path cycles."""
+        """Demand load inside the region; returns extra critical-path
+        cycles, which the engine books."""
         return 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        """Demand store inside the region; returns extra critical-path cycles."""
+        """Demand store inside the region; returns extra critical-path
+        cycles, which the engine books."""
         return 0
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
@@ -215,7 +227,8 @@ class PersistenceMechanism:
         Must behave exactly like calling ``on_store`` once per (address,
         size) pair in order, with *now* being the cycle count at delivery
         (the end of the run).  Only invoked when :attr:`supports_batching`
-        is True.  Returns the summed extra critical-path cycles.
+        is True.  Returns the summed extra critical-path cycles, which the
+        engine books.
         """
         return 0
 
@@ -236,8 +249,12 @@ class PersistenceMechanism:
         return 0
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        """Commit/checkpoint the interval; returns cycles spent."""
-        self.stats.intervals += 1
+        """Commit/checkpoint the interval; returns cycles spent.
+
+        The engine has counted the interval already and appends the return
+        value to ``checkpoint_cycles``; a mechanism that copies bytes
+        appends their count to ``checkpoint_bytes`` itself.
+        """
         return 0
 
     # ------------------------------------------------------------------ #

@@ -122,10 +122,8 @@ class DirtyBitPersistence(PersistenceMechanism):
         return 0
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         cycles, copied, _ = self.checkpoint(ctx)
         self.stats.checkpoint_bytes.append(copied)
-        self.stats.checkpoint_cycles.append(cycles)
         return cycles
 
     def live_pages(self, final_sp: int) -> list[int]:

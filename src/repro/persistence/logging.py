@@ -88,15 +88,11 @@ class FlushPersistence(_SpAwareMixin, PersistenceMechanism):
             self.skipped += 1
             return 0
         self.flushes += 1
-        cost = CLWB_ISSUE_CYCLES + self.hierarchy.clwb(address, size)
-        self.stats.inline_overhead_cycles += cost
-        return cost
+        return CLWB_ISSUE_CYCLES + self.hierarchy.clwb(address, size)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         cycles = self.hierarchy.persist_barrier()
         self.stats.checkpoint_bytes.append(0)
-        self.stats.checkpoint_cycles.append(cycles)
         self._advance_interval()
         return cycles
 
@@ -142,21 +138,13 @@ class UndoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         nvm = self.hierarchy.nvm
         # Read the old value from NVM, append it to the log, order the log
         # ahead of the data store (fence modeled inside write/persist costs).
-        cost = (
-            LOG_ENTRY_SETUP_CYCLES
-            + nvm.read(size)
-            + nvm.write(entry_bytes, now)
-        )
-        self.stats.inline_overhead_cycles += cost
-        return cost
+        return LOG_ENTRY_SETUP_CYCLES + nvm.read(size) + nvm.write(entry_bytes, now)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         # Commit: drain persists, then truncate the log (a small NVM write).
         cycles = self.hierarchy.persist_barrier()
         cycles += self.hierarchy.nvm.write(LOG_ENTRY_HEADER_BYTES, ctx.now)
         self.stats.checkpoint_bytes.append(0)
-        self.stats.checkpoint_cycles.append(cycles)
         self._logged_this_interval.clear()
         self._advance_interval()
         return cycles
@@ -191,9 +179,7 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
 
     def on_load(self, address: int, size: int, now: int) -> int:
         # Loads must consult the redo log for not-yet-applied data.
-        cost = REDO_LOOKUP_CYCLES
-        self.stats.inline_overhead_cycles += cost
-        return cost
+        return REDO_LOOKUP_CYCLES
 
     def on_store(self, address: int, size: int, now: int) -> int:
         if self._skip_store(address):
@@ -203,12 +189,9 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         entry_bytes = LOG_ENTRY_HEADER_BYTES + size
         self.log_bytes += entry_bytes
         self._pending.add(address // 8)
-        cost = LOG_ENTRY_SETUP_CYCLES + self.hierarchy.nvm.write(entry_bytes, now)
-        self.stats.inline_overhead_cycles += cost
-        return cost
+        return LOG_ENTRY_SETUP_CYCLES + self.hierarchy.nvm.write(entry_bytes, now)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         # Apply the log: copy every pending location from log to home.
         apply_bytes = len(self._pending) * 8
         hierarchy = self.hierarchy
@@ -216,7 +199,6 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         cycles += hierarchy.persist_barrier()
         cycles += hierarchy.nvm.write(LOG_ENTRY_HEADER_BYTES, ctx.now)
         self.stats.checkpoint_bytes.append(apply_bytes)
-        self.stats.checkpoint_cycles.append(cycles)
         self._pending.clear()
         self._advance_interval()
         return cycles

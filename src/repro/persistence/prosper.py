@@ -91,22 +91,15 @@ class ProsperPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        cost = self.tracker.observe_store(address, size)
-        if cost:
-            self.stats.inline_overhead_cycles += cost
-        return cost
+        return self.tracker.observe_store(address, size)
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        cost = self.tracker.observe_store_batch(addresses, sizes)
-        if cost:
-            self.stats.inline_overhead_cycles += cost
-        return cost
+        return self.tracker.observe_store_batch(addresses, sizes)
 
     def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         return self.tracker.store_cost_bound_array(addresses, sizes)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         assert self.checkpoint_engine is not None, "not attached"
         result = self.checkpoint_engine.checkpoint(
             ctx.interval_index,
@@ -114,7 +107,6 @@ class ProsperPersistence(PersistenceMechanism):
             final_sp=ctx.final_sp,
         )
         self.stats.checkpoint_bytes.append(result.copied_bytes)
-        self.stats.checkpoint_cycles.append(result.cycles)
         return result.cycles
 
     @property

@@ -46,20 +46,14 @@ class RomulusPersistence(PersistenceMechanism):
         super().__init__()
         #: The per-interval hardware log: (address, size) records in order.
         self._log: list[tuple[int, int]] = []
-        self.log_records_total = 0
-        self.copied_bytes_total = 0
 
     def on_store(self, address: int, size: int, now: int) -> int:
         self._log.append((address, size))
-        self.log_records_total += 1
         # Hardware appends the record to the NVM-resident log.  The append
         # shares the store's path; charge the NVM write of the record.
-        cost = self.hierarchy.nvm.write(LOG_RECORD_BYTES, now)
-        self.stats.inline_overhead_cycles += cost
-        return cost
+        return self.hierarchy.nvm.write(LOG_RECORD_BYTES, now)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         cycles = 0
         copied = 0
         # Software pass: copy every logged range main -> backup, in log
@@ -75,9 +69,7 @@ class RomulusPersistence(PersistenceMechanism):
             cycles += nvm.write(size, ctx.now + cycles)
             copied += size
         cycles += self.hierarchy.persist_barrier()
-        self.copied_bytes_total += copied
         self.stats.checkpoint_bytes.append(copied)
-        self.stats.checkpoint_cycles.append(cycles)
         self._log.clear()
         return cycles
 

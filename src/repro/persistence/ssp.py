@@ -91,7 +91,6 @@ class SspPersistence(PersistenceMechanism):
         self._merge_queue: OrderedDict[int, _PageState] = OrderedDict()
         self.consolidation_invocations = 0
         self.consolidated_lines_total = 0
-        self.interference_cycles_total = 0
 
     @property
     def variant_name(self) -> str:
@@ -159,8 +158,6 @@ class SspPersistence(PersistenceMechanism):
             self._next_consolidation + self._consolidation_cycles,
             now + cost,
         )
-        self.interference_cycles_total += cost
-        self.stats.inline_overhead_cycles += cost
         return cost
 
     def _consolidate(self, invocation_now: int) -> int:
@@ -197,7 +194,6 @@ class SspPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        self.stats.intervals += 1
         cycles = 0
         committed_bytes = 0
         for state in self._pages.values():
@@ -217,7 +213,6 @@ class SspPersistence(PersistenceMechanism):
             state.dirty_lines = set()
         cycles += self.hierarchy.persist_barrier()
         self.stats.checkpoint_bytes.append(committed_bytes)
-        self.stats.checkpoint_cycles.append(cycles)
         return cycles
 
     @property

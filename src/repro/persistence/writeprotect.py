@@ -49,7 +49,6 @@ class WriteProtectPersistence(DirtyBitPersistence):
                 self._dirty_pages.add(page)
                 self.faults += 1
                 cost += WP_FAULT_CYCLES
-        self.stats.inline_overhead_cycles += cost
         return cost
 
     def on_interval_start(self, ctx: IntervalContext) -> int:

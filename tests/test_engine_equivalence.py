@@ -717,7 +717,7 @@ def _ssp_state(mechanism) -> dict:
     return {
         "invocations": mechanism.consolidation_invocations,
         "merged": mechanism.consolidated_lines_total,
-        "interference": mechanism.interference_cycles_total,
+        "interference": mechanism.stats.inline_overhead_cycles,
         "next": mechanism.hook_deadline,
         "pages": {
             page: (sorted(s.dirty_lines), sorted(s.unconsolidated_lines), s.last_write_now)

@@ -92,5 +92,5 @@ class TestSspPageLifecycle:
             ops.append(Op(OpKind.WRITE, STACK.start + 8, 8))
             ops.append(Op(OpKind.COMPUTE, size=50_000))
         stats = engine.run(ops, interval_ops=len(ops))
-        assert mech.interference_cycles_total > 0
-        assert stats.inline_cycles >= mech.interference_cycles_total
+        assert mech.stats.inline_overhead_cycles > 0
+        assert stats.inline_cycles == mech.stats.inline_overhead_cycles

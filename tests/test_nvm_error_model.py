@@ -200,8 +200,8 @@ class TestUncheckedBulkCopies:
         faulty = run_under_model(SspPersistence(0.01), model, ssp_ops())
         assert faulty.hierarchy.nvm.retry_count_total == 1
         assert (
-            faulty.mechanism.interference_cycles_total
-            > clean.mechanism.interference_cycles_total
+            faulty.mechanism.stats.inline_overhead_cycles
+            > clean.mechanism.stats.inline_overhead_cycles
         )
 
     def test_torn_copies_are_ignored(self):

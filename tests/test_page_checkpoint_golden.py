@@ -1,12 +1,16 @@
 """Golden run statistics of the mechanisms whose checkpoints copy pages or
-copy within NVM: write-protect, Dirtybit, the adaptive Prosper page
-fallback, SSP consolidation and the redo-log apply.
+copy within NVM (write-protect, Dirtybit, the adaptive Prosper page
+fallback, SSP consolidation and the redo-log apply), and of the ones whose
+hooks charge inline cycles or whose interval ends charge checkpoint cycles
+(Prosper, Romulus, flush and undo logging).
 
 Each case runs one mechanism over one trace at a 10 ms paper interval and
-hashes, with SHA-256, the engine statistics, the mechanism statistics and
-the DRAM and NVM device counters.  The pins were recorded before the page
-checkpoint was given one owner, so a refactor of that path must leave
-every cycle, byte and device access where it was.
+hashes, with SHA-256, the engine statistics, the mechanism statistics
+(the ``MechanismStats`` ledger) and the DRAM and NVM device counters.  The
+first five mechanisms' pins were recorded before the page checkpoint was
+given one owner, the last four's before the engines took over the ledger
+writes, so a refactor of either path must leave every cycle, byte and
+device access where it was.
 """
 
 import dataclasses
@@ -18,7 +22,13 @@ import pytest
 from repro.experiments.runner import run_mechanism
 from repro.persistence.adaptive import AdaptiveProsperPersistence
 from repro.persistence.dirtybit import DirtyBitPersistence
-from repro.persistence.logging import RedoLogPersistence
+from repro.persistence.logging import (
+    FlushPersistence,
+    RedoLogPersistence,
+    UndoLogPersistence,
+)
+from repro.persistence.prosper import ProsperPersistence
+from repro.persistence.romulus import RomulusPersistence
 from repro.persistence.ssp import SspPersistence
 from repro.persistence.writeprotect import WriteProtectPersistence
 from repro.workloads.apps import ycsb_mem
@@ -36,6 +46,10 @@ MECHANISMS = {
     "prosper-adaptive": AdaptiveProsperPersistence,
     "ssp-10us": lambda: SspPersistence(10.0),
     "redo": RedoLogPersistence,
+    "prosper": ProsperPersistence,
+    "romulus": RomulusPersistence,
+    "flush": FlushPersistence,
+    "undo": UndoLogPersistence,
 }
 
 #: SHA-256 of each run's statistics (see :func:`_digest`).
@@ -55,6 +69,19 @@ GOLDEN = {
     ("ycsb_mem", "redo"): "95a073424dcc542c30a6b5fb7b53826c8a28c54ee0f84930fd9cbca8f741fe1a",
     ("ycsb_mem", "ssp-10us"): "96402b2309a73d73550c437dd89ddfb7ccc3ce183cb7c167a4bbaf5b77b929d7",
     ("ycsb_mem", "writeprotect"): "321a1ab5ede938241477906865fcdb80ad49c8abaff3f1b75a252e9e7be8ef59",
+    # Recorded before the engines took over the ledger writes.
+    ("sparse", "flush"): "975dbfe179db3c61c2566665835bdb40040d9ee6bd1a5e479ece84bc4705e1e1",
+    ("sparse", "prosper"): "7e7de2b2e30c699788ecb1f01919fea0b6300126a5cb0e26572e878529aee3b9",
+    ("sparse", "romulus"): "bdfcc0d816fbb053524712abdd850a47084344d0a0ba960020a254e1adb31275",
+    ("sparse", "undo"): "cf611e8c8022962dcd9416f45add8797606dc0194fff9ff111800bbf911fcda4",
+    ("stream", "flush"): "08c146d9f6c40a761c28d7b9cdd2b712d121d0e386a02b034a5499fd7592e5df",
+    ("stream", "prosper"): "23a0c78af5799aa1b0a248f150ccbe05851729d5c6dc46fe315365c4cffbeb05",
+    ("stream", "romulus"): "143c8406668a34a9d3a9437c46ac2fedf30b3faa508e78c5cfe29f57b9621154",
+    ("stream", "undo"): "78c4b14269adfbb9265e6fb349b37f18e6eb5fa27c4f53079d156ba104c17c69",
+    ("ycsb_mem", "flush"): "7ee245f02deea994ae3a4fe3120d2d5e42b63cb237505ec77229000ca8f95090",
+    ("ycsb_mem", "prosper"): "92e695a34518571a7f0e95abd034d381bc607e76e761f35eb77213497d506a9f",
+    ("ycsb_mem", "romulus"): "3c4bd6f60d9270ce43f5019f46e0a7a4430c7b90a68d28c708fad6af5426ae6f",
+    ("ycsb_mem", "undo"): "c367e369c4542edbbac2bdebd51f34b3c76362d09baa5cce6cb8d161707645e6",
 }
 
 

@@ -105,14 +105,16 @@ class TestRedoLog:
 class TestRomulus:
     def test_log_records_per_store(self):
         mech = RomulusPersistence()
-        run(mech, stack_writes([STACK.start + 8] * 7))
-        assert mech.log_records_total == 7
+        engine = ExecutionEngine(stack_range=STACK, mechanism=mech)
+        # No interval end drains the log.
+        engine.run(stack_writes([STACK.start + 8] * 7))
+        assert mech.pending_log_records == mech.stats.stores_seen == 7
 
     def test_no_coalescing_in_copy(self):
         # Five stores to the same address are copied five times.
         mech = RomulusPersistence()
         run(mech, stack_writes([STACK.start + 8] * 5))
-        assert mech.copied_bytes_total == 5 * 8
+        assert mech.stats.total_checkpoint_bytes == 5 * 8
 
     def test_log_drains_at_interval(self):
         mech = RomulusPersistence()
@@ -222,7 +224,6 @@ class TestSspMergeQueue:
         return (
             mech.consolidation_invocations,
             mech.consolidated_lines_total,
-            mech.interference_cycles_total,
             {p: sorted(s.unconsolidated_lines) for p, s in mech._pages.items()},
         )
 
