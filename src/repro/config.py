@@ -26,6 +26,10 @@ CACHE_LINE_BYTES = 64
 #: OS page size; the paper's page-granularity baselines track at 4 KiB.
 PAGE_BYTES = 4096
 
+#: Bits per dirty-bitmap word, which is also the width of a lookup-table
+#: entry's bitmap value (Figure 7): the bound on the HWM and LWM.
+WORD_BITS = 32
+
 
 def ns_to_cycles(ns: float, freq_hz: int = CPU_FREQ_HZ) -> int:
     """Convert a duration in nanoseconds to (rounded) CPU cycles."""
@@ -112,8 +116,6 @@ class TrackerConfig:
     high_water_mark: int = 24
     low_water_mark: int = 8
     granularity_bytes: int = 8
-    #: Bits in the bitmap value of one lookup-table entry (Figure 7).
-    bitmap_word_bits: int = 32
 
     def __post_init__(self) -> None:
         if self.granularity_bytes % 8 != 0 or self.granularity_bytes <= 0:
@@ -121,9 +123,9 @@ class TrackerConfig:
                 "tracking granularity must be a positive multiple of 8 bytes, "
                 f"got {self.granularity_bytes}"
             )
-        if not 0 <= self.low_water_mark <= self.bitmap_word_bits:
+        if not 0 <= self.low_water_mark <= WORD_BITS:
             raise ValueError(f"LWM out of range: {self.low_water_mark}")
-        if not 0 < self.high_water_mark <= self.bitmap_word_bits:
+        if not 0 < self.high_water_mark <= WORD_BITS:
             raise ValueError(f"HWM out of range: {self.high_water_mark}")
         if self.lookup_table_entries <= 0:
             raise ValueError("lookup table needs at least one entry")
@@ -152,7 +154,6 @@ class SystemConfig:
     nvm: NvmConfig | None = field(default_factory=NvmConfig)
     dram_capacity_bytes: int = 3 * 1024**3
     nvm_capacity_bytes: int = 2 * 1024**3
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     @property
     def has_nvm(self) -> bool:

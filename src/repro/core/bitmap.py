@@ -18,11 +18,10 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.config import WORD_BITS
 from repro.core.bitops import popcount_u32
 from repro.memory.address import AddressRange
 
-#: Bits per bitmap word (matches the lookup-table bitmap-value width).
-WORD_BITS = 32
 #: Bytes occupied by one bitmap word in the bitmap area.
 WORD_BYTES = 4
 

@@ -6,6 +6,9 @@ memory hierarchy, maintains the stack pointer through CALL/RET, routes
 accesses to the persistence mechanisms protecting each region, and fires
 interval hooks every *interval_cycles* of application progress — the
 consistency-interval boundaries at which checkpoint mechanisms do their work.
+It logs each protected region's stores (address and size, in op order)
+through the interval and hands the log to the interval hooks as
+``IntervalContext.stores``.
 
 Time accounting distinguishes:
 
@@ -22,7 +25,6 @@ Normalized execution time as plotted in the paper (Figures 3, 8, 9) is then
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,58 +34,16 @@ from repro.cpu.ops import TRACE_DTYPE, OpKind, ops_to_array
 from repro.cpu.registers import RegisterFile
 from repro.memory.address import AddressRange
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.persistence.base import IntervalContext, PersistenceMechanism
+from repro.persistence.base import (
+    IntervalContext,
+    PersistenceMechanism,
+    StoreLog,
+)
 
 _WRITE = int(OpKind.WRITE)
 _CALL = int(OpKind.CALL)
 _RET = int(OpKind.RET)
 _COMPUTE = int(OpKind.COMPUTE)
-
-
-class IntervalWriteLog:
-    """Bounded-memory log of stack-write addresses within one interval.
-
-    Replaces the historical unbounded ``list[int]``: addresses live in a
-    compact ``array('Q')`` (8 bytes each) plus, for the batched engine,
-    zero-copy numpy chunks sliced straight out of the trace.  The only
-    query the engine needs — how many logged writes landed below the
-    interval-final SP — is answered with vectorized comparisons.
-    """
-
-    __slots__ = ("_scalar", "_chunks", "_chunk_count")
-
-    def __init__(self) -> None:
-        self._scalar = array("Q")
-        self._chunks: list[np.ndarray] = []
-        self._chunk_count = 0
-
-    def __len__(self) -> int:
-        return len(self._scalar) + self._chunk_count
-
-    def append(self, address: int) -> None:
-        self._scalar.append(address)
-
-    def extend_array(self, addresses: np.ndarray) -> None:
-        if len(addresses):
-            self._chunks.append(addresses)
-            self._chunk_count += len(addresses)
-
-    def count_below(self, sp: int) -> int:
-        """Number of logged addresses strictly below *sp*."""
-        if sp <= 0:
-            return 0
-        total = 0
-        if self._scalar:
-            scalar = np.frombuffer(self._scalar, dtype=np.uint64)
-            total += int(np.count_nonzero(scalar < np.uint64(sp)))
-        for chunk in self._chunks:
-            total += int(np.count_nonzero(chunk < sp))
-        return total
-
-    def clear(self) -> None:
-        del self._scalar[:]
-        self._chunks = []
-        self._chunk_count = 0
 
 
 def trace_array(ops) -> np.ndarray:
@@ -215,7 +175,10 @@ class ExecutionEngine:
         # Interval bookkeeping.
         self._interval_index = 0
         self._interval_min_sp = self.registers.stack_pointer
-        self._interval_writes = IntervalWriteLog()
+        #: Each region's stores this interval (stack, heap), handed to its
+        #: mechanism's interval hooks as ``IntervalContext.stores``.
+        self._stack_stores = StoreLog()
+        self._heap_stores = StoreLog()
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -251,14 +214,17 @@ class ExecutionEngine:
         if periodic:
             self._start_interval()
 
-        # Each region's ledger and the hooks its mechanism's class defines
-        # (None: the engine only counts that kind of access), stack first.
+        # Each region's ledger, the hooks its mechanism's class defines
+        # (None: the engine only counts that kind of access) and its store
+        # log (None without intervals: only an interval end reads it),
+        # stack first.
         routes = [
             (
                 ctx.region,
                 mech.stats,
                 mech.on_load if mech.defines("on_load") else None,
                 mech.on_store if mech.defines("on_store") else None,
+                ctx.stores if periodic else None,
             )
             for mech, ctx in self._regions()
         ]
@@ -321,22 +287,23 @@ class ExecutionEngine:
         if self.stack_range.contains(address):
             if is_write:
                 stats.stack_writes += 1
-                self._interval_writes.append(address)
             else:
                 stats.stack_reads += 1
         elif is_write:
             stats.other_writes += 1
         else:
             stats.other_reads += 1
-        for region, ledger, load, store in routes:
+        for region, ledger, load, store, log in routes:
             if region.contains(address):
                 break
         else:
             return
-        # The engine counts the access and books the hook's cost in the
-        # region mechanism's ledger; the hook only acts.
+        # The engine counts and logs the access and books the hook's cost
+        # in the region mechanism's ledger; the hook only acts.
         if is_write:
             ledger.stores_seen += 1
+            if log is not None:
+                log.append(address, size)
             hook = store
         else:
             ledger.loads_seen += 1
@@ -373,22 +340,23 @@ class ExecutionEngine:
         index, now = self._interval_index, self.now
         regions = [(self.mechanism, IntervalContext(
             index, now, self.registers.stack_pointer, self._interval_min_sp,
-            self.stack_range,
+            self.stack_range, self._stack_stores,
         ))]
         heap = self.heap_range
         if self.heap_mechanism is not None:
             regions.append((self.heap_mechanism, IntervalContext(
-                index, now, heap.start, heap.start, heap
+                index, now, heap.start, heap.start, heap, self._heap_stores
             )))
         return regions
 
     def _start_interval(self) -> None:
+        self._stack_stores.clear()
+        self._heap_stores.clear()
         spent = 0
         for mech, ctx in self._regions():
             spent += mech.on_interval_start(ctx)
         self._charge_interval(spent)
         self._interval_min_sp = self.registers.stack_pointer
-        self._interval_writes.clear()
 
     def _end_interval(self) -> None:
         spent = 0
@@ -409,8 +377,8 @@ class ExecutionEngine:
                 end_cycle=self.now,
                 final_sp=final_sp,
                 min_sp=self._interval_min_sp,
-                stack_writes=len(self._interval_writes),
-                stack_writes_beyond_final_sp=self._interval_writes.count_below(
+                stack_writes=len(self._stack_stores),
+                stack_writes_beyond_final_sp=self._stack_stores.count_below(
                     final_sp
                 ),
                 checkpoint_cycles=spent,

@@ -19,7 +19,9 @@ loop:
   access its class defines (:meth:`PersistenceMechanism.defines`).  The
   engine keeps each mechanism's ledger (``stats``): it counts every
   region access from the op columns and books each hook's returned
-  cycles where it charges them.  Store hooks are delivered in batches through
+  cycles where it charges them.  A mechanism with no hook (Dirtybit,
+  which reads the interval store log) never stops the walk.  Store hooks
+  are delivered in batches through
   :meth:`PersistenceMechanism.on_store_batch` when no region is in NVM
   and every hooked mechanism declares ``supports_batching`` and takes no
   loads; otherwise every hook is delivered per op (SSP, the logging
@@ -42,9 +44,11 @@ loop:
   crash points and the persist-order oracle live in the checkpoint code
   both engines share, so no injector or oracle turns batched delivery
   off;
-* aggregate statistics (op counts, stack/other read/write counters, the
-  interval write log, the interval-minimum SP) are accumulated as numpy
-  reductions over chunk slices instead of per-op updates.
+* aggregate statistics (op counts, stack/other read/write counters,
+  each region's interval store log, the interval-minimum SP) are
+  accumulated as numpy reductions over chunk slices instead of per-op
+  updates; the store log takes each region's stores, address and size,
+  in op order, sliced out of the chunk's columns.
 
 What cannot be vectorized is not approximated: cache hit/miss sequences,
 NVM write-buffer stalls (which depend on the access's exact cycle), and
@@ -133,15 +137,16 @@ class BatchedExecutionEngine(ExecutionEngine):
         # so one comparison yields the memory-op mask.
         is_write_np = kinds_np == _WRITE
         mem_np = kinds_np <= _WRITE
-        # (region mask, mechanism), stack first: the order hooks are
-        # delivered in.  An access belongs to the first region holding it.
+        # (region mask, mechanism, store log), stack first: the order hooks
+        # are delivered in.  An access belongs to the first region holding
+        # it.
         regions = []
         outside = mem_np
         for mech, ctx in self._regions():
             region = ctx.region
             mask = outside & (addrs_np >= region.start) & (addrs_np < region.end)
             outside = outside & ~mask
-            regions.append((mask, mech))
+            regions.append((mask, mech, ctx.stores))
         stack_np = regions[0][0]
         stack_start = self.stack_range.start
 
@@ -165,6 +170,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         hierarchy = self.hierarchy
         ops_mode = interval_ops is not None
         cycles_mode = next_boundary is not None
+        periodic = ops_mode or cycles_mode
         # An armed cycle deadline is one more cycle stop (see due()).
         injector = self.fault_injector
         deadline = injector.armed_cycle if injector is not None else None
@@ -173,7 +179,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         # defines; flush() counts every access.
         hooked = [
             (mask, mech)
-            for mask, mech in regions
+            for mask, mech, _ in regions
             if mech.defines("on_store") or mech.defines("on_load")
         ]
         # Batched hook delivery (see PersistenceMechanism.supports_batching).
@@ -183,7 +189,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         # have advanced, and (b) every hooked mechanism batches and takes no
         # loads, so no per-op hook can observe a cycle count that is
         # missing another mechanism's deferred costs.
-        batch_env = not any(mech.region_in_nvm for _, mech in regions) and all(
+        batch_env = not any(mech.region_in_nvm for _, mech, _ in regions) and all(
             mech.supports_batching and not mech.defines("on_load")
             for _, mech in hooked
         )
@@ -297,24 +303,25 @@ class BatchedExecutionEngine(ExecutionEngine):
                 stats.other_reads += (
                     mem_ops - writes - stack_reads
                 )
-                if stack_writes and (ops_mode or cycles_mode):
-                    # Only an interval end reads the log: a run without
-                    # intervals keeps none.
-                    self._interval_writes.extend_array(addrs_np[seg_slice][sw])
                 seg_min = int(sp_np[seg_slice].min())
                 if seg_min < self._interval_min_sp:
                     self._interval_min_sp = seg_min
-                # Every region access counts, hooked or not.
-                ledger = regions[0][1].stats
-                ledger.stores_seen += stack_writes
-                ledger.loads_seen += stack_reads
-                for mask, mech in regions[1:]:
+                # Every region access counts, hooked or not, and every
+                # region store is logged; only an interval end reads the
+                # logs, so a run without intervals keeps none.
+                for mask, mech, log in regions:
                     seg_region = mask[seg_slice]
-                    region_writes = int(np.count_nonzero(seg_region & seg_write))
+                    seg_stores = seg_region & seg_write
+                    region_writes = int(np.count_nonzero(seg_stores))
                     mech.stats.stores_seen += region_writes
                     mech.stats.loads_seen += (
                         int(np.count_nonzero(seg_region)) - region_writes
                     )
+                    if region_writes and periodic:
+                        log.extend(
+                            addrs_np[seg_slice][seg_stores],
+                            sizes_np[seg_slice][seg_stores],
+                        )
                 stats.ops_executed += end - seg
                 self.registers.op_index += end - seg
                 self.registers.stack_pointer = int(sp_np[end - 1])

@@ -184,12 +184,12 @@ class RecordingMechanism(PersistenceMechanism):
     written into the shared DRAM image *before* the inner mechanism's hook
     runs; every interval boundary snapshots the image (before the inner
     checkpoint reads it, which sees identical contents — no stores happen
-    in between).  The recorder batches exactly when its inner mechanism
-    does: a batch of stores takes its counter values in store order, so
-    the batched engine's batched hooks are checked with the same golden
-    image as per-op delivery.  It forwards the inner hook deadline, takes
-    loads exactly when the inner mechanism does, and shares the inner
-    ``stats``, the ledger the engine keeps.
+    in between).  The recorder batches when its inner mechanism does or
+    defines no store hook (Dirtybit): a batch of stores takes its counter
+    values in store order, so the batched engine's batched hooks are
+    checked with the same golden image as per-op delivery.  It forwards
+    the inner hook deadline, takes loads exactly when the inner mechanism
+    does, and shares the inner ``stats``, the ledger the engine keeps.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -202,7 +202,9 @@ class RecordingMechanism(PersistenceMechanism):
         self.dram = dram
         self.name = inner.name
         self.region_in_nvm = inner.region_in_nvm
-        self.supports_batching = inner.supports_batching
+        self.supports_batching = inner.supports_batching or not inner.defines(
+            "on_store"
+        )
         self.stats = inner.stats
         self.snapshots: list[IntervalSnapshot] = []
         self._counter = 0
@@ -247,9 +249,6 @@ class RecordingMechanism(PersistenceMechanism):
     def on_interval_end(self, ctx: IntervalContext) -> int:
         self.snapshots.append(IntervalSnapshot(self.dram.snapshot(), ctx.final_sp))
         return self.inner.on_interval_end(ctx)
-
-    def persisted_state(self) -> dict:
-        return self.inner.persisted_state()
 
 
 class IntervalCommitRecorder(RecordingMechanism):

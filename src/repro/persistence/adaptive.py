@@ -63,10 +63,10 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         self.tracker: ProsperTracker | None = None
         self.bitmap: DirtyBitmap | None = None
         self.checkpoint_engine: ProsperCheckpointEngine | None = None
-        #: Per-interval page footprint, tracked for the density signal;
-        #: it also checkpoints the stack while in page-fallback mode.
+        #: Reads the interval's page footprint from the engine's store log
+        #: for the density signal; it also checkpoints the stack while in
+        #: page-fallback mode.
         self.pages = DirtyBitPersistence()
-        self._stores_this_interval = 0
         self.granularity_history: list[int] = []
 
     # ------------------------------------------------------------------ #
@@ -115,8 +115,6 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self._stores_this_interval += 1
-        self.pages.mark_dirty(address, size)
         if self.in_page_fallback or self.tracker is None:
             return 0
         return self.tracker.observe_store(address, size)
@@ -126,8 +124,7 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
             cycles, copied, live_pages = self.pages.checkpoint(ctx)
             runs = live_pages  # each live page is copied as one run
         else:
-            live_pages = len(self.pages.live_pages(ctx.final_sp))
-            self.pages.clear_dirty()
+            live_pages = len(self.pages.dirty_pages(ctx)[1])
             assert self.checkpoint_engine is not None
             result = self.checkpoint_engine.checkpoint(
                 ctx.interval_index,
@@ -144,16 +141,8 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         next_granularity = self.controller.observe(profile)
         if self.watermarks is not None and self.tracker is not None:
             self.watermarks.observe(
-                self.tracker.interval_memory_ops, self._stores_this_interval
+                self.tracker.interval_memory_ops, len(ctx.stores)
             )
         if next_granularity != previous:
             self._program_tracker(next_granularity)
-
-        self._stores_this_interval = 0
         return cycles
-
-    def persisted_state(self) -> dict:
-        return {
-            "kind": "prosper-adaptive-checkpoint",
-            "granularity_history": list(self.granularity_history),
-        }

@@ -19,6 +19,13 @@ interval end in the mechanism's :class:`MechanismStats`.  The one field a
 mechanism writes itself is ``checkpoint_bytes``: only it knows how many
 bytes an interval end copied.
 
+The engines also keep the record of which stores an interval made: each
+region's :class:`StoreLog` (address and size of every store, in op
+order) reaches the mechanism as ``IntervalContext.stores``.  A mechanism
+whose interval-end work is a function of that record (Dirtybit's PTE walk,
+Romulus's log pass, the redo apply) reads it there instead of keeping its
+own per-store list, and needs no store hook for it.
+
 Mechanisms also declare whether the region they protect must live in NVM
 (``region_in_nvm``): Romulus, SSP and the logging primitives keep the
 protected data in NVM, while checkpoint mechanisms (Dirtybit, Prosper) leave
@@ -28,6 +35,7 @@ DRAM").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from types import FunctionType
 from typing import TYPE_CHECKING
@@ -60,6 +68,56 @@ class Capabilities:
         )
 
 
+class StoreLog:
+    """One region's stores since its interval started: the address and
+    size of each, in op order.
+
+    The engines keep one per protected region, clear it when an interval
+    starts and fill it only in runs with intervals (nothing else reads
+    it).  A run that ends with ``final_checkpoint=False`` leaves the
+    unfinished interval's stores here, and a later ``run`` on the same
+    engine starts a new interval, which drops them; no caller continues
+    an interval across two runs.  The scalar engine appends one store at
+    a time, the batched engine a chunk's stores at once.
+    """
+
+    __slots__ = ("_addresses", "_sizes")
+
+    def __init__(self) -> None:
+        self._addresses = array("q")
+        self._sizes = array("q")
+
+    def __len__(self) -> int:
+        return len(self._addresses)
+
+    def append(self, address: int, size: int) -> None:
+        self._addresses.append(address)
+        self._sizes.append(size)
+
+    def extend(self, addresses: np.ndarray, sizes: np.ndarray) -> None:
+        """Append the int64 columns of consecutive stores."""
+        self._addresses.frombytes(addresses.tobytes())
+        self._sizes.frombytes(sizes.tobytes())
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """The stores' addresses, in op order (a copy)."""
+        return np.array(self._addresses, dtype=np.int64)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The stores' sizes, in op order (a copy)."""
+        return np.array(self._sizes, dtype=np.int64)
+
+    def count_below(self, sp: int) -> int:
+        """Number of stores whose address is strictly below *sp*."""
+        return int(np.count_nonzero(self.addresses < sp))
+
+    def clear(self) -> None:
+        del self._addresses[:]
+        del self._sizes[:]
+
+
 @dataclass
 class IntervalContext:
     """Everything a mechanism may need at an interval boundary."""
@@ -72,6 +130,9 @@ class IntervalContext:
     #: extent, which Prosper hardware tracks and shares with the OS.
     min_sp: int
     region: AddressRange
+    #: The region's stores this interval, kept by the engine (empty at an
+    #: interval start).
+    stores: StoreLog = field(default_factory=StoreLog)
 
 
 @dataclass
@@ -140,6 +201,8 @@ class PersistenceMechanism:
     #: True when the mechanism supports the batched hook protocol below:
     #: the engine may then deliver whole runs of consecutive demand stores
     #: through :meth:`on_store_batch` instead of one hook call per store.
+    #: Prosper and the kernel's tracker mechanism batch; a mechanism that
+    #: defines no store hook needs no batching to stay off the per-op path.
     #: A mechanism may only opt in when its store hook is *now-independent*
     #: — the inline cost of each store must not depend on the cycle count
     #: at which the hook is invoked (no deadlines, no NVM write-buffer
@@ -256,19 +319,6 @@ class PersistenceMechanism:
         appends their count to ``checkpoint_bytes`` itself.
         """
         return 0
-
-    # ------------------------------------------------------------------ #
-    # Recovery interface
-    # ------------------------------------------------------------------ #
-
-    def persisted_state(self) -> dict:
-        """Opaque description of what survives a crash (for recovery tests).
-
-        Checkpoint mechanisms return their last committed snapshot metadata;
-        in-place NVM mechanisms return the live region.  The base class has
-        nothing persistent.
-        """
-        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -10,6 +10,11 @@ The inefficiency the paper attacks is visible directly in this model: a
 single 8-byte store dirties a whole 4 KiB page, so the checkpoint size is
 amplified by up to 512x relative to byte-granularity tracking.
 
+Setting a dirty bit costs the application nothing, so the mechanism
+defines no store hook: at the interval end it derives the dirty pages,
+exactly those whose PTE dirty bits the walker would have set, from the
+engine's record of the interval's stores (``IntervalContext.stores``).
+
 Each live dirty page is staged and committed through the same
 :class:`~repro.core.checkpoint.StagingBuffer` as Prosper's checkpoints
 (persist-order labels ``pgckpt[k].*``), so one recovery rule covers
@@ -29,11 +34,12 @@ import numpy as np
 
 from repro.config import PAGE_BYTES
 from repro.core.checkpoint import StagingBuffer
-from repro.memory.address import page_index, span_pages
+from repro.memory.address import page_index
 from repro.persistence.base import (
     Capabilities,
     IntervalContext,
     PersistenceMechanism,
+    StoreLog,
 )
 
 #: Cycles for the OS to examine one PTE during the dirty walk.
@@ -56,10 +62,6 @@ class DirtyBitPersistence(PersistenceMechanism):
         allows_stack_in_dram=True,
     )
     region_in_nvm = False
-    # PTE dirty bits are set by the page-table walker off the critical path;
-    # on_store charges nothing and keeps no cycle-dependent state, so runs
-    # of stores can be delivered in one batched set update.
-    supports_batching = True
 
     def __init__(
         self,
@@ -69,9 +71,6 @@ class DirtyBitPersistence(PersistenceMechanism):
     ) -> None:
         super().__init__()
         self.page_bytes = page_bytes
-        self._dirty_pages: set[int] = set()
-        #: Pages ever mapped (their PTEs exist and must be walked).
-        self._mapped_pages: set[int] = set()
         #: Optional actual-contents hooks for the staging buffer (see
         #: repro.core.checkpoint.StagingBuffer); None keeps the
         #: timing-only model.
@@ -89,55 +88,22 @@ class DirtyBitPersistence(PersistenceMechanism):
             self.content_writer,
         )
 
-    def on_store(self, address: int, size: int, now: int) -> int:
-        for page in span_pages(address, size, self.page_bytes):
-            self._dirty_pages.add(page)
-            self._mapped_pages.add(page)
-        # The PTW sets the dirty bit off the critical path.
-        return 0
-
-    def mark_dirty(self, address: int, size: int) -> None:
-        """Set the dirty bits of the pages a store touches, for an owner
-        that counts its own stores and never reads the mapped set."""
-        self._dirty_pages.update(span_pages(address, size, self.page_bytes))
-
-    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        if len(addresses) == 0:
-            return 0
-        pb = self.page_bytes
-        positive = sizes > 0
-        first = addresses[positive] // pb
-        last = (addresses[positive] + sizes[positive] - 1) // pb
-        if len(first) == 0:
-            return 0
-        if int((last - first).max()) == 0:
-            touched = np.unique(first)
-        else:
-            # Rare multi-page stores: expand each [first, last] span.
-            spans = [np.arange(f, l + 1) for f, l in zip(first.tolist(), last.tolist())]
-            touched = np.unique(np.concatenate(spans))
-        pages = touched.tolist()
-        self._dirty_pages.update(pages)
-        self._mapped_pages.update(pages)
-        return 0
-
     def on_interval_end(self, ctx: IntervalContext) -> int:
         cycles, copied, _ = self.checkpoint(ctx)
         self.stats.checkpoint_bytes.append(copied)
         return cycles
 
-    def live_pages(self, final_sp: int) -> list[int]:
-        """Dirty pages at or above *final_sp*'s page, in no set order.
+    def dirty_pages(self, ctx: IntervalContext) -> tuple[np.ndarray, np.ndarray]:
+        """(dirty, live): the pages the interval's stores touched and those
+        at or above the final SP's page, each in ascending order.
 
-        SP awareness at page granularity: pages wholly below the final SP
-        hold only popped frames and are dropped.
+        A store dirties every page it spans (none at size 0).  SP awareness
+        at page granularity: pages wholly below the final SP hold only
+        popped frames and are not live.
         """
-        final_page = page_index(final_sp, self.page_bytes)
-        return [p for p in self._dirty_pages if p >= final_page]
-
-    def clear_dirty(self) -> None:
-        """Reset the dirty bits for the next interval."""
-        self._dirty_pages.clear()
+        dirty = touched_pages(ctx.stores, self.page_bytes)
+        final_page = page_index(ctx.final_sp, self.page_bytes)
+        return dirty, dirty[dirty >= final_page]
 
     def checkpoint(self, ctx: IntervalContext) -> tuple[int, int, int]:
         """Walk the PTEs, stage and commit every live dirty page, and reset
@@ -153,21 +119,33 @@ class DirtyBitPersistence(PersistenceMechanism):
         cycles += walked * PTE_INSPECT_CYCLES
 
         # Copy every live dirty page, pipelined: one device latency for
-        # the batch plus bandwidth streaming of the bytes.
-        live = sorted(self.live_pages(ctx.final_sp))
-        copied = len(live) * self.page_bytes
-        cycles += len(self._dirty_pages) * PTE_CLEAR_CYCLES
+        # the batch plus bandwidth streaming of the bytes.  Every dirty
+        # bit is reset, live or not.
+        dirty, live = self.dirty_pages(ctx)
         pb = self.page_bytes
+        copied = len(live) * pb
+        cycles += len(dirty) * PTE_CLEAR_CYCLES
         self.staging.stage(
-            ctx.interval_index, [p * pb for p in live], [(p + 1) * pb for p in live]
+            ctx.interval_index, (live * pb).tolist(), ((live + 1) * pb).tolist()
         )
         cycles += self.staging.finish_stage(copied, self.fixed_scale).cycles
         cycles += self.staging.commit()
-        self.clear_dirty()
         return cycles, copied, len(live)
 
-    def persisted_state(self) -> dict:
-        return {
-            "kind": "page-checkpoint",
-            "intervals_committed": self.stats.intervals,
-        }
+
+def touched_pages(stores: StoreLog, page_bytes: int) -> np.ndarray:
+    """The pages *stores* touch, ascending: every page a store spans, none
+    for a store of size 0."""
+    sizes = stores.sizes
+    written = sizes > 0
+    addresses = stores.addresses[written]
+    first = addresses // page_bytes
+    last = (addresses + sizes[written] - 1) // page_bytes
+    multi = last > first
+    if multi.any():
+        # Rare multi-page stores: add each one's further pages.
+        first = np.concatenate([first] + [
+            np.arange(f + 1, l + 1)
+            for f, l in zip(first[multi].tolist(), last[multi].tolist())
+        ])
+    return np.unique(first)

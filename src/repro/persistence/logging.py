@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.persistence.base import (
     Capabilities,
     IntervalContext,
@@ -56,6 +58,12 @@ class _SpAwareMixin:
             return False
         final_sp = self._sp_oracle(self._current_interval)
         return address < final_sp
+
+    def _kept(self, addresses: np.ndarray) -> np.ndarray:
+        """The stores of *addresses* that :meth:`_skip_store` keeps."""
+        if self._sp_oracle is None:
+            return addresses
+        return addresses[addresses >= self._sp_oracle(self._current_interval)]
 
     def _advance_interval(self) -> None:
         self._current_interval += 1
@@ -96,8 +104,6 @@ class FlushPersistence(_SpAwareMixin, PersistenceMechanism):
         self._advance_interval()
         return cycles
 
-    def persisted_state(self) -> dict:
-        return {"kind": "in-place-nvm", "flushes": self.flushes}
 
 
 class UndoLogPersistence(_SpAwareMixin, PersistenceMechanism):
@@ -149,8 +155,6 @@ class UndoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self._advance_interval()
         return cycles
 
-    def persisted_state(self) -> dict:
-        return {"kind": "in-place-nvm+undo-log", "log_entries": self.log_entries}
 
 
 class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
@@ -174,8 +178,6 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self.log_entries = 0
         self.log_bytes = 0
         self.skipped = 0
-        #: Unique 8-byte locations written this interval (applied at commit).
-        self._pending: set[int] = set()
 
     def on_load(self, address: int, size: int, now: int) -> int:
         # Loads must consult the redo log for not-yet-applied data.
@@ -188,20 +190,17 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         self.log_entries += 1
         entry_bytes = LOG_ENTRY_HEADER_BYTES + size
         self.log_bytes += entry_bytes
-        self._pending.add(address // 8)
         return LOG_ENTRY_SETUP_CYCLES + self.hierarchy.nvm.write(entry_bytes, now)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
-        # Apply the log: copy every pending location from log to home.
-        apply_bytes = len(self._pending) * 8
+        # Apply the log: copy every unique 8-byte location written by the
+        # interval's stores that SP awareness kept, from log to home.
+        kept = self._kept(ctx.stores.addresses)
+        apply_bytes = len(np.unique(kept // 8)) * 8
         hierarchy = self.hierarchy
         cycles = hierarchy.reliable_copy_to_nvm(hierarchy.nvm, apply_bytes).cycles
         cycles += hierarchy.persist_barrier()
         cycles += hierarchy.nvm.write(LOG_ENTRY_HEADER_BYTES, ctx.now)
         self.stats.checkpoint_bytes.append(apply_bytes)
-        self._pending.clear()
         self._advance_interval()
         return cycles
-
-    def persisted_state(self) -> dict:
-        return {"kind": "in-place-nvm+redo-log", "log_entries": self.log_entries}

@@ -114,8 +114,3 @@ class ProsperPersistence(PersistenceMechanism):
         """The checkpoint engine's staging buffer (None until attached)."""
         engine = self.checkpoint_engine
         return engine.staging if engine is not None else None
-
-    def persisted_state(self) -> dict:
-        staging = self.staging
-        committed = staging.last_committed_interval if staging is not None else None
-        return {"kind": "prosper-checkpoint", "last_committed": committed}

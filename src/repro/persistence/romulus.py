@@ -10,6 +10,11 @@ is compiler-managed, the paper re-casts it as a hardware-software co-design:
 * at the end of each consistency interval, software walks the log and
   copies each logged range from main to backup.
 
+The store hook charges the record's NVM append; the records themselves
+are the engine's interval store log (``IntervalContext.stores``), which
+holds every stack store's address and size in op order, so the interval
+end walks that log's sizes.
+
 Crucially the paper notes their implementation performs **no coalescing**:
 the software "may copy overlapping addresses" repeatedly, which — combined
 with the stack living in NVM — is why Romulus shows the largest overheads in
@@ -42,13 +47,7 @@ class RomulusPersistence(PersistenceMechanism):
     )
     region_in_nvm = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: The per-interval hardware log: (address, size) records in order.
-        self._log: list[tuple[int, int]] = []
-
     def on_store(self, address: int, size: int, now: int) -> int:
-        self._log.append((address, size))
         # Hardware appends the record to the NVM-resident log.  The append
         # shares the store's path; charge the NVM write of the record.
         return self.hierarchy.nvm.write(LOG_RECORD_BYTES, now)
@@ -63,22 +62,11 @@ class RomulusPersistence(PersistenceMechanism):
         # the inefficiency the paper attributes to its Romulus adaptation
         # and why it shows the largest overheads in Figure 8.
         nvm = self.hierarchy.nvm
-        for _address, size in self._log:
+        for size in ctx.stores.sizes.tolist():
             cycles += LOG_DECODE_CYCLES
             cycles += nvm.read(size)
             cycles += nvm.write(size, ctx.now + cycles)
             copied += size
         cycles += self.hierarchy.persist_barrier()
         self.stats.checkpoint_bytes.append(copied)
-        self._log.clear()
         return cycles
-
-    @property
-    def pending_log_records(self) -> int:
-        return len(self._log)
-
-    def persisted_state(self) -> dict:
-        return {
-            "kind": "twin-copy-nvm",
-            "intervals_committed": self.stats.intervals,
-        }

@@ -218,9 +218,3 @@ class SspPersistence(PersistenceMechanism):
     @property
     def tracked_pages(self) -> int:
         return len(self._pages)
-
-    def persisted_state(self) -> dict:
-        return {
-            "kind": "shadow-paging-nvm",
-            "intervals_committed": self.stats.intervals,
-        }

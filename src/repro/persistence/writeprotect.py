@@ -10,7 +10,10 @@ Compared to the Dirtybit approach this adds a page-fault cost per
 first-touch page per interval — the overhead LDT (and the paper) call out —
 while the checkpoint itself is identical page-granularity copying, so it is
 inherited from :class:`~repro.persistence.dirtybit.DirtyBitPersistence`
-(staging, crash points and recovery included).
+(staging, crash points and recovery included).  The checkpoint reads the
+dirty pages from the engine's interval store log; the store hook keeps
+only what the faults need: the pages first touched this interval and the
+pages ever mapped, whose PTEs each interval start re-protects.
 """
 
 from __future__ import annotations
@@ -32,25 +35,27 @@ class WriteProtectPersistence(DirtyBitPersistence):
     """Stack checkpointing with write-protection fault dirty tracking."""
 
     name = "writeprotect"
-    # Each first touch charges a fault, which the inherited batch hook
-    # does not: stores are delivered one at a time.
-    supports_batching = False
 
     def __init__(self, page_bytes: int = PAGE_BYTES) -> None:
         super().__init__(page_bytes)
         self.faults = 0
+        #: Pages written since write protection was last re-armed.
+        self._touched: set[int] = set()
+        #: Pages ever mapped (their PTEs exist and must be re-protected).
+        self._mapped: set[int] = set()
 
     def on_store(self, address: int, size: int, now: int) -> int:
         cost = 0
         for page in span_pages(address, size, self.page_bytes):
-            self._mapped_pages.add(page)
-            if page not in self._dirty_pages:
+            self._mapped.add(page)
+            if page not in self._touched:
                 # First store to a protected page this interval: fault.
-                self._dirty_pages.add(page)
+                self._touched.add(page)
                 self.faults += 1
                 cost += WP_FAULT_CYCLES
         return cost
 
     def on_interval_start(self, ctx: IntervalContext) -> int:
         # Re-arm write protection across mapped stack pages.
-        return len(self._mapped_pages) * PTE_PROTECT_CYCLES
+        self._touched.clear()
+        return len(self._mapped) * PTE_PROTECT_CYCLES

@@ -169,5 +169,3 @@ class TestAdaptiveProsper:
         ops = [Op(OpKind.WRITE, STACK.start + 8, 8)] * 100
         self._run(mech, ops, interval_ops=50)
         assert mech.granularity_history[0] == 8
-        state = mech.persisted_state()
-        assert state["kind"] == "prosper-adaptive-checkpoint"

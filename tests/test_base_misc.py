@@ -60,9 +60,6 @@ class TestBaseMechanism:
     def test_fixed_scale_defaults_to_one(self):
         assert PersistenceMechanism().fixed_scale == 1.0
 
-    def test_persisted_state_empty(self):
-        assert PersistenceMechanism().persisted_state() == {}
-
 
 class TestStackOnly:
     def test_keeps_only_stack_activity(self):

@@ -20,7 +20,7 @@ from repro.kernel.process import Process
 from repro.memory.address import AddressRange
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
-from repro.persistence.base import IntervalContext
+from repro.persistence.base import IntervalContext, StoreLog
 from repro.persistence.dirtybit import DirtyBitPersistence
 
 REGION = AddressRange(0x7000_0000, 0x7001_0000)
@@ -163,14 +163,17 @@ class _DirtybitOwner(_Owner):
         )
         engine.hierarchy.nvm.order_oracle = self.oracle
         self.buffer = self.mechanism.staging
+        self.stores = StoreLog()
 
     def store(self, address: int) -> None:
-        self.mechanism.on_store(address, 8, 0)
+        self.stores.append(address, 8)
 
     def checkpoint(self, interval: int) -> None:
-        self.mechanism.on_interval_end(
-            IntervalContext(interval, 0, REGION.start, REGION.start, REGION)
-        )
+        # The engine's store log, cleared only once the interval commits.
+        self.mechanism.on_interval_end(IntervalContext(
+            interval, 0, REGION.start, REGION.start, REGION, self.stores
+        ))
+        self.stores.clear()
 
 
 def _crash_staging(owner: _Owner, interval: int) -> list[str]:

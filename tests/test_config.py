@@ -6,6 +6,7 @@ from repro.config import (
     CACHE_LINE_BYTES,
     CPU_FREQ_HZ,
     PAGE_BYTES,
+    WORD_BITS,
     CacheConfig,
     DramConfig,
     NvmConfig,
@@ -16,6 +17,7 @@ from repro.config import (
     setup_i,
     setup_ii,
 )
+from repro.core import bitmap
 
 
 class TestUnitConversions:
@@ -85,6 +87,16 @@ class TestTrackerConfig:
             TrackerConfig(high_water_mark=0)
         with pytest.raises(ValueError):
             TrackerConfig(high_water_mark=33)
+
+    def test_watermarks_bounded_by_the_bitmap_word(self):
+        # Lookup-table values and bitmap words are one 32-bit width, which
+        # no config field can widen: a 40-bit HWM would never be reached.
+        assert WORD_BITS == bitmap.WORD_BITS == 32
+        TrackerConfig(high_water_mark=WORD_BITS, low_water_mark=WORD_BITS)
+        with pytest.raises(ValueError):
+            TrackerConfig(low_water_mark=WORD_BITS + 1)
+        with pytest.raises(TypeError):
+            TrackerConfig(bitmap_word_bits=64, high_water_mark=40)
 
     def test_rejects_negative_lwm(self):
         with pytest.raises(ValueError):

@@ -32,8 +32,8 @@ from repro.experiments.runner import (
 from repro.faults.injector import FaultInjector
 from repro.memory import native
 from repro.memory.address import AddressRange
-from repro.persistence.base import PersistenceMechanism
-from repro.persistence.dirtybit import DirtyBitPersistence
+from repro.persistence.base import PersistenceMechanism, StoreLog
+from repro.persistence.dirtybit import DirtyBitPersistence, touched_pages
 from repro.persistence.logging import (
     FlushPersistence,
     RedoLogPersistence,
@@ -267,8 +267,9 @@ class TestBatchedHookDeepState:
 
     @pytest.mark.parametrize("page_bytes", [512, 4096])
     def test_dirtybit_page_sets(self, page_bytes):
-        # The page-grain baseline also batches; its dirty/mapped page sets
-        # and checkpoint traffic must match the scalar oracle too.
+        # The page-grain baseline reads its dirty pages from the engine's
+        # store log: the unfinished interval's log must give the scalar
+        # oracle's page set, and the checkpoint traffic must match too.
         trace = quicksort_workload(seed=13)
         scalar, batched = _run_engines(
             trace,
@@ -276,8 +277,11 @@ class TestBatchedHookDeepState:
             interval_cycles=25_000,
             final_checkpoint=False,
         )
-        assert batched.mechanism._dirty_pages == scalar.mechanism._dirty_pages
-        assert batched.mechanism._mapped_pages == scalar.mechanism._mapped_pages
+        pages = [
+            touched_pages(engine._stack_stores, page_bytes).tolist()
+            for engine in (scalar, batched)
+        ]
+        assert pages[0] and pages[1] == pages[0]
         assert list(batched.mechanism.stats.checkpoint_bytes) == list(
             scalar.mechanism.stats.checkpoint_bytes
         )
@@ -303,8 +307,9 @@ def _mixed_density_trace() -> Trace:
     return Trace(np.concatenate(parts), stack, DEFAULT_HEAP)
 
 
-def _checkpoint_state(mechanism) -> dict:
-    """Checkpoint traffic plus the dirty-tracking state behind it."""
+def _checkpoint_state(mechanism, ctx) -> dict:
+    """Checkpoint traffic plus the dirty-tracking state behind it; *ctx* is
+    the mechanism's region context, whose store log Dirtybit reads."""
     state = {
         "checkpoint_bytes": list(mechanism.stats.checkpoint_bytes),
         "checkpoint_cycles": list(mechanism.stats.checkpoint_cycles),
@@ -315,8 +320,7 @@ def _checkpoint_state(mechanism) -> dict:
         state["bitmap_words"] = mechanism.bitmap.snapshot_words().tolist()
         state["min_dirty_address"] = tracker.min_dirty_address
     elif isinstance(mechanism, DirtyBitPersistence):
-        state["dirty_pages"] = set(mechanism._dirty_pages)
-        state["mapped_pages"] = set(mechanism._mapped_pages)
+        state["dirty_pages"] = mechanism.dirty_pages(ctx)[0].tolist()
     return state
 
 
@@ -367,10 +371,139 @@ class TestMixedDensity:
         # Replacement state itself, not just its counters: a stale age
         # left behind by a hand-over changes victims only much later.
         assert _cache_state(batched) == _cache_state(scalar)
-        for attr in ("mechanism", "heap_mechanism"):
-            assert _checkpoint_state(getattr(batched, attr)) == _checkpoint_state(
-                getattr(scalar, attr)
+        assert [_checkpoint_state(*region) for region in batched._regions()] == [
+            _checkpoint_state(*region) for region in scalar._regions()
+        ]
+
+
+class _StoreLogProbe(PersistenceMechanism):
+    """Copies its region's interval store log at every interval end."""
+
+    name = "store-log-probe"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.logs: list[tuple[int, list[int], list[int]]] = []
+
+    def on_interval_end(self, ctx):
+        stores = ctx.stores
+        self.logs.append(
+            (ctx.interval_index, stores.addresses.tolist(), stores.sizes.tolist())
+        )
+        return 0
+
+
+def _store_log_trace() -> Trace:
+    """Stack and heap loads, stores and computes over two and a half
+    chunks, with a page-straddling store, a three-page store and a store
+    of size 0 in each region."""
+    rng = np.random.default_rng(5)
+    n = CHUNK_OPS * 5 // 2
+    kinds = rng.choice(
+        [int(OpKind.READ), int(OpKind.WRITE), int(OpKind.COMPUTE)], n, p=[0.3, 0.5, 0.2]
+    )
+    on_stack = rng.random(n) < 0.5
+    offsets = rng.integers(0, 8192, n) * 8
+    addresses = np.where(
+        on_stack, DEFAULT_STACK.end - 0x10_0000 + offsets, DEFAULT_HEAP.start + offsets
+    )
+    sizes = np.where(kinds == int(OpKind.COMPUTE), 3, 8)
+    odd = [
+        (n // 3, DEFAULT_STACK.end - 0x8000 - 8, 16),
+        (n // 3 + 1, DEFAULT_HEAP.start + 0x4000 - 8, 16),
+        (CHUNK_OPS + 5, DEFAULT_STACK.end - 0x10_0000 + 0x2000, 2 * 4096 + 8),
+        (CHUNK_OPS + 6, DEFAULT_HEAP.start + 0x2000 + 64, 2 * 4096 + 8),
+        (2 * CHUNK_OPS - 3, DEFAULT_STACK.end - 0x10_0000 + 64, 0),
+        (2 * CHUNK_OPS - 2, DEFAULT_HEAP.start + 64, 0),
+    ]
+    for i, address, size in odd:
+        kinds[i], addresses[i], sizes[i] = int(OpKind.WRITE), address, size
+    ops = TraceBuilder()
+    ops.extend(kinds, addresses, sizes)
+    return Trace(ops.to_array(), DEFAULT_STACK, DEFAULT_HEAP)
+
+
+class TestStoreLog:
+    """The store log each engine hands a region's mechanism at an interval
+    end: every store of that region since the interval started, address
+    and size, in op order, the same on both engines."""
+
+    @pytest.mark.parametrize(
+        "interval",
+        [{"interval_ops": 3_001}, {"interval_cycles": 60_000}],
+        ids=["interval_ops", "interval_cycles"],
+    )
+    def test_engines_log_equal_stores(self, interval):
+        trace = _store_log_trace()
+        probes = []
+        for engine_cls in (ExecutionEngine, BatchedExecutionEngine):
+            engine = engine_cls(
+                config=setup_i(),
+                stack_range=trace.stack_range,
+                mechanism=_StoreLogProbe(),
+                heap_range=trace.heap_range,
+                heap_mechanism=_StoreLogProbe(),
             )
+            engine.run(trace, **interval)
+            # Intervals end mid-chunk, and some span a chunk edge.
+            assert len(engine.stats.intervals) > 3
+            probes.append((engine.mechanism.logs, engine.heap_mechanism.logs))
+        (scalar_stack, scalar_heap), batched = probes
+        assert batched == probes[0]
+        for logs, region in (
+            (scalar_stack, DEFAULT_STACK), (scalar_heap, DEFAULT_HEAP)
+        ):
+            sizes = [size for _, _, entry in logs for size in entry]
+            assert {0, 16, 2 * 4096 + 8} <= set(sizes)
+            assert all(
+                region.contains(address) for _, entry, _ in logs for address in entry
+            )
+
+    def test_ops_intervals_log_their_own_stores(self):
+        # The oracle: interval k of an ops-mode run logs the region stores
+        # among ops [k * N, (k + 1) * N) of the trace, in op order.
+        trace = _store_log_trace()
+        n = 3_001
+        engine = BatchedExecutionEngine(
+            config=setup_i(),
+            stack_range=trace.stack_range,
+            mechanism=_StoreLogProbe(),
+            heap_range=trace.heap_range,
+            heap_mechanism=_StoreLogProbe(),
+        )
+        engine.run(trace, interval_ops=n)
+        arr = trace.array
+        for mechanism, region in (
+            (engine.mechanism, DEFAULT_STACK),
+            (engine.heap_mechanism, DEFAULT_HEAP),
+        ):
+            assert len(mechanism.logs) == -(-len(arr) // n)
+            for k, addresses, sizes in mechanism.logs:
+                window = arr[k * n : (k + 1) * n]
+                stores = window[
+                    (window["kind"] == int(OpKind.WRITE))
+                    & (window["address"] >= region.start)
+                    & (window["address"] < region.end)
+                ]
+                assert addresses == stores["address"].tolist()
+                assert sizes == stores["size"].tolist()
+
+    def test_dirtybit_multi_page_and_empty_stores(self):
+        # A store dirties every page it spans and a size-0 store none, on
+        # both regions and both engines.
+        trace = _store_log_trace()
+        scalar, batched = run_both(
+            trace,
+            mechanism_factory=DirtyBitPersistence,
+            heap_factory=DirtyBitPersistence,
+            interval_ops=3_001,
+        )
+        assert batched == scalar
+        log = StoreLog()
+        log.append(0x5000 - 8, 16)
+        log.append(0x9000 + 64, 2 * 4096 + 8)
+        log.append(0x20000, 0)
+        assert touched_pages(log, 4096).tolist() == [4, 5, 9, 10, 11]
 
 
 class _OverBound(PersistenceMechanism):

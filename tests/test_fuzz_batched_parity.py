@@ -210,9 +210,10 @@ def _count_hook_calls(mechanism) -> list[int]:
 
 
 class TestRecorderBatching:
-    """The golden-image recorder batches exactly when its inner mechanism
-    does, so a batched probe crash-checks the batched hooks the figures
-    run, with the same golden image as the scalar reference."""
+    """The golden-image recorder batches when its inner mechanism does or
+    defines no store hook (Dirtybit), so a batched probe crash-checks the
+    batched delivery the figures run, with the same golden image as the
+    scalar reference."""
 
     @pytest.mark.parametrize("mechanism", ["prosper", "dirtybit"])
     def test_batched_probe_delivers_store_batches(self, mechanism):

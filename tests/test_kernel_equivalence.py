@@ -328,4 +328,4 @@ def test_engine_keeps_no_write_log_across_quanta():
     assert sim.stats.ops_executed > 1000
     for core in sim.cores:
         assert core.engine.stats.stack_writes > 0
-        assert len(core.engine._interval_writes) == 0
+        assert len(core.engine._stack_stores) == 0

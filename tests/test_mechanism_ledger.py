@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import WORD_BITS
 from repro.cpu.engine import ExecutionEngine, trace_array
 from repro.cpu.engine_fast import BatchedExecutionEngine
 from repro.cpu.ops import Op, OpKind
@@ -134,10 +135,7 @@ class TestLedgerIdentities:
         core = sim.cores[0]
         thread = core.queue[0][0]
         words = 4 * sim.process.tracker_config.lookup_table_entries
-        word_bytes = (
-            sim.process.tracker_config.bitmap_word_bits
-            * sim.process.tracker_config.granularity_bytes
-        )
+        word_bytes = WORD_BITS * sim.process.tracker_config.granularity_bytes
         frame = words * word_bytes
         base = thread.stack.end - frame
         ops = [Op(OpKind.CALL, size=frame)]

@@ -11,6 +11,11 @@ first five mechanisms' pins were recorded before the page checkpoint was
 given one owner, the last four's before the engines took over the ledger
 writes, so a refactor of either path must leave every cycle, byte and
 device access where it was.
+
+The pair pins run a stack mechanism and a heap mechanism together
+(Figure 9's two-region runs) and hash both ledgers; they were recorded
+before the engines handed each region's interval store log to the
+mechanisms.
 """
 
 import dataclasses
@@ -31,7 +36,7 @@ from repro.persistence.prosper import ProsperPersistence
 from repro.persistence.romulus import RomulusPersistence
 from repro.persistence.ssp import SspPersistence
 from repro.persistence.writeprotect import WriteProtectPersistence
-from repro.workloads.apps import ycsb_mem
+from repro.workloads.apps import gapbs_pr, ycsb_mem
 from repro.workloads.synthetic import sparse_workload, stream_workload
 
 TRACES = {
@@ -85,13 +90,39 @@ GOLDEN = {
 }
 
 
+#: (stack, heap) mechanism pairs run over two-region traces.
+PAIRS = {
+    "dirtybit+ssp-10us": ("dirtybit", "ssp-10us"),
+    "prosper+dirtybit": ("prosper", "dirtybit"),
+    "dirtybit+romulus": ("dirtybit", "romulus"),
+    "writeprotect+redo": ("writeprotect", "redo"),
+}
+
+PAIR_TRACES = {
+    "ycsb_mem": lambda: ycsb_mem(20_000, 42),
+    "gapbs_pr": lambda: gapbs_pr(20_000, 42),
+}
+
+#: SHA-256 of each pair run's statistics, both ledgers included.
+PAIR_GOLDEN = {
+    ("gapbs_pr", "dirtybit+romulus"): "04263d2d85e29a850ea64529291ee5d7a65613f7a06e0b64c5128e0d16c25973",
+    ("gapbs_pr", "dirtybit+ssp-10us"): "473b2912eac4a5f09db5c65b62f224f9d577385df9879a28892ca01c9834a2ec",
+    ("gapbs_pr", "prosper+dirtybit"): "fbf0c1d97acc3c3b2596e2738a08b036f06cf21c36079f8c3db5f0348603e047",
+    ("gapbs_pr", "writeprotect+redo"): "8629c0e9306dd16788f15c7fc9674e642e2f9c1ed88a4fe0a2d6638b42bb811c",
+    ("ycsb_mem", "dirtybit+romulus"): "58d6271273406d2d179d55b980aeba2e4085d2279acf73e2c3354df31bb564d6",
+    ("ycsb_mem", "dirtybit+ssp-10us"): "ace4cee5b2f7aad8d4f0a184e7948a0e8d5c5762ef613198f5242fc8937d5be8",
+    ("ycsb_mem", "prosper+dirtybit"): "32f5010cb0a659867c7dd4685a414600b701c201ebbc02a9bdb0eae0774b396c",
+    ("ycsb_mem", "writeprotect+redo"): "a9f74f514311e226dcb03a9fcdbf4874ad1be047a4c24165c27f4b8593e6c03f",
+}
+
+
 def _run(trace_name: str, mechanism_name: str):
     mechanism = MECHANISMS[mechanism_name]()
     result = run_mechanism(TRACES[trace_name](), mechanism, 10.0)
     return result, mechanism
 
 
-def _digest(result, mechanism) -> str:
+def _digest(result, mechanism, heap=None) -> str:
     hierarchy = mechanism.hierarchy
     state = {
         "engine": dataclasses.asdict(result.stats),
@@ -101,6 +132,9 @@ def _digest(result, mechanism) -> str:
         "faults": getattr(mechanism, "faults", None),
         "granularity_history": getattr(mechanism, "granularity_history", None),
     }
+    if heap is not None:
+        state["heap"] = dataclasses.asdict(heap.stats)
+        state["heap_faults"] = getattr(heap, "faults", None)
     blob = json.dumps(state, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -110,6 +144,23 @@ def _digest(result, mechanism) -> str:
 def test_run_statistics_pinned(trace_name, mechanism_name):
     result, mechanism = _run(trace_name, mechanism_name)
     assert _digest(result, mechanism) == GOLDEN[(trace_name, mechanism_name)]
+
+
+def _run_pair(trace_name: str, pair: str):
+    stack_name, heap_name = PAIRS[pair]
+    stack, heap = MECHANISMS[stack_name](), MECHANISMS[heap_name]()
+    result = run_mechanism(
+        PAIR_TRACES[trace_name](), stack, 10.0, heap_mechanism=heap
+    )
+    return result, stack, heap
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("trace_name", sorted(PAIR_TRACES))
+def test_pair_run_statistics_pinned(trace_name, pair):
+    result, stack, heap = _run_pair(trace_name, pair)
+    assert heap.stats.stores_seen and heap.stats.intervals
+    assert _digest(result, stack, heap) == PAIR_GOLDEN[(trace_name, pair)]
 
 
 def test_stream_reaches_page_fallback():

@@ -166,9 +166,7 @@ class TestProsperMechanism:
     def test_persisted_state_reports_commit(self):
         mech = ProsperPersistence()
         run(mech, stack_writes([STACK.start + 8]))
-        state = mech.persisted_state()
-        assert state["kind"] == "prosper-checkpoint"
-        assert state["last_committed"] == 0
+        assert mech.staging.last_committed_interval == 0
 
     def test_variant_name(self):
         assert ProsperPersistence().variant_name == "prosper-8B"

@@ -106,9 +106,14 @@ class TestRomulus:
     def test_log_records_per_store(self):
         mech = RomulusPersistence()
         engine = ExecutionEngine(stack_range=STACK, mechanism=mech)
-        # No interval end drains the log.
-        engine.run(stack_writes([STACK.start + 8] * 7))
-        assert mech.pending_log_records == mech.stats.stores_seen == 7
+        # No interval end drains the log: the engine holds one record per
+        # store, and each store appended one record to NVM.
+        engine.run(
+            stack_writes([STACK.start + 8] * 7), interval_ops=100,
+            final_checkpoint=False,
+        )
+        assert len(engine._stack_stores) == mech.stats.stores_seen == 7
+        assert engine.hierarchy.nvm.stats.writes == 7
 
     def test_no_coalescing_in_copy(self):
         # Five stores to the same address are copied five times.
@@ -118,8 +123,9 @@ class TestRomulus:
 
     def test_log_drains_at_interval(self):
         mech = RomulusPersistence()
-        run(mech, stack_writes([STACK.start + 8] * 4), interval_ops=2)
-        assert mech.pending_log_records == 0
+        engine, _ = run(mech, stack_writes([STACK.start + 8] * 4), interval_ops=2)
+        assert len(engine._stack_stores) == 0
+        assert mech.stats.checkpoint_bytes == [2 * 8, 2 * 8]
 
     def test_costlier_than_flush(self):
         ops = stack_writes([STACK.start + i * 8 for i in range(300)])

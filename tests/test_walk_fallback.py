@@ -21,6 +21,7 @@ from tests.test_engine_equivalence import (  # noqa: F401
     TestMechanismCoverage,  # noqa: F401
     TestMixedDensity,  # noqa: F401
     TestOverEstimatedBound,  # noqa: F401
+    TestStoreLog,  # noqa: F401
     TestWorkloadCoverage,  # noqa: F401
 )
 from tests.test_fuzz_batched_parity import (  # noqa: F401
