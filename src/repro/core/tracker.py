@@ -215,9 +215,13 @@ class ProsperTracker:
     def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Per-store upper bound on the cycles :meth:`observe_store` returns,
         in every reachable tracker state."""
-        granularity = self.config.granularity_bytes
+        return self.cost_bound_at(self.config.granularity_bytes, addresses, sizes)
+
+    @classmethod
+    def cost_bound_at(cls, granularity: int, addresses, sizes) -> np.ndarray:
+        """The bound under *granularity*; a finer one dominates."""
         granules = (addresses % granularity + sizes - 1) // granularity + 1
-        return granules * (self.MAX_OPS_PER_GRANULE * self.INTERFERENCE_CYCLES_PER_OP)
+        return granules * (cls.MAX_OPS_PER_GRANULE * cls.INTERFERENCE_CYCLES_PER_OP)
 
     # ------------------------------------------------------------------ #
     # Quiescence protocol (Section III-A two-step process)

@@ -23,8 +23,9 @@ loop:
   which reads the interval store log) never stops the walk.  Store hooks
   are delivered in batches through
   :meth:`PersistenceMechanism.on_store_batch` when no region is in NVM
-  and every hooked mechanism declares ``supports_batching`` and takes no
-  loads; otherwise every hook is delivered per op (SSP, the logging
+  and every hooked mechanism defines that hook and takes no loads (the
+  Prosper tracker's store path: Prosper, adaptive Prosper, the kernel's
+  cores); otherwise every hook is delivered per op (SSP, the logging
   family).  A per-op hook is due once the cycle count reaches the
   mechanism's ``hook_deadline`` (always, at the default 0): SSP's hooks
   before its next consolidation charge nothing, so the walk runs past
@@ -182,7 +183,7 @@ class BatchedExecutionEngine(ExecutionEngine):
             for mask, mech, _ in regions
             if mech.defines("on_store") or mech.defines("on_load")
         ]
-        # Batched hook delivery (see PersistenceMechanism.supports_batching).
+        # Batched hook delivery (see PersistenceMechanism.on_store_batch).
         # Deferring store hooks is exact only when (a) no region is
         # NVM-resident, so every demand latency inside a deferred window is
         # independent of the cycle count the deferred inline costs would
@@ -190,7 +191,7 @@ class BatchedExecutionEngine(ExecutionEngine):
         # loads, so no per-op hook can observe a cycle count that is
         # missing another mechanism's deferred costs.
         batch_env = not any(mech.region_in_nvm for _, mech, _ in regions) and all(
-            mech.supports_batching and not mech.defines("on_load")
+            mech.defines("on_store_batch") and not mech.defines("on_load")
             for _, mech in hooked
         )
         # Per-op walk flags: a deferred store adds its cost bound, a per-op

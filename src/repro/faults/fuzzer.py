@@ -180,16 +180,16 @@ class IntervalSnapshot:
 class RecordingMechanism(PersistenceMechanism):
     """Transparent wrapper that maintains the golden image.
 
-    Every store is assigned the next value of a monotonic counter and
-    written into the shared DRAM image *before* the inner mechanism's hook
-    runs; every interval boundary snapshots the image (before the inner
-    checkpoint reads it, which sees identical contents — no stores happen
-    in between).  The recorder batches when its inner mechanism does or
-    defines no store hook (Dirtybit): a batch of stores takes its counter
-    values in store order, so the batched engine's batched hooks are
-    checked with the same golden image as per-op delivery.  It forwards
-    the inner hook deadline, takes loads exactly when the inner mechanism
-    does, and shares the inner ``stats``, the ledger the engine keeps.
+    Every store of the region takes the next value of a monotonic counter
+    in the shared DRAM image.  The recorder reads the stores from the
+    engine's interval store log (``IntervalContext.stores``): at every
+    interval end it numbers them in op order into the image, snapshots
+    the image, and only then lets the inner checkpoint read it.  It
+    defines exactly the hooks its inner mechanism defines and forwards
+    them, so a schedule crash-checks the hook path the figures run
+    (batched Prosper stores, Dirtybit with no store hook).  It forwards
+    the inner hook deadline and shares the inner ``stats``, the ledger
+    the engine keeps.
 
     On the probe's golden run, :attr:`golden` is set and every interval
     start after the first copies the whole target into it, before the
@@ -202,9 +202,6 @@ class RecordingMechanism(PersistenceMechanism):
         self.dram = dram
         self.name = inner.name
         self.region_in_nvm = inner.region_in_nvm
-        self.supports_batching = inner.supports_batching or not inner.defines(
-            "on_store"
-        )
         self.stats = inner.stats
         self.snapshots: list[IntervalSnapshot] = []
         self._counter = 0
@@ -215,8 +212,7 @@ class RecordingMechanism(PersistenceMechanism):
         self.inner.attach(engine, region)
 
     def defines(self, hook: str) -> bool:
-        """Stores always: each one takes the next golden-image value."""
-        return hook == "on_store" or self.inner.defines(hook)
+        return self.inner.defines(hook)
 
     @property
     def hook_deadline(self) -> int:
@@ -226,14 +222,9 @@ class RecordingMechanism(PersistenceMechanism):
         return self.inner.on_load(address, size, now)
 
     def on_store(self, address: int, size: int, now: int) -> int:
-        self._counter += 1
-        self.dram.write(address, self._counter)
         return self.inner.on_store(address, size, now)
 
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        first = self._counter + 1
-        self._counter += len(addresses)
-        self.dram.write_array(addresses, np.arange(first, self._counter + 1))
         return self.inner.on_store_batch(addresses, sizes, now)
 
     def store_cost_bound_array(
@@ -247,6 +238,11 @@ class RecordingMechanism(PersistenceMechanism):
         return self.inner.on_interval_start(ctx)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
+        first = self._counter + 1
+        self._counter += len(ctx.stores)
+        self.dram.write_array(
+            ctx.stores.addresses, np.arange(first, self._counter + 1)
+        )
         self.snapshots.append(IntervalSnapshot(self.dram.snapshot(), ctx.final_sp))
         return self.inner.on_interval_end(ctx)
 

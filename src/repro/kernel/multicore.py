@@ -11,11 +11,12 @@ checkpoint manager; and one crash/recover path.
 There is one interpreter.  A quantum is a slice ``[cursor, end)`` of the
 thread's ``TRACE_DTYPE`` array, run by the core's
 :class:`~repro.cpu.engine_fast.BatchedExecutionEngine` (whose hierarchy is
-the core's) with the core's tracker behind a batch-eligible mechanism
-adapter.  What only the kernel adds is computed per slice with numpy: the
-DRAM image value of a store is ``(tid << 32) | op_index``, a pure function
-of its position, and only stores into another thread's stack take the OS
-fault path into the victim's bitmap.  Deferring the tracker hooks is exact
+the core's) with the core's tracker behind Prosper's own store path,
+:class:`~repro.persistence.prosper.TrackerStores`, which batches.  What
+only the kernel adds is computed per slice with numpy: the DRAM image
+value of a store is ``(tid << 32) | op_index``, a pure function of its
+position, and only stores into another thread's stack take the OS fault
+path into the victim's bitmap.  Deferring the tracker hooks is exact
 here because the kernel has no NVM-resident demand region (every demand
 latency is independent of the cycle count) and tracker cost depends only
 on store order.
@@ -45,7 +46,7 @@ from repro.kernel.process import Process, Thread
 from repro.kernel.scheduler import Scheduler
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import ByteImage
-from repro.persistence.base import PersistenceMechanism
+from repro.persistence.prosper import TrackerStores
 
 #: Cycles the OS write-fault path spends recording a store into another
 #: thread's stack in the victim's bitmap (Section III-C page permissions).
@@ -53,31 +54,6 @@ CROSS_THREAD_FAULT_CYCLES = 2500
 
 
 _WRITE = int(OpKind.WRITE)
-
-
-class TrackerMechanism(PersistenceMechanism):
-    """A core's Prosper tracker as the engine's stack mechanism.
-
-    Tracker interference depends only on store order, never on the cycle
-    count, so the engine may deliver stores in batches.  Loads cost the
-    tracker nothing, and checkpoints are the kernel's, not the engine's.
-    """
-
-    name = "prosper-tracker"
-    supports_batching = True
-
-    def __init__(self, tracker: ProsperTracker) -> None:
-        super().__init__()
-        self.tracker = tracker
-
-    def on_store(self, address: int, size: int, now: int) -> int:
-        return self.tracker.observe_store(address, size)
-
-    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        return self.tracker.observe_store_batch(addresses, sizes)
-
-    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return self.tracker.store_cost_bound_array(addresses, sizes)
 
 
 @dataclass
@@ -158,7 +134,7 @@ class KernelMachine:
             # The engine never sees the injector: the kernel's crash points
             # are protocol steps in the scheduler and manager.
             engine = BatchedExecutionEngine(
-                self.config, mechanism=TrackerMechanism(tracker)
+                self.config, mechanism=TrackerStores(tracker)
             )
             self.cores.append(
                 CoreState(

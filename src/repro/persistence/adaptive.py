@@ -13,36 +13,34 @@ hands the tracker a freshly-sized bitmap area.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.config import PAGE_BYTES, TrackerConfig
 from repro.core.adaptive import (
+    GRANULARITY_LADDER,
     PAGE_FALLBACK,
     GranularityController,
     IntervalProfile,
     WatermarkController,
 )
-from repro.core.bitmap import DirtyBitmap
-from repro.core.checkpoint import ProsperCheckpointEngine
 from repro.core.tracker import ProsperTracker
 from repro.memory.address import AddressRange
-from repro.persistence.base import (
-    Capabilities,
-    IntervalContext,
-    PersistenceMechanism,
-)
+from repro.persistence.base import IntervalContext
 from repro.persistence.dirtybit import DirtyBitPersistence
+from repro.persistence.prosper import ProsperPersistence
 
 
-class AdaptiveProsperPersistence(PersistenceMechanism):
-    """Prosper with OS-driven granularity (and optionally HWM) adaptation."""
+class AdaptiveProsperPersistence(ProsperPersistence):
+    """Prosper with OS-driven granularity (and optionally HWM) adaptation.
+
+    Stores take Prosper's tracker path unchanged, batched; only the
+    interval end differs.  In page fallback the tracker is disabled and
+    charges nothing.
+    """
 
     name = "prosper-adaptive"
-    capabilities = Capabilities(
-        achieves_process_persistence=True,
-        works_without_compiler_support=True,
-        stack_pointer_aware=True,
-        allows_stack_in_dram=True,
-    )
-    region_in_nvm = False
 
     def __init__(
         self,
@@ -52,22 +50,25 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         bitmap_base: int = 0x6000_0000,
         seed: int = 0xC0FFEE,
     ) -> None:
-        super().__init__()
-        self.tracker_config = tracker_config or TrackerConfig()
+        tracker_config = tracker_config or TrackerConfig()
         self.controller = granularity_controller or GranularityController(
-            initial=self.tracker_config.granularity_bytes
+            initial=tracker_config.granularity_bytes
         )
         self.watermarks = watermark_controller
-        self.bitmap_base = bitmap_base
-        self.seed = seed
-        self.tracker: ProsperTracker | None = None
-        self.bitmap: DirtyBitmap | None = None
-        self.checkpoint_engine: ProsperCheckpointEngine | None = None
+        super().__init__(
+            self._programmed(tracker_config, self.controller.granularity),
+            bitmap_base=bitmap_base,
+            seed=seed,
+        )
         #: Reads the interval's page footprint from the engine's store log
         #: for the density signal; it also checkpoints the stack while in
         #: page-fallback mode.
         self.pages = DirtyBitPersistence()
         self.granularity_history: list[int] = []
+
+    @property
+    def variant_name(self) -> str:
+        return self.name
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -76,30 +77,25 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
     def attach(self, engine, region: AddressRange) -> None:
         super().attach(engine, region)
         self.pages.attach(engine, region)
-        self._program_tracker(self.controller.granularity)
+        self.granularity_history.append(self.controller.granularity)
+
+    def _programmed(self, config: TrackerConfig, granularity: int) -> TrackerConfig:
+        """*config* with the granularity MSR (and the controller's HWM)."""
+        config = config.with_granularity(granularity)
+        if self.watermarks is not None:
+            config = replace(config, high_water_mark=self.watermarks.hwm)
+        return config
 
     def _program_tracker(self, granularity: int) -> None:
-        """(Re)program the tracker for *granularity* (MSR writes + new bitmap)."""
-        assert self.region is not None
+        """Reprogram the tracker between intervals: disable it for the page
+        fallback, or write its MSRs for *granularity* over a freshly sized
+        bitmap area through Prosper's own wiring."""
         if granularity == PAGE_FALLBACK:
-            if self.tracker is not None:
-                self.tracker.disable()
-            self.granularity_history.append(PAGE_FALLBACK)
-            return
-        config = self.tracker_config.with_granularity(granularity)
-        if self.watermarks is not None:
-            from dataclasses import replace
-
-            config = replace(config, high_water_mark=self.watermarks.hwm)
-        self.tracker = ProsperTracker(config, seed=self.seed)
-        self.bitmap = DirtyBitmap(self.region, granularity, self.bitmap_base)
-        self.tracker.configure(self.bitmap)
-        self.checkpoint_engine = ProsperCheckpointEngine(
-            self.tracker,
-            self.bitmap,
-            self.hierarchy,
-            fixed_scale=self.fixed_scale,
-        )
+            self.tracker.disable()
+        else:
+            self.tracker_config = self._programmed(self.tracker_config, granularity)
+            self.tracker = ProsperTracker(self.tracker_config, self.policy, self.seed)
+            self._wire(self.staging.injector)
         self.granularity_history.append(granularity)
 
     @property
@@ -114,10 +110,11 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
     # Hooks
     # ------------------------------------------------------------------ #
 
-    def on_store(self, address: int, size: int, now: int) -> int:
-        if self.in_page_fallback or self.tracker is None:
-            return 0
-        return self.tracker.observe_store(address, size)
+    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        # The engine bounds a chunk's stores once, but an interval end in
+        # the chunk may swap in another tracker: the ladder's finest
+        # granularity dominates every one it can program.
+        return ProsperTracker.cost_bound_at(GRANULARITY_LADDER[0], addresses, sizes)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
         if self.in_page_fallback:
@@ -125,7 +122,6 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
             runs = live_pages  # each live page is copied as one run
         else:
             live_pages = len(self.pages.dirty_pages(ctx)[1])
-            assert self.checkpoint_engine is not None
             result = self.checkpoint_engine.checkpoint(
                 ctx.interval_index,
                 active_low_hint=ctx.min_sp,
@@ -139,7 +135,7 @@ class AdaptiveProsperPersistence(PersistenceMechanism):
         previous = self.controller.granularity
         profile = IntervalProfile(copied, runs, live_pages * PAGE_BYTES)
         next_granularity = self.controller.observe(profile)
-        if self.watermarks is not None and self.tracker is not None:
+        if self.watermarks is not None:
             self.watermarks.observe(
                 self.tracker.interval_memory_ops, len(ctx.stores)
             )

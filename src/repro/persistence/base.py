@@ -1,6 +1,6 @@
 """Common interface for all memory-persistence mechanisms.
 
-The execution engine drives a mechanism through four hooks:
+The execution engine drives a mechanism through five hooks:
 
 * :meth:`PersistenceMechanism.on_load` / :meth:`~PersistenceMechanism.on_store`
   — called for a demand access to the region the mechanism covers, but only
@@ -8,6 +8,8 @@ The execution engine drives a mechanism through four hooks:
   (:meth:`~PersistenceMechanism.defines`); returns extra cycles charged to
   the application (critical-path cost such as a clwb, a log append, or
   tracker interference).
+* :meth:`~PersistenceMechanism.on_store_batch` — a run of stores at
+  once, for a mechanism whose class defines it and no load hook.
 * :meth:`~PersistenceMechanism.on_interval_start` /
   :meth:`~PersistenceMechanism.on_interval_end` — called at consistency /
   checkpoint interval boundaries with an :class:`IntervalContext`; returns
@@ -23,8 +25,9 @@ The engines also keep the record of which stores an interval made: each
 region's :class:`StoreLog` (address and size of every store, in op
 order) reaches the mechanism as ``IntervalContext.stores``.  A mechanism
 whose interval-end work is a function of that record (Dirtybit's PTE walk,
-Romulus's log pass, the redo apply) reads it there instead of keeping its
-own per-store list, and needs no store hook for it.
+Romulus's log pass, the redo apply, the crash checker's golden image)
+reads it there instead of keeping its own per-store list, and needs no
+store hook for it.
 
 Mechanisms also declare whether the region they protect must live in NVM
 (``region_in_nvm``): Romulus, SSP and the logging primitives keep the
@@ -198,20 +201,6 @@ class PersistenceMechanism:
     )
     #: True when the protected region must be allocated in NVM.
     region_in_nvm = False
-    #: True when the mechanism supports the batched hook protocol below:
-    #: the engine may then deliver whole runs of consecutive demand stores
-    #: through :meth:`on_store_batch` instead of one hook call per store.
-    #: Prosper and the kernel's tracker mechanism batch; a mechanism that
-    #: defines no store hook needs no batching to stay off the per-op path.
-    #: A mechanism may only opt in when its store hook is *now-independent*
-    #: — the inline cost of each store must not depend on the cycle count
-    #: at which the hook is invoked (no deadlines, no NVM write-buffer
-    #: drains keyed on ``now``) — so that deferring the hook to the end of
-    #: a run charges exactly the same cycles.  Order within a batch is
-    #: preserved, and the engine never reorders stores relative to each
-    #: other.  A batching mechanism takes no load hook: the engine delivers
-    #: per op to a mechanism that defines :meth:`on_load`.
-    supports_batching = False
 
     def __init__(self) -> None:
         self.stats = MechanismStats()
@@ -262,8 +251,9 @@ class PersistenceMechanism:
 
     def defines(self, hook: str) -> bool:
         """True when this mechanism's class overrides the base *hook*
-        (``"on_load"`` or ``"on_store"``): the engines deliver only the
-        accesses of the kinds a mechanism defines a hook for."""
+        (``"on_load"``, ``"on_store"``, ``"on_store_batch"``): the engines
+        deliver only the accesses of the kinds a mechanism defines a hook
+        for."""
         return getattr(type(self), hook) is not getattr(PersistenceMechanism, hook)
 
     @property
@@ -287,11 +277,13 @@ class PersistenceMechanism:
     def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
         """Batched form of :meth:`on_store` for a run of consecutive stores.
 
-        Must behave exactly like calling ``on_store`` once per (address,
-        size) pair in order, with *now* being the cycle count at delivery
-        (the end of the run).  Only invoked when :attr:`supports_batching`
-        is True.  Returns the summed extra critical-path cycles, which the
-        engine books.
+        A mechanism batches exactly when its class defines this hook and
+        no :meth:`on_load`.  Defining it promises a *now-independent* store
+        cost (no deadlines, no write-buffer drains keyed on ``now``), so
+        deferring the hooks to the end of a run charges the same cycles.
+        Must behave exactly like ``on_store`` once per (address, size)
+        pair in order, *now* being the cycle count at delivery; returns
+        the summed extra critical-path cycles, which the engine books.
         """
         return 0
 

@@ -80,10 +80,9 @@ class FlushPersistence(_SpAwareMixin, PersistenceMechanism):
         allows_stack_in_dram=False,
     )
     region_in_nvm = True
-    # Not batchable: the stack lives in NVM, so every store's cost flows
+    # No on_store_batch: the stack lives in NVM, so every store's cost flows
     # through the NVM write buffer at the current cycle count (clwb latency
     # depends on ``now``); deferred delivery would drift the timing.
-    supports_batching = False
 
     def __init__(self, sp_oracle: Callable[[int], int] | None = None) -> None:
         _SpAwareMixin.__init__(self, sp_oracle)
@@ -117,9 +116,8 @@ class UndoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         allows_stack_in_dram=False,
     )
     region_in_nvm = True
-    # Not batchable: log appends are NVM writes priced at the current cycle
-    # count (write-buffer occupancy is now-dependent).
-    supports_batching = False
+    # No on_store_batch: log appends are NVM writes priced at the current
+    # cycle count (write-buffer occupancy is now-dependent).
 
     def __init__(self, sp_oracle: Callable[[int], int] | None = None) -> None:
         _SpAwareMixin.__init__(self, sp_oracle)
@@ -168,9 +166,8 @@ class RedoLogPersistence(_SpAwareMixin, PersistenceMechanism):
         allows_stack_in_dram=False,
     )
     region_in_nvm = True
-    # Not batchable: like undo logging, appends hit the NVM write buffer at
-    # the current cycle count.
-    supports_batching = False
+    # No on_store_batch: like undo logging, appends hit the NVM write
+    # buffer at the current cycle count.
 
     def __init__(self, sp_oracle: Callable[[int], int] | None = None) -> None:
         _SpAwareMixin.__init__(self, sp_oracle)

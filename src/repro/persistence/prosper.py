@@ -24,7 +24,29 @@ from repro.persistence.base import (
 )
 
 
-class ProsperPersistence(PersistenceMechanism):
+class TrackerStores(PersistenceMechanism):
+    """Stores through a Prosper tracker: the one store path of Prosper,
+    adaptive Prosper and the kernel's per-core trackers.  Its cost
+    depends only on store order, never on the cycle count, so the stores
+    batch; loads and a disabled tracker cost nothing."""
+
+    name = "prosper-tracker"
+
+    def __init__(self, tracker: ProsperTracker) -> None:
+        super().__init__()
+        self.tracker = tracker
+
+    def on_store(self, address: int, size: int, now: int) -> int:
+        return self.tracker.observe_store(address, size)
+
+    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
+        return self.tracker.observe_store_batch(addresses, sizes)
+
+    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return self.tracker.store_cost_bound_array(addresses, sizes)
+
+
+class ProsperPersistence(TrackerStores):
     """Sub-page byte-granularity checkpointing via the Prosper tracker."""
 
     name = "prosper"
@@ -35,10 +57,6 @@ class ProsperPersistence(PersistenceMechanism):
         allows_stack_in_dram=True,
     )
     region_in_nvm = False
-    # Tracker interference is a per-op constant times a memory-op count that
-    # depends only on store order, never on the cycle counter, so deferred
-    # batch delivery charges exactly the same cycles as per-op hooks.
-    supports_batching = True
 
     def __init__(
         self,
@@ -49,11 +67,12 @@ class ProsperPersistence(PersistenceMechanism):
         content_reader=None,
         content_writer=None,
     ) -> None:
-        super().__init__()
-        self.tracker_config = tracker_config or TrackerConfig()
+        tracker_config = tracker_config or TrackerConfig()
+        super().__init__(ProsperTracker(tracker_config, policy, seed))
+        self.tracker_config = tracker_config
         self.policy = policy
+        self.seed = seed
         self.bitmap_base = bitmap_base
-        self.tracker = ProsperTracker(self.tracker_config, policy, seed)
         self.bitmap: DirtyBitmap | None = None
         self.checkpoint_engine: ProsperCheckpointEngine | None = None
         #: Optional actual-contents hooks (see repro.core.checkpoint):
@@ -74,14 +93,19 @@ class ProsperPersistence(PersistenceMechanism):
 
     def attach(self, engine, region: AddressRange) -> None:
         super().attach(engine, region)
+        self._wire(getattr(engine, "fault_injector", None))
+
+    def _wire(self, injector) -> None:
+        """Program the tracker over a fresh bitmap; build the checkpoint
+        engine over both."""
         self.bitmap = DirtyBitmap(
-            region, self.tracker_config.granularity_bytes, self.bitmap_base
+            self.region, self.tracker_config.granularity_bytes, self.bitmap_base
         )
         self.tracker.configure(self.bitmap)
         self.checkpoint_engine = ProsperCheckpointEngine(
-            self.tracker, self.bitmap, engine.hierarchy,
-            fixed_scale=engine.fixed_cost_scale,
-            injector=getattr(engine, "fault_injector", None),
+            self.tracker, self.bitmap, self.hierarchy,
+            fixed_scale=self.fixed_scale,
+            injector=injector,
             content_reader=self.content_reader,
             content_writer=self.content_writer,
         )
@@ -89,15 +113,6 @@ class ProsperPersistence(PersistenceMechanism):
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
-
-    def on_store(self, address: int, size: int, now: int) -> int:
-        return self.tracker.observe_store(address, size)
-
-    def on_store_batch(self, addresses: np.ndarray, sizes: np.ndarray, now: int) -> int:
-        return self.tracker.observe_store_batch(addresses, sizes)
-
-    def store_cost_bound_array(self, addresses: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return self.tracker.store_cost_bound_array(addresses, sizes)
 
     def on_interval_end(self, ctx: IntervalContext) -> int:
         assert self.checkpoint_engine is not None, "not attached"

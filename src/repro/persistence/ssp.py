@@ -73,10 +73,10 @@ class SspPersistence(PersistenceMechanism):
         allows_stack_in_dram=False,
     )
     region_in_nvm = True
-    # Not batchable: the first access past the next consolidation deadline
-    # runs the pass and charges it, so batched delivery would change timing.
-    # Earlier accesses charge nothing, and ``hook_deadline`` says so.
-    supports_batching = False
+    # No on_store_batch: the first access past the next consolidation
+    # deadline runs the pass and charges it, so batched delivery would
+    # change timing.  Earlier accesses charge nothing, and
+    # ``hook_deadline`` says so.
 
     def __init__(self, consolidation_interval_us: float = 10.0) -> None:
         super().__init__()

@@ -1,9 +1,10 @@
 """Tests for the adaptive extensions: granularity and watermark controllers,
 and the adaptive Prosper mechanism."""
 
+import numpy as np
 import pytest
 
-from repro.config import PAGE_BYTES
+from repro.config import PAGE_BYTES, TrackerConfig
 from repro.core.adaptive import (
     GRANULARITY_LADDER,
     PAGE_FALLBACK,
@@ -11,6 +12,7 @@ from repro.core.adaptive import (
     IntervalProfile,
     WatermarkController,
 )
+from repro.core.tracker import ProsperTracker
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.ops import Op, OpKind
 from repro.memory.address import AddressRange
@@ -169,3 +171,21 @@ class TestAdaptiveProsper:
         ops = [Op(OpKind.WRITE, STACK.start + 8, 8)] * 100
         self._run(mech, ops, interval_ops=50)
         assert mech.granularity_history[0] == 8
+
+    def test_label_is_the_mechanism_name(self):
+        assert AdaptiveProsperPersistence().variant_name == "prosper-adaptive"
+
+    def test_store_bound_dominates_every_programmable_tracker(self):
+        # The batched engine bounds a chunk's stores once, and an interval
+        # end inside the chunk may swap in any ladder tracker.
+        rng = np.random.default_rng(5)
+        addresses = STACK.start + rng.integers(0, 1 << 16, 500)
+        sizes = rng.integers(1, 300, 500)
+        mech = AdaptiveProsperPersistence(
+            granularity_controller=GranularityController(initial=128)
+        )
+        bound = mech.store_cost_bound_array(addresses, sizes)
+        for granularity in GRANULARITY_LADDER:
+            tracker = ProsperTracker(TrackerConfig().with_granularity(granularity))
+            assert np.all(bound >= tracker.store_cost_bound_array(addresses, sizes))
+        assert np.any(bound > mech.tracker.store_cost_bound_array(addresses, sizes))

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TrackerConfig, setup_i, setup_ii
+from repro.core.adaptive import GranularityController, WatermarkController
 from repro.core.policies import AllocationPolicy
 from repro.cpu.engine import ExecutionEngine
 from repro.cpu.engine_fast import CHUNK_OPS, BatchedExecutionEngine
@@ -32,6 +33,7 @@ from repro.experiments.runner import (
 from repro.faults.injector import FaultInjector
 from repro.memory import native
 from repro.memory.address import AddressRange
+from repro.persistence.adaptive import AdaptiveProsperPersistence
 from repro.persistence.base import PersistenceMechanism, StoreLog
 from repro.persistence.dirtybit import DirtyBitPersistence, touched_pages
 from repro.persistence.logging import (
@@ -290,6 +292,64 @@ class TestBatchedHookDeepState:
         )
 
 
+class TestAdaptiveProsper:
+    """Adaptive Prosper stores through Prosper's tracker path, batched, and
+    reprograms the tracker at interval ends.  Across granularity changes,
+    the page fallback (a disabled tracker) and HWM changes its deep state
+    matches the scalar engine's, and the walk never stops for its hooks."""
+
+    CASES = {
+        "default": ("random", AdaptiveProsperPersistence),
+        "watermark": (
+            "random",
+            lambda: AdaptiveProsperPersistence(
+                watermark_controller=WatermarkController()
+            ),
+        ),
+        # Starts coarse and refines: after an interval end inside a chunk,
+        # stores bounded when the chunk began run under a finer tracker.
+        "refine-from-128": (
+            "quicksort",
+            lambda: AdaptiveProsperPersistence(
+                granularity_controller=GranularityController(initial=128)
+            ),
+        ),
+    }
+    MODES = {
+        "cycles": {"interval_cycles": 25_000},
+        "ops": {"interval_ops": 3_000},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_deep_state_matches_scalar(self, case, mode, monkeypatch):
+        workload, factory = self.CASES[case]
+        built = _recording_walker(monkeypatch)
+        scalar, batched = _run_engines(
+            WORKLOADS[workload](), factory, **self.MODES[mode]
+        )
+        states = []
+        for engine in (scalar, batched):
+            mech = engine.mechanism
+            states.append({
+                **_prosper_deep_state(engine),
+                "granularity_history": list(mech.granularity_history),
+                "hwm_history": mech.watermarks and list(mech.watermarks.history),
+            })
+        assert states[1] == states[0]
+        assert snapshot(batched, batched.stats) == snapshot(scalar, scalar.stats)
+        history = states[0]["granularity_history"]
+        assert len(history) > 1
+        if case == "refine-from-128":
+            assert history[0] == 128 and history[1] < 128
+        if states[0]["hwm_history"] is not None:
+            assert len(set(states[0]["hwm_history"])) > 1
+        # Its stores are deferred, never a per-op hook.
+        flags = np.concatenate([f for _, f, _ in built])
+        assert not np.any(flags & native.F_HOOK)
+        assert np.any(flags & native.F_BOUND) == (mode == "cycles")
+
+
 def _mixed_density_trace() -> Trace:
     """Quicksort and ycsb_mem slices spliced at chunk granularity.
 
@@ -513,7 +573,6 @@ class _OverBound(PersistenceMechanism):
     find no boundary yet."""
 
     name = "over-bound"
-    supports_batching = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -689,11 +748,11 @@ class CallCountingSsp(SspPersistence):
 
 
 class _LoadProbe(PersistenceMechanism):
-    """Defines only ``on_load``, which charges 3 cycles.  It declares
-    batching, which a mechanism that takes loads cannot use."""
+    """Defines ``on_load``, which charges 3 cycles, and no ``on_store``.
+    It also defines ``on_store_batch``, which declares batching, which a
+    mechanism that takes loads cannot use."""
 
     name = "load-probe"
-    supports_batching = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -702,6 +761,9 @@ class _LoadProbe(PersistenceMechanism):
     def on_load(self, address, size, now):
         self.loads.append((address, now))
         return 3
+
+    def on_store_batch(self, addresses, sizes, now):
+        raise AssertionError("a mechanism that takes loads gets no batches")
 
 
 def _recording_walker(monkeypatch) -> list[tuple]:

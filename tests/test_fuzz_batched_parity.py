@@ -109,8 +109,9 @@ class _CountingProsper(ProsperPersistence):
 
 class TestFaultsKeepBatching:
     """Attached injectors, armed or not, and the order oracle leave batched
-    hook delivery on, and deferred SSP hooks too, and the batched engine
-    still matches the scalar reference."""
+    hook delivery on, and deferred SSP hooks too, and leave Dirtybit with
+    no hook at all; the batched engine still matches the scalar
+    reference."""
 
     #: Inside the second 20k-cycle interval of every armed input.
     DEADLINE = 40_000
@@ -126,7 +127,8 @@ class TestFaultsKeepBatching:
         )
         scalar, _ = run(ExecutionEngine)
         batched, deferred = run(BatchedExecutionEngine)
-        assert deferred > 0
+        # Dirtybit reads the store log: it has no hook to defer.
+        assert (deferred > 0) == (armed != "dirtybit")
         assert batched == scalar
 
     def _unarmed(self, cls):
@@ -153,8 +155,9 @@ class TestFaultsKeepBatching:
     def _armed(self, mechanism, monkeypatch, cls):
         # A crash schedule's fuzz target with a cycle deadline armed: the
         # interval the crash lands in batches its stores too (or, on SSP,
-        # defers the hooks before its consolidation deadline), and the
-        # crash, the golden images and the snapshots match the scalar twin.
+        # defers the hooks before its consolidation deadline; Dirtybit
+        # takes no hook), and the crash, the golden images and the
+        # snapshots match the scalar twin.
         engine_name = "scalar" if cls is ExecutionEngine else "batched"
         target = build_setup(mechanism, engine_name, trace=build_trace(0, 1200))
         batches = []
@@ -175,6 +178,10 @@ class TestFaultsKeepBatching:
         assert len(stats.intervals) == 1
         if batches:
             assert sum(batches) == stats.stack_writes
+        if mechanism == "dirtybit":
+            # No store hook reaches Dirtybit, batched or per op, and the
+            # walk never stops for one.
+            assert not batches and hook_calls[0] == 0 == hook_returns.count
         result = (
             exc.value.point,
             target.cycles,
@@ -210,15 +217,17 @@ def _count_hook_calls(mechanism) -> list[int]:
 
 
 class TestRecorderBatching:
-    """The golden-image recorder batches when its inner mechanism does or
-    defines no store hook (Dirtybit), so a batched probe crash-checks the
-    batched delivery the figures run, with the same golden image as the
-    scalar reference."""
+    """The golden-image recorder reads the interval store log and defines
+    exactly the hooks of its inner mechanism, so a batched probe
+    crash-checks the hook path the figures run: Prosper's stores in
+    batches, and no store hook at all for Dirtybit.  The golden images
+    match the scalar reference either way."""
 
     @pytest.mark.parametrize("mechanism", ["prosper", "dirtybit"])
-    def test_batched_probe_delivers_store_batches(self, mechanism):
+    def test_batched_probe_delivers_store_batches(self, mechanism, monkeypatch):
         targets = {}
         batches = []
+        hook_returns = _HookReturns(monkeypatch)
         for engine_name in ("scalar", "batched"):
             target = build_setup(
                 mechanism, engine_name, trace=build_trace(0, 1200),
@@ -232,11 +241,21 @@ class TestRecorderBatching:
                     return inner_hook(addresses, sizes, now)
 
                 target.inner.on_store_batch = counting_hook
+                hook_calls = _count_hook_calls(target.inner)
             target.run()
             targets[engine_name] = target
         scalar, batched = targets["scalar"], targets["batched"]
-        assert batched.recorder.supports_batching
-        assert batches and sum(batches) == batched.engine.stats.stack_writes
+        assert hook_calls[0] == 0  # no per-op hook on the batched engine
+        if mechanism == "prosper":
+            assert batched.recorder.defines("on_store_batch")
+            assert batches and sum(batches) == batched.engine.stats.stack_writes
+        else:
+            assert not any(
+                batched.recorder.defines(hook)
+                for hook in ("on_store", "on_store_batch", "on_load")
+            )
+            assert not batches and hook_returns.count == 0
+        assert batched.engine.stats.stack_writes > 0
         assert batched.cycles == scalar.cycles
         assert dict(batched.dram.iter_words()) == dict(scalar.dram.iter_words())
         assert dict(batched.durable.iter_words()) == dict(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.memory import native
 from tests.test_engine_equivalence import (  # noqa: F401
+    TestAdaptiveProsper,  # noqa: F401
     TestBatchedHookDeepState,  # noqa: F401
     TestConfigurationCorners,  # noqa: F401
     TestDeferredHooks,  # noqa: F401
